@@ -84,24 +84,10 @@ class CandidateStats:
         return sum(1 for reason in self.reasons.values() if reason == "no_qid")
 
 
-def _byte_offsets(text: str) -> list[int] | None:
-    """Byte offset of each character, or None when they coincide."""
-    if text.isascii():
-        return None
-    offsets = [0]
-    total = 0
-    for ch in text:
-        total += len(ch.encode("utf-8"))
-        offsets.append(total)
-    return offsets
-
-
-def _mention_pattern(title: str, *, fold_first_char_only: bool) -> re.Pattern[str]:
+def _mention_pattern(title: str) -> re.Pattern[str]:
     name = title.replace("_", " ")
     if not name:
         raise ValueError("empty title")
-    if not fold_first_char_only:
-        return re.compile(re.escape(name), re.IGNORECASE)
     first, rest = name[0], name[1:]
     variants = {first.lower(), first.upper()}
     if len(variants) > 1:
@@ -117,20 +103,14 @@ def _has_edge(snapshot: LinkSnapshot, source: int, target: int) -> bool:
     return i < len(row) and int(row[i]) == target
 
 
-def unlinked_mentions(
-    document: AnnotatedDocument,
-    title: str,
-    *,
-    fold_first_char_only: bool = True,
-) -> list[tuple[int, int]]:
+def unlinked_mentions(document: AnnotatedDocument, title: str) -> list[tuple[int, int]]:
     """Byte spans of title mentions outside existing link spans.
 
     A mention must sit at word boundaries: the characters immediately
     before and after it are absent or non-alphanumeric.
     """
-    pattern = _mention_pattern(title, fold_first_char_only=fold_first_char_only)
+    pattern = _mention_pattern(title)
     text = document.text
-    offsets = _byte_offsets(text)
     spans = []
     for match in pattern.finditer(text):
         start, end = match.start(), match.end()
@@ -138,10 +118,8 @@ def unlinked_mentions(
             continue
         if end < len(text) and text[end].isalnum():
             continue
-        if offsets is None:
-            byte_start, byte_end = start, end
-        else:
-            byte_start, byte_end = offsets[start], offsets[end]
+        byte_start = len(text[:start].encode("utf-8"))
+        byte_end = byte_start + len(match.group().encode("utf-8"))
         overlaps = any(
             byte_start < span_end and span_start < byte_end
             for span_start, span_end, _ in document.existing_link_spans
@@ -156,8 +134,6 @@ def findlink_candidates(
     orphan_title: str,
     corpus: Iterable[AnnotatedDocument],
     snapshot: LinkSnapshot,
-    *,
-    fold_first_char_only: bool = True,
 ) -> list[CandidateLink]:
     """Documents containing unlinked mentions of the orphan's title.
 
@@ -178,9 +154,7 @@ def findlink_candidates(
             continue
         if _has_edge(snapshot, document.page_id, orphan_page_id):
             continue
-        spans = unlinked_mentions(
-            document, orphan_title, fold_first_char_only=fold_first_char_only
-        )
+        spans = unlinked_mentions(document, orphan_title)
         if not spans:
             continue
         out.append(

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .graph import (
     LinkSnapshot,
@@ -90,10 +89,6 @@ class PanelObservation:
     period_index: int
     log_views: float
     referrer_class: str
-
-
-def _is_orphan_in(snapshot: LinkSnapshot, page_id: int) -> bool:
-    return snapshot.has_article(page_id) and snapshot.in_degree_of(page_id) == 0
 
 
 def _mean_pre_log_views(
@@ -324,17 +319,21 @@ def _ols(
     X: np.ndarray, y: np.ndarray, clusters: np.ndarray, names: list[str]
 ) -> DidEstimate:
     n, k = X.shape
-    q, r, pivot = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag[0] * max(n, k) * np.finfo(float).eps if diag.size else 0.0
-    rank = int((diag > tol).sum())
-    if rank < k:
-        raise RankDeficientError([names[i] for i in pivot[rank:]])
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    # One reduced QR gives the rank check, beta = R^-1 Q'y and
+    # (X'X)^-1 = R^-1 R^-T, without forming X'X.
+    q, r = np.linalg.qr(X)
+    diag = np.zeros(k)
+    diag[: min(n, k)] = np.abs(np.diag(r))
+    tol = diag.max() * max(n, k) * np.finfo(float).eps
+    collinear = np.flatnonzero(diag <= tol)
+    if collinear.size:
+        raise RankDeficientError([names[i] for i in collinear])
+    r_inv = np.linalg.inv(r)
+    beta = r_inv @ (q.T @ y)
+    xtx_inv = r_inv @ r_inv.T
     residuals = y - X @ beta
     dof = n - k
     sigma2 = float(residuals @ residuals / dof) if dof > 0 else math.nan
-    xtx_inv = np.linalg.inv(X.T @ X)
     se_classical = (
         np.sqrt(np.clip(sigma2 * np.diag(xtx_inv), 0.0, None))
         if dof > 0

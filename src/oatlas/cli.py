@@ -26,7 +26,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -74,8 +73,6 @@ _CONFIG_KEYS = {
     "window",
     "min_pairs",
     "lowess_fraction",
-    "seed",
-    "workers",
 }
 
 ENV_DATA_ROOT = "OATLAS_DATA"
@@ -93,8 +90,6 @@ class RunConfig:
     window: int = causal.DEFAULT_WINDOW
     min_pairs: int = causal.DEFAULT_MIN_PAIRS
     lowess_fraction: float = 0.67
-    seed: int = 0
-    workers: int = 1
 
     def validate(self) -> None:
         if not self.months:
@@ -114,8 +109,6 @@ class RunConfig:
             )
         if self.min_pairs < 1:
             raise ConfigError(f"min_pairs must be at least 1, got {self.min_pairs}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -222,14 +215,6 @@ def build_config(args: argparse.Namespace, env: Mapping[str, str]) -> RunConfig:
     if args.lowess_fraction is not None:
         lowess_fraction = args.lowess_fraction
 
-    seed = _parse_int(file_values.get("seed", "0"), "seed")
-    if args.seed is not None:
-        seed = args.seed
-
-    workers = _parse_int(file_values.get("workers", "1"), "workers")
-    if args.workers is not None:
-        workers = args.workers
-
     config = RunConfig(
         data_root=Path(data_root),
         out_dir=Path(out_dir),
@@ -239,8 +224,6 @@ def build_config(args: argparse.Namespace, env: Mapping[str, str]) -> RunConfig:
         window=window,
         min_pairs=min_pairs,
         lowess_fraction=lowess_fraction,
-        seed=seed,
-        workers=workers,
     )
     config.validate()
     return config
@@ -435,7 +418,9 @@ def _ingest_language(config: RunConfig, language: str) -> tuple[dict, dict[str, 
             links = ingest.iter_raw_links(
                 ingest.parse_sql_insert_rows(
                     handle, strict=config.strict, stats=parse_stats["pagelinks.sql"]
-                )
+                ),
+                strict=config.strict,
+                stats=parse_stats["pagelinks.sql"],
             )
             snapshot = graph.build_snapshot(
                 pages, redirects, links, language=language, month=month, stats=build_stats
@@ -483,7 +468,6 @@ def cmd_ingest(config: RunConfig) -> None:
             "languages": sorted(languages),
             "strict": config.strict,
             "window": config.window,
-            "seed": config.seed,
         },
         "languages": {},
     }
@@ -492,13 +476,7 @@ def cmd_ingest(config: RunConfig) -> None:
         print("nothing to ingest: no languages matched the configuration")
         return
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(
-                pool.map(lambda lang: _ingest_language(config, lang), languages)
-            )
-    else:
-        results = [_ingest_language(config, lang) for lang in languages]
+    results = [_ingest_language(config, lang) for lang in languages]
 
     sitelinks_path = config.data_root / "sitelinks.tsv"
     if not sitelinks_path.is_file():
@@ -545,7 +523,11 @@ def cmd_orphans(config: RunConfig) -> None:
         ),
     )
 
-    by_size = sorted(summaries, key=lambda s: (s.n_articles, s.language))
+    # A wiki without articles has no size to place on the log axis.
+    by_size = sorted(
+        (s for s in summaries if s.n_articles),
+        key=lambda s: (s.n_articles, s.language),
+    )
     log_sizes = [math.log10(s.n_articles) for s in by_size]
     fractions = [s.orphan_fraction for s in by_size]
     if len(by_size) >= 3:
@@ -759,15 +741,12 @@ def _estimates_for_direction(
         pooled_rows, spec="by_language", min_pairs=config.min_pairs
     )
     by_month = causal.fit_did(pooled_rows, spec="by_month")
-    by_referrer = {}
-    for referrer_class in sorted({o.referrer_class for o in observations} - {"all"}):
-        subset = [o for o in observations if o.referrer_class == referrer_class]
-        by_referrer[referrer_class] = causal.fit_did(subset, spec="pooled").to_dict()
+    by_referrer = causal.fit_did(observations, spec="by_referrer")
     return {
         "pooled": pooled.to_dict(),
         "by_language": {lang: est.to_dict() for lang, est in by_language.items()},
         "by_month": by_month.to_dict(),
-        "by_referrer": by_referrer,
+        "by_referrer": {cls: est.to_dict() for cls, est in by_referrer.items()},
     }
 
 
@@ -970,8 +949,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--lowess-fraction", type=float, dest="lowess_fraction", help="smoother bandwidth"
     )
-    common.add_argument("--seed", type=int, help="seed for any synthetic data")
-    common.add_argument("--workers", type=int, help="per-language worker pool size")
 
     parser = argparse.ArgumentParser(
         prog="oatlas",

@@ -177,7 +177,7 @@ def random_wiki(
     wiki.page_rows.append((n_pages + 1, 4, "Project_page", 0))
     wiki.page_rows.append((n_pages + 2, 10, "Template_page", 0))
 
-    for i in np.flatnonzero(is_redirect):
+    for i in np.flatnonzero(is_redirect).tolist():
         roll = rng.random()
         if roll < junk_fraction:
             target = f"Missing_{int(rng.integers(1, 100))}"

@@ -44,12 +44,6 @@ def test_mention_folds_first_character_only():
     assert unlinked_mentions(_doc("ROCK MUSIC!"), "Rock_music") == []
 
 
-def test_mention_full_case_folding_is_opt_in():
-    doc = _doc("ROCK MUSIC!")
-    spans = unlinked_mentions(doc, "Rock_music", fold_first_char_only=False)
-    assert spans == [(0, 10)]
-
-
 def test_mention_requires_word_boundaries():
     assert unlinked_mentions(_doc("bedrock music"), "Rock_music") == []
     assert unlinked_mentions(_doc("rock musical"), "Rock_music") == []

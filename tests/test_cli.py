@@ -161,7 +161,6 @@ def test_numeric_flag_validation(golden_root, tmp_path):
     base = ("--data", str(golden_root), "--out", str(out), "--months", MONTHS)
     assert _run("ingest", *base, "--window", "0") == EXIT_CONFIG_ERROR
     assert _run("ingest", *base, "--lowess-fraction", "1.5") == EXIT_CONFIG_ERROR
-    assert _run("ingest", *base, "--workers", "0") == EXIT_CONFIG_ERROR
     assert _run("ingest", *base, "--min-pairs", "0") == EXIT_CONFIG_ERROR
 
 
@@ -271,6 +270,47 @@ def test_corrupt_dump_lenient_skip_and_strict_abort(golden_root, tmp_path):
     assert rc == EXIT_DATA_ERROR
 
 
+def test_malformed_pagelinks_row_lenient_skip_and_strict_abort(golden_root, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    # Three columns: the statement parses, the pagelinks row does not.
+    with (data / "aa" / "2022-11" / "pagelinks.sql").open("ab") as handle:
+        handle.write(b"INSERT INTO `pagelinks` VALUES (1,0,'A_Moon');\n")
+    out = tmp_path / "out"
+    rc = _run("ingest", "--data", str(data), "--out", str(out), "--months", MONTHS)
+    assert rc == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["languages"]["aa"]["months"]["2022-11"]["skipped_rows"] == 1
+    assert manifest["languages"]["aa"]["months"]["2022-12"]["skipped_rows"] == 0
+    rc = _run("ingest", "--data", str(data), "--out", str(tmp_path / "out2"),
+              "--months", MONTHS, "--strict")
+    assert rc == EXIT_DATA_ERROR
+
+
+def test_orphans_keeps_a_wiki_without_articles_off_the_curve(golden_root, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    for month in MONTHS.split(":"):
+        month_dir = data / "zz" / month
+        month_dir.mkdir(parents=True)
+        fixtures.write_sql_dump(
+            month_dir / "page.sql", "page", [(1, 0, "Alias_a", 1), (2, 0, "Alias_b", 1)]
+        )
+        fixtures.write_sql_dump(
+            month_dir / "redirect.sql", "redirect", [(1, 0, "Alias_b"), (2, 0, "Alias_a")]
+        )
+        fixtures.write_sql_dump(month_dir / "pagelinks.sql", "pagelinks", [])
+    out = tmp_path / "out"
+    base = ("--data", str(data), "--out", str(out), "--months", MONTHS)
+    assert _run("ingest", *base) == EXIT_OK
+    assert _run("orphans", *base) == EXIT_OK
+    summary = {r[0]: r for r in _rows(out / "wiki_summary.tsv")}
+    assert summary["zz"] == ["zz", "0", "NA", "NA"]
+    curve = _rows(out / "lowess_curve.tsv")
+    assert [r[0] for r in curve] == ["cc", "bb", "aa"]
+    assert all(r[3] != "NA" for r in curve)
+
+
 def test_did_on_an_empty_panel_reports_then_fails(golden_root, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -282,20 +322,6 @@ def test_did_on_an_empty_panel_reports_then_fails(golden_root, tmp_path):
     assert rc == EXIT_DATA_ERROR
     payload = json.loads((out / "estimates.json").read_text())
     assert "no matched pairs" in payload["note"]
-
-
-def test_parallel_ingest_matches_serial(golden_root, tmp_path):
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    for out, workers in ((serial, "1"), (parallel, "3")):
-        rc = _run("ingest", "--data", str(golden_root), "--out", str(out),
-                  "--months", MONTHS, "--workers", workers)
-        assert rc == EXIT_OK
-    assert (serial / "manifest.json").read_bytes() == (
-        parallel / "manifest.json"
-    ).read_bytes()
-    assert (serial / "qidmap.tsv").read_bytes() == (
-        parallel / "qidmap.tsv"
-    ).read_bytes()
 
 
 def test_representation_scores_cover_feature_rows(pipeline):

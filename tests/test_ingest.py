@@ -109,6 +109,26 @@ def test_round_trip_through_dump_writer(tmp_path):
     assert parsed == rows
 
 
+def test_random_wiki_rows_round_trip_and_keep_their_redirects(tmp_path):
+    wiki = fixtures.random_wiki(np.random.default_rng(0))
+    parsed = {}
+    for table, rows in (
+        ("page", wiki.page_rows),
+        ("redirect", wiki.redirect_rows),
+        ("pagelinks", wiki.link_rows),
+    ):
+        path = tmp_path / f"{table}.sql"
+        fixtures.write_sql_dump(path, table, rows)
+        with path.open("rb") as handle:
+            parsed[table] = list(parse_sql_insert_rows(handle))
+        assert parsed[table] == rows
+    pages = load_page_table(parsed["page"])
+    redirects = load_redirects(parsed["redirect"], pages)
+    assert redirects.n_skipped == 0
+    assert len(redirects) + redirects.n_dropped == len(wiki.redirect_rows)
+    assert len(redirects) > 0
+
+
 def test_strict_mode_reports_byte_offset():
     good = b"INSERT INTO `t` VALUES (1,'fine');\n"
     bad = b"INSERT INTO `t` VALUES (2,'unterminated;\n"
