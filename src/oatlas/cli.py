@@ -25,6 +25,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +75,7 @@ _CONFIG_KEYS = {
     "min_pairs",
     "lowess_fraction",
 }
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 ENV_DATA_ROOT = "OATLAS_DATA"
 
@@ -144,12 +146,16 @@ def _parse_languages(raw: str) -> tuple[str, ...]:
 
 
 def load_config_file(path: Path) -> dict[str, str]:
-    """Read ``key = value`` lines; ``#`` starts a comment."""
+    """Read ``key = value`` lines.
+
+    A ``#`` at the start of a line or after whitespace starts a comment;
+    any other ``#`` is part of the value.
+    """
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -476,11 +482,11 @@ def cmd_ingest(config: RunConfig) -> None:
         print("nothing to ingest: no languages matched the configuration")
         return
 
-    results = [_ingest_language(config, lang) for lang in languages]
-
     sitelinks_path = config.data_root / "sitelinks.tsv"
     if not sitelinks_path.is_file():
         raise DataError(f"sitelink table not found: {sitelinks_path}")
+    results = [_ingest_language(config, lang) for lang in languages]
+
     with sitelinks_path.open(encoding="utf-8") as handle:
         index = ingest.load_sitelinks(
             ingest.read_sitelinks_tsv(handle), strict=config.strict
@@ -997,7 +1003,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         ModelError,
         causal.DegeneratePanelError,
         causal.RankDeficientError,
-        graph.UndefinedRateError,
     ) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL_ERROR

@@ -11,17 +11,24 @@ links), :func:`deadends` (no outgoing links), :func:`link_delta`
 (edge-set difference between consecutive months) and the
 de-orphanization / orphanization event streams derived from it.
 
-Snapshots round-trip through a small versioned binary container
-(magic ``OATL``) and can be exported as plain TSV edge lists.
+Snapshots round-trip through a small versioned binary container.  In
+format 2 a header (magic ``OATL``, a version byte, the language and the
+month as ``u16`` length-prefixed UTF-8, then the article and edge counts
+as ``u64``) is followed by unsigned LEB128 varints in three blocks: the
+gaps between consecutive page ids, the out-degree of every article, and
+per adjacency row the gaps between consecutive target indices (the
+first gap of a row counts from 0).  A CRC-32 of everything before it
+(``u32``) and the trailer ``LTAO`` close the file.  Containers of
+format 1 are rejected; re-running ``ingest`` rewrites them.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import Counter
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -29,7 +36,10 @@ from .ingest import PageTable, RawLink, RedirectTable
 
 _MAGIC = b"OATL"
 _TRAILER = b"LTAO"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+# A varint of k bytes holds values below 2**(7*k); nine hold any int64.
+_MAX_VARINT_BYTES = 9
+_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, _MAX_VARINT_BYTES)])
 
 DEORPHANIZED = "deorphanized"
 ORPHANIZED = "orphanized"
@@ -45,10 +55,6 @@ class SnapshotIntegrityError(ValueError):
 
 class SnapshotMismatchError(ValueError):
     """An operation across snapshots that do not belong together."""
-
-
-class UndefinedRateError(ValueError):
-    """A rate whose denominator is empty."""
 
 
 @dataclass
@@ -89,12 +95,8 @@ class LinkSnapshot:
         self._ids = ids
         self._indptr = indptr
         self._targets = targets
-        self._index: dict[int, int] = {int(p): i for i, p in enumerate(ids)}
-        if len(ids):
-            counts = np.bincount(targets, minlength=len(ids))
-        else:
-            counts = np.zeros(0, dtype=np.int64)
-        self._in_degree = counts.astype(np.int64)
+        self._index: dict[int, int] = dict(zip(ids.tolist(), range(len(ids))))
+        self._in_degree = _in_degrees(targets, len(ids))
         self._rev: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -109,16 +111,18 @@ class LinkSnapshot:
 
         Edges must connect distinct known articles; duplicates collapse.
         """
-        ids = np.array(sorted(set(int(a) for a in articles)), dtype=np.int64)
-        index = {int(p): i for i, p in enumerate(ids)}
-        adjacency: dict[int, set[int]] = {}
-        for u, v in edges:
-            if u == v:
-                raise SnapshotIntegrityError(f"self loop {u}->{v}")
-            if u not in index or v not in index:
-                raise SnapshotIntegrityError(f"edge {u}->{v} leaves the article set")
-            adjacency.setdefault(index[u], set()).add(index[v])
-        return cls(language, month, ids, *_pack_adjacency(len(ids), adjacency))
+        ids = _sorted_unique(np.fromiter(articles, dtype=np.int64))
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if len(loops):
+            u, v = pairs[loops[0]].tolist()
+            raise SnapshotIntegrityError(f"self loop {u}->{v}")
+        strays = np.flatnonzero(~np.isin(pairs, ids).all(axis=1))
+        if len(strays):
+            u, v = pairs[strays[0]].tolist()
+            raise SnapshotIntegrityError(f"edge {u}->{v} leaves the article set")
+        pos = np.searchsorted(ids, pairs)
+        return cls(language, month, ids, *_csr(len(ids), pos[:, 0], pos[:, 1]))
 
     # -- size and membership ------------------------------------------------
 
@@ -172,22 +176,18 @@ class LinkSnapshot:
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (from_page_id, to_page_id), grouped by source."""
         ids = self._ids
-        froms = np.repeat(ids, np.diff(self._indptr))
-        tos = ids[self._targets]
-        return zip(froms.tolist(), tos.tolist())
+        return zip(ids[self._sources()].tolist(), ids[self._targets].tolist())
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges())
 
+    def _sources(self) -> np.ndarray:
+        """The source index of every edge, aligned with the targets."""
+        return np.repeat(np.arange(len(self._ids)), np.diff(self._indptr))
+
     def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
         if self._rev is None:
-            n = len(self._ids)
-            counts = np.bincount(self._targets, minlength=n)
-            rev_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=rev_indptr[1:])
-            order = np.argsort(self._targets, kind="stable")
-            sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
-            self._rev = (rev_indptr, sources[order])
+            self._rev = _csr(len(self._ids), self._targets, self._sources())
         return self._rev
 
     # -- integrity ----------------------------------------------------------
@@ -196,27 +196,20 @@ class LinkSnapshot:
         """Check structural invariants, raising on any violation."""
         ids, indptr, targets = self._ids, self._indptr, self._targets
         n = len(ids)
-        if len(ids) != len(set(ids.tolist())) or (n > 1 and (np.diff(ids) <= 0).any()):
+        if (np.diff(ids) <= 0).any():
             raise SnapshotIntegrityError("article ids not sorted unique")
         if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(targets):
             raise SnapshotIntegrityError("bad index pointer array")
         if (np.diff(indptr) < 0).any():
             raise SnapshotIntegrityError("negative out degree")
-        if len(targets) and (targets.min() < 0 or targets.max() >= n):
-            raise SnapshotIntegrityError("target outside article set")
-        for i in range(n):
-            row = targets[indptr[i] : indptr[i + 1]]
-            if len(row) > 1 and (np.diff(row) <= 0).any():
-                raise SnapshotIntegrityError("adjacency list not sorted unique")
-            if bool((row == i).any()):
-                raise SnapshotIntegrityError("self loop")
-        recount = (
-            np.bincount(targets, minlength=n)
-            if n
-            else np.zeros(0, dtype=np.int64)
-        )
-        if not np.array_equal(recount, self._in_degree):
+        if not np.array_equal(_in_degrees(targets, n), self._in_degree):
             raise SnapshotIntegrityError("in_degree out of sync with adjacency")
+        sources = self._sources()
+        if (targets == sources).any():
+            raise SnapshotIntegrityError("self loop")
+        same_row = sources[1:] == sources[:-1]
+        if (same_row & (np.diff(targets) <= 0)).any():
+            raise SnapshotIntegrityError("adjacency list not sorted unique")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkSnapshot):
@@ -243,31 +236,27 @@ class LinkSnapshot:
             with target.open("wb") as handle:
                 self.save(handle)
             return
-        out = target
+        ids, indptr, targets = self._ids, self._indptr, self._targets
         lang = self.language.encode("utf-8")
         month = self.month.encode("utf-8")
-        out.write(_MAGIC)
-        out.write(struct.pack("<B", _FORMAT_VERSION))
-        out.write(struct.pack("<H", len(lang)) + lang)
-        out.write(struct.pack("<H", len(month)) + month)
-        out.write(struct.pack("<QQ", self.n_articles, self.n_edges))
-        buf = bytearray()
-        prev = 0
-        for pid in self._ids.tolist():
-            _push_varint(buf, pid - prev)
-            prev = pid
-        indptr = self._indptr.tolist()
-        targets = self._targets.tolist()
-        for i in range(self.n_articles):
-            lo, hi = indptr[i], indptr[i + 1]
-            _push_varint(buf, hi - lo)
-            prev = 0
-            for j in range(lo, hi):
-                t = targets[j]
-                _push_varint(buf, t - prev)
-                prev = t
-        out.write(bytes(buf))
-        out.write(_TRAILER)
+        target_gaps = np.diff(targets, prepend=0)
+        row_starts = indptr[:-1][indptr[:-1] < indptr[1:]]
+        target_gaps[row_starts] = targets[row_starts]
+        values = np.concatenate([np.diff(ids, prepend=0), np.diff(indptr), target_gaps])
+        if (values < 0).any():
+            raise SnapshotIntegrityError("negative delta in container")
+        body = b"".join(
+            [
+                _MAGIC,
+                struct.pack("<BH", _FORMAT_VERSION, len(lang)),
+                lang,
+                struct.pack("<H", len(month)),
+                month,
+                struct.pack("<QQ", self.n_articles, self.n_edges),
+                _encode_varints(values),
+            ]
+        )
+        target.write(body + struct.pack("<I", zlib.crc32(body)) + _TRAILER)
 
     @classmethod
     def load(cls, source: Path | IO[bytes]) -> "LinkSnapshot":
@@ -278,101 +267,105 @@ class LinkSnapshot:
         data = source.read()
         if data[:4] != _MAGIC:
             raise SnapshotFormatError("not a snapshot container (bad magic)")
-        if len(data) < 5 or data[4] != _FORMAT_VERSION:
+        if data[4:5] == b"\x01":
+            raise SnapshotFormatError(
+                "container format 1 is no longer read; re-run `oatlas ingest`"
+            )
+        if data[4:5] != bytes([_FORMAT_VERSION]):
             raise SnapshotFormatError("unsupported container version")
+        if len(data) < 13 or data[-4:] != _TRAILER:
+            raise SnapshotFormatError("truncated container (missing trailer)")
+        body = data[:-8]
+        if zlib.crc32(body) != struct.unpack("<I", data[-8:-4])[0]:
+            raise SnapshotFormatError("container checksum mismatch")
         pos = 5
         try:
-            (lang_len,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            language = data[pos : pos + lang_len].decode("utf-8")
-            pos += lang_len
-            (month_len,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            month = data[pos : pos + month_len].decode("utf-8")
-            pos += month_len
-            n_nodes, n_edges = struct.unpack_from("<QQ", data, pos)
-            pos += 16
-            ids = np.zeros(n_nodes, dtype=np.int64)
-            value = 0
-            for i in range(n_nodes):
-                delta, pos = _read_varint(data, pos)
-                value += delta
-                ids[i] = value
-            indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-            targets = np.zeros(n_edges, dtype=np.int64)
-            k = 0
-            for i in range(n_nodes):
-                degree, pos = _read_varint(data, pos)
-                indptr[i + 1] = indptr[i] + degree
-                value = 0
-                for _ in range(degree):
-                    delta, pos = _read_varint(data, pos)
-                    value += delta
-                    targets[k] = value
-                    k += 1
-            if k != n_edges:
-                raise SnapshotFormatError("edge count mismatch")
-            if data[pos : pos + 4] != _TRAILER:
-                raise SnapshotFormatError("truncated container (missing trailer)")
-        except (struct.error, IndexError) as exc:
-            raise SnapshotFormatError(f"truncated container: {exc}") from exc
+            (lang_len,) = struct.unpack_from("<H", body, pos)
+            language = body[pos + 2 : pos + 2 + lang_len].decode("utf-8")
+            pos += 2 + lang_len
+            (month_len,) = struct.unpack_from("<H", body, pos)
+            month = body[pos + 2 : pos + 2 + month_len].decode("utf-8")
+            pos += 2 + month_len
+            n_nodes, n_edges = struct.unpack_from("<QQ", body, pos)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise SnapshotFormatError(f"bad container header: {exc}") from exc
+        payload = body[pos + 16 :]
+        if 2 * n_nodes + n_edges > len(payload):
+            raise SnapshotFormatError("container counts exceed its payload")
+        values = _decode_varints(payload, 2 * n_nodes + n_edges)
+        ids = np.cumsum(values[:n_nodes])
+        degrees = values[n_nodes : 2 * n_nodes]
+        if n_nodes and degrees.max() > n_edges:
+            raise SnapshotFormatError("edge count mismatch")
+        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        if indptr[-1] != n_edges:
+            raise SnapshotFormatError("edge count mismatch")
+        # Each row's targets are the running sum of its gaps: a global
+        # running sum less the sum reached before the row starts.
+        targets = np.cumsum(values[2 * n_nodes :])
+        targets -= np.repeat(np.concatenate(([0], targets))[indptr[:-1]], degrees)
         snapshot = cls(language, month, ids, indptr, targets)
         snapshot.validate()
         return snapshot
 
 
-def _push_varint(buf: bytearray, value: int) -> None:
-    if value < 0:
-        raise SnapshotIntegrityError("negative delta in container")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
+def _in_degrees(targets: np.ndarray, n: int) -> np.ndarray:
+    if len(targets) and (targets.min() < 0 or targets.max() >= n):
+        raise SnapshotIntegrityError("target outside article set")
+    return np.bincount(targets, minlength=n)
 
 
-def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
-def _pack_adjacency(
-    n: int, adjacency: Mapping[int, set[int]]
+def _csr(
+    n: int, src_pos: np.ndarray, dst_pos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, targets in adjacency.items():
-        indptr[i + 1] = len(targets)
-    np.cumsum(indptr, out=indptr)
-    packed = np.zeros(indptr[-1], dtype=np.int64)
-    for i, targets in adjacency.items():
-        packed[indptr[i] : indptr[i + 1]] = sorted(targets)
-    return indptr, packed
+    """Sorted, duplicate-free adjacency (indptr, targets) of dense edges."""
+    keys = _sorted_unique(src_pos * n + dst_pos)
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
 
 
-def export_edges_tsv(snapshot: LinkSnapshot, target: Path | IO[str]) -> int:
-    """Write the edge list as ``from_page_id<TAB>to_page_id`` lines.
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` by sort and mask.
 
-    Isolated articles do not appear; use the container format when the
-    full article set matters.  Returns the number of edges written.
+    numpy 2.4's ``np.unique`` goes through a hash table: on 25k-200k
+    int64 edge keys it took 20 times as long as this, and it imports
+    ``numpy.ma`` into the process.
     """
-    if isinstance(target, Path):
-        with target.open("w", encoding="utf-8", newline="\n") as handle:
-            return export_edges_tsv(snapshot, handle)
-    count = 0
-    for u, v in snapshot.edges():
-        target.write(f"{u}\t{v}\n")
-        count += 1
-    return count
+    values = np.sort(values)
+    return values[np.diff(values, prepend=values[:1] - 1) != 0]
+
+
+def _encode_varints(values: np.ndarray) -> bytes:
+    """Unsigned LEB128 of non-negative int64 values, in order."""
+    lengths = 1 + np.searchsorted(_VARINT_LIMITS, values, side="right")
+    out = np.empty(int(lengths.sum()), dtype=np.uint8)
+    pos = np.cumsum(lengths) - lengths
+    # One pass per byte position, over the values that still need it.
+    while len(values):
+        more = values >= 0x80
+        out[pos] = (values & 0x7F) | (more << 7)
+        pos, values = pos[more] + 1, values[more] >> 7
+    return out.tobytes()
+
+
+def _decode_varints(payload: bytes, count: int) -> np.ndarray:
+    """Exactly ``count`` unsigned LEB128 values filling ``payload``."""
+    data = np.frombuffer(payload, dtype=np.uint8)
+    ends = np.flatnonzero(data < 0x80)
+    if len(ends) != count or (data[-1:] >= 0x80).any():
+        raise SnapshotFormatError("varint payload does not match the counts")
+    values = data[ends].astype(np.int64)
+    # Walk back from each varint's last byte over the continuation bytes
+    # before it.  data[-1] ends a varint, so a step to index -1 stops too.
+    rows, pos = np.arange(count), ends - 1
+    for _ in range(_MAX_VARINT_BYTES - 1):
+        more = data[pos] >= 0x80
+        rows, pos = rows[more], pos[more]
+        values[rows] = (values[rows] << 7) | (data[pos] & 0x7F)
+        pos -= 1
+    if (data[pos] >= 0x80).any():
+        raise SnapshotFormatError("varint longer than 64 bits")
+    return values
 
 
 def build_snapshot(
@@ -425,7 +418,8 @@ def build_snapshot(
             resolved[node] = final
         return final
 
-    adjacency: dict[int, set[int]] = {}
+    sources: list[int] = []
+    dests: list[int] = []
     for link in links:
         stats.n_raw_links += 1
         if link.target_namespace != 0:
@@ -451,17 +445,16 @@ def build_snapshot(
         if target == source:
             stats.dropped_self_loop += 1
             continue
-        bucket = adjacency.setdefault(source, set())
-        if target in bucket:
-            stats.n_duplicate_links += 1
-        else:
-            bucket.add(target)
+        sources.append(source)
+        dests.append(target)
 
-    ids = np.array(sorted(articles), dtype=np.int64)
-    index = {int(p): i for i, p in enumerate(ids)}
-    dense = {index[u]: {index[v] for v in vs} for u, vs in adjacency.items()}
-    snapshot = LinkSnapshot(language, month, ids, *_pack_adjacency(len(ids), dense))
+    ids = np.fromiter(articles, dtype=np.int64, count=len(articles))
+    ids.sort()
+    src_pos = np.searchsorted(ids, np.array(sources, dtype=np.int64))
+    dst_pos = np.searchsorted(ids, np.array(dests, dtype=np.int64))
+    snapshot = LinkSnapshot(language, month, ids, *_csr(len(ids), src_pos, dst_pos))
     stats.n_edges = snapshot.n_edges
+    stats.n_duplicate_links = len(sources) - snapshot.n_edges
     return snapshot
 
 
@@ -529,10 +522,9 @@ def deorphanizing_events(
     ``orphans_before`` must be the orphan set of the snapshot the delta
     was computed from.
     """
-    gained: Counter[int] = Counter()
-    for _, v in delta.added:
-        if v in orphans_before:
-            gained[v] += 1
+    added = np.array(list(delta.added), dtype=np.int64).reshape(-1, 2)[:, 1]
+    before = np.fromiter(orphans_before, dtype=np.int64, count=len(orphans_before))
+    page_ids, counts = np.unique(added[np.isin(added, before)], return_counts=True)
     return [
         OrphanEvent(
             language=delta.language,
@@ -541,7 +533,7 @@ def deorphanizing_events(
             direction=DEORPHANIZED,
             new_inlink_count=count,
         )
-        for page_id, count in sorted(gained.items())
+        for page_id, count in zip(page_ids.tolist(), counts.tolist())
     ]
 
 
@@ -553,47 +545,16 @@ def orphanizing_events(
         raise SnapshotMismatchError(
             f"cannot compare {earlier.language!r} against {later.language!r}"
         )
-    events = []
-    shared = np.intersect1d(earlier.article_ids, later.article_ids)
-    for page_id in shared.tolist():
-        if earlier.in_degree_of(page_id) > 0 and later.in_degree_of(page_id) == 0:
-            events.append(
-                OrphanEvent(
-                    language=earlier.language,
-                    month=earlier.month,
-                    page_id=page_id,
-                    direction=ORPHANIZED,
-                )
-            )
-    return events
-
-
-def deorph_rate(orphans_before: set[int], events: Iterable[OrphanEvent]) -> float:
-    """Fraction of the orphan population de-orphanized in one month."""
-    events = list(events)
-    for event in events:
-        if event.direction != DEORPHANIZED:
-            raise ValueError(f"unexpected event direction {event.direction!r}")
-    if not orphans_before:
-        raise UndefinedRateError("rate undefined: no orphans in the base month")
-    return len(events) / len(orphans_before)
-
-
-def added_indegree_cdf(events: Iterable[OrphanEvent]) -> list[tuple[int, float]]:
-    """Cumulative distribution of links gained per de-orphanized article.
-
-    Returns ``(k, fraction_with_count_at_most_k)`` pairs sorted by k;
-    empty input gives an empty list.
-    """
-    counts = Counter(
-        event.new_inlink_count for event in events if event.new_inlink_count
+    shared, i, j = np.intersect1d(
+        earlier.article_ids, later.article_ids, assume_unique=True, return_indices=True
     )
-    total = sum(counts.values())
-    if not total:
-        return []
-    out = []
-    running = 0
-    for k in sorted(counts):
-        running += counts[k]
-        out.append((k, running / total))
-    return out
+    lost = (earlier.in_degree_array()[i] > 0) & (later.in_degree_array()[j] == 0)
+    return [
+        OrphanEvent(
+            language=earlier.language,
+            month=earlier.month,
+            page_id=page_id,
+            direction=ORPHANIZED,
+        )
+        for page_id in shared[lost].tolist()
+    ]

@@ -529,9 +529,6 @@ class QidIndex:
     def sitelinks(self, qid: str) -> dict[str, str]:
         return dict(self._langs_by_qid.get(qid, {}))
 
-    def languages_of(self, qid: str) -> set[str]:
-        return set(self._langs_by_qid.get(qid, {}))
-
     def attach_page_ids(self, language: str, id_by_title: dict[str, int]) -> int:
         """Resolve this language's sitelink titles to page ids.
 

@@ -30,7 +30,15 @@ def edges_oracle(
 ) -> tuple[set[int], set[tuple[int, int]]]:
     """Recompute (articles, edges) by walking every link individually."""
     articles = {pid for pid, page in pages.by_id.items() if not page.is_redirect}
-    edges = set()
+    return articles, set(kept_links_oracle(pages, redirects, links))
+
+
+def kept_links_oracle(
+    pages: PageTable, redirects: RedirectTable, links: list[RawLink]
+) -> list[tuple[int, int]]:
+    """Every link that survives the drops, duplicates included, in order."""
+    articles = {pid for pid, page in pages.by_id.items() if not page.is_redirect}
+    edges = []
     for link in links:
         if link.target_namespace != 0:
             continue
@@ -45,8 +53,8 @@ def edges_oracle(
             continue
         if target_id == link.from_page_id:
             continue
-        edges.add((link.from_page_id, target_id))
-    return articles, edges
+        edges.append((link.from_page_id, target_id))
+    return edges
 
 
 def orphans_oracle(articles: set[int], edges: set[tuple[int, int]]) -> set[int]:

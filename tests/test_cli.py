@@ -192,14 +192,16 @@ def test_config_file_parsing_and_precedence(golden_root, tmp_path, monkeypatch):
     config_path = tmp_path / "run.conf"
     config_path.write_text(
         "# run settings\n"
-        f"data_root = {tmp_path / 'missing'}\n"
+        "data_root = /srv/da#ta\n"
         "months = 2022-11:2022-12  # range is inclusive\n"
         "languages = aa, bb\n"
-        "window = 2\n"
+        "window = 3  # months\n"
         "strict = yes\n"
     )
     values = load_config_file(config_path)
+    assert values["data_root"] == "/srv/da#ta"  # a '#' inside a value stays
     assert values["languages"] == "aa, bb"
+    assert values["window"] == "3"
     parser = cli._build_parser()
     args = parser.parse_args(["ingest", "--config", str(config_path)])
     env = {"OATLAS_DATA": str(golden_root)}
@@ -207,7 +209,7 @@ def test_config_file_parsing_and_precedence(golden_root, tmp_path, monkeypatch):
     assert config.data_root == golden_root  # environment beats the file
     assert config.months == ("2022-11", "2022-12")
     assert config.languages == ("aa", "bb")
-    assert config.window == 2
+    assert config.window == 3
     assert config.strict is True
     args = parser.parse_args(
         ["ingest", "--config", str(config_path), "--data", "elsewhere",
@@ -251,6 +253,28 @@ def test_missing_dump_file_lenient_skip_and_strict_abort(golden_root, tmp_path):
     rc = _run("ingest", "--data", str(data), "--out", str(tmp_path / "out2"),
               "--months", MONTHS, "--strict")
     assert rc == EXIT_DATA_ERROR
+
+
+def test_missing_sitelinks_fails_before_any_dump_is_parsed(golden_root, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    (data / "sitelinks.tsv").unlink()
+    out = tmp_path / "out"
+    rc = _run("ingest", "--data", str(data), "--out", str(out), "--months", MONTHS)
+    assert rc == EXIT_DATA_ERROR
+    assert not (out / "snapshots").exists()
+
+
+def test_flipped_container_byte_is_a_data_error(golden_root, tmp_path):
+    out = tmp_path / "out"
+    base = ("--data", str(golden_root), "--out", str(out), "--months", MONTHS)
+    assert _run("ingest", *base) == EXIT_OK
+    container = out / "snapshots" / "aa" / "2022-11.oatl"
+    blob = bytearray(container.read_bytes())
+    # The top byte of the article count: magic, version, "aa", "2022-11".
+    blob[4 + 1 + 2 + 2 + 2 + 7 + 7] ^= 0x40
+    container.write_bytes(bytes(blob))
+    assert _run("orphans", *base) == EXIT_DATA_ERROR
 
 
 def test_corrupt_dump_lenient_skip_and_strict_abort(golden_root, tmp_path):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oatlas import fixtures
 from oatlas.graph import (
@@ -16,13 +20,9 @@ from oatlas.graph import (
     SnapshotFormatError,
     SnapshotIntegrityError,
     SnapshotMismatchError,
-    UndefinedRateError,
-    added_indegree_cdf,
     build_snapshot,
     deadends,
-    deorph_rate,
     deorphanizing_events,
-    export_edges_tsv,
     link_delta,
     orphanizing_events,
     orphans,
@@ -33,6 +33,7 @@ from .oracles import (
     deadends_oracle,
     deorph_events_oracle,
     edges_oracle,
+    kept_links_oracle,
     orphanizing_oracle,
     orphans_oracle,
 )
@@ -125,10 +126,17 @@ def test_build_snapshot_matches_oracle_on_random_wikis():
         pages, redirects, links = _random_wiki_parts(
             rng, n_pages=150, n_links=500, redirect_fraction=0.3, junk_fraction=0.1
         )
-        snap = build_snapshot(pages, redirects, links, language="xx", month="2022-11")
+        stats = BuildStats()
+        snap = build_snapshot(
+            pages, redirects, links, language="xx", month="2022-11", stats=stats
+        )
         articles, edges = edges_oracle(pages, redirects, links)
         assert snap.articles == articles
         assert snap.edge_set() == edges
+        dropped = sum(v for k, v in vars(stats).items() if k.startswith("dropped_"))
+        assert stats.n_raw_links == dropped + stats.n_duplicate_links + stats.n_edges
+        kept = kept_links_oracle(pages, redirects, links)
+        assert stats.n_duplicate_links == len(kept) - len(set(kept))
         assert orphans(snap) == orphans_oracle(articles, edges)
         assert deadends(snap) == deadends_oracle(articles, edges)
         snap.validate()
@@ -145,6 +153,12 @@ def test_container_round_trip(tmp_path):
     assert loaded.language == "de" and loaded.month == "2022-11"
     assert np.array_equal(loaded.in_degree_array(), snap.in_degree_array())
     loaded.validate()
+    # Page ids whose gaps need up to nine varint bytes.
+    wide = LinkSnapshot.from_edges(
+        "de", "2022-11", [1, 2**40, 2**62 + 5], [(1, 2**62 + 5), (2**40, 1)]
+    )
+    wide.save(path)
+    assert LinkSnapshot.load(path) == wide
 
 
 def test_container_rejects_corruption(tmp_path):
@@ -158,6 +172,69 @@ def test_container_rejects_corruption(tmp_path):
         LinkSnapshot.load(io.BytesIO(blob[:-3]))
     with pytest.raises(SnapshotFormatError):
         LinkSnapshot.load(io.BytesIO(blob[:-4] + b"XXXX"))
+    with pytest.raises(SnapshotFormatError, match="ingest"):
+        LinkSnapshot.load(io.BytesIO(blob[:4] + b"\x01" + blob[5:]))
+
+
+def test_container_layout_is_header_three_varint_blocks_crc_trailer():
+    snap = LinkSnapshot.from_edges("xx", "2022-11", articles=[1, 300], edges=[(300, 1)])
+    buf = io.BytesIO()
+    snap.save(buf)
+    body = (
+        b"OATL\x02"
+        + struct.pack("<H", 2) + b"xx"
+        + struct.pack("<H", 7) + b"2022-11"
+        + struct.pack("<QQ", 2, 1)
+        + bytes([0x01, 0xAB, 0x02])  # id gaps 1 and 299
+        + bytes([0x00, 0x01])  # out-degrees
+        + bytes([0x00])  # row of page 300: target index 0
+    )
+    assert buf.getvalue() == body + struct.pack("<I", zlib.crc32(body)) + b"LTAO"
+
+
+def _fuzz_container():
+    """A 48-article container with a few multi-byte varints."""
+    rng = np.random.default_rng(5)
+    ids = np.sort(rng.choice(np.arange(1, 100_000), size=48, replace=False))
+    pairs = rng.choice(ids, size=(150, 2))
+    edges = [(int(u), int(v)) for u, v in pairs if u != v]
+    buf = io.BytesIO()
+    LinkSnapshot.from_edges("de", "2022-11", ids.tolist(), edges).save(buf)
+    return buf.getvalue()
+
+
+_FUZZ_BLOB = _fuzz_container()
+_CORRUPT = (SnapshotFormatError, SnapshotIntegrityError)
+_fuzz = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@_fuzz
+@given(cut=st.integers(0, len(_FUZZ_BLOB) - 1))
+def test_truncated_container_never_loads(cut):
+    with pytest.raises(_CORRUPT):
+        LinkSnapshot.load(io.BytesIO(_FUZZ_BLOB[:cut]))
+
+
+@_fuzz
+@given(pos=st.integers(0, len(_FUZZ_BLOB) - 1), mask=st.integers(1, 255))
+def test_flipped_byte_under_the_stored_checksum_never_loads(pos, mask):
+    blob = bytearray(_FUZZ_BLOB)
+    blob[pos] ^= mask
+    with pytest.raises(_CORRUPT):
+        LinkSnapshot.load(io.BytesIO(bytes(blob)))
+
+
+@_fuzz
+@given(pos=st.integers(0, len(_FUZZ_BLOB) - 9), mask=st.integers(1, 255))
+def test_flipped_byte_with_a_fresh_checksum_fails_typed_or_loads_valid(pos, mask):
+    body = bytearray(_FUZZ_BLOB[:-8])
+    body[pos] ^= mask
+    blob = bytes(body) + struct.pack("<I", zlib.crc32(body)) + _FUZZ_BLOB[-4:]
+    try:
+        loaded = LinkSnapshot.load(io.BytesIO(blob))
+    except _CORRUPT:
+        return
+    loaded.validate()
 
 
 def test_validate_catches_tampering():
@@ -165,15 +242,6 @@ def test_validate_catches_tampering():
     snap._targets[0] = 999999
     with pytest.raises(SnapshotIntegrityError):
         snap.validate()
-
-
-def test_export_edges_tsv():
-    snap = _small_snapshot()
-    buf = io.StringIO()
-    count = export_edges_tsv(snap, buf)
-    lines = buf.getvalue().splitlines()
-    assert count == 4
-    assert lines == ["1\t2", "2\t3", "3\t1", "4\t2"]
 
 
 def test_link_delta_and_events_on_known_change():
@@ -194,10 +262,6 @@ def test_link_delta_and_events_on_known_change():
     lost = orphanizing_events(before, after)
     assert [e.page_id for e in lost] == [3]
     assert lost[0].direction == ORPHANIZED
-
-    assert deorph_rate(orphans(before), events) == pytest.approx(0.5)
-    with pytest.raises(UndefinedRateError):
-        deorph_rate(set(), [])
 
 
 def test_language_mismatch_raises():
@@ -254,19 +318,3 @@ def test_events_match_oracle_on_random_month_pairs():
             orphanizing_oracle(before, after)
         )
 
-
-def test_added_indegree_cdf():
-    def ev(page_id, count):
-        from oatlas.graph import OrphanEvent
-
-        return OrphanEvent(
-            language="xx",
-            month="2022-11",
-            page_id=page_id,
-            direction=DEORPHANIZED,
-            new_inlink_count=count,
-        )
-
-    cdf = added_indegree_cdf([ev(1, 1), ev(2, 1), ev(3, 2), ev(4, 5)])
-    assert cdf == [(1, 0.5), (2, 0.75), (5, 1.0)]
-    assert added_indegree_cdf([]) == []

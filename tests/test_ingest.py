@@ -234,7 +234,6 @@ def test_qid_index_page_attachment_round_trip():
     assert index.page_for_qid("aa", "Q1") == 11
     assert index.qid_for_page("aa", 11) == "Q1"
     assert index.page_for_qid("bb", "Q1") is None
-    assert index.languages_of("Q1") == {"aa", "bb"}
     assert index.qids() == ["Q1"]
 
 
