@@ -20,7 +20,7 @@ get any candidate at all.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -75,13 +75,9 @@ class CandidateLink:
 
 @dataclass
 class CandidateStats:
-    """Side channel for per-orphan failure reasons."""
+    """Side channel counting orphans that yield no candidates, by reason."""
 
-    reasons: dict[int, str] = field(default_factory=dict)
-
-    @property
-    def n_no_qid(self) -> int:
-        return sum(1 for reason in self.reasons.values() if reason == "no_qid")
+    n_no_qid: int = 0
 
 
 def _mention_pattern(title: str) -> re.Pattern[str]:
@@ -187,7 +183,7 @@ def crosslingual_candidates(
     is the sorted tuple of supporting languages, and candidates are
     ordered by evidence size (descending), ties by source page id.
     An orphan with no item id yields an empty list and, when ``stats``
-    is given, the reason code ``no_qid``.
+    is given, counts in ``stats.n_no_qid``.
     """
     snapshot = snapshots[language]
     if not snapshot.has_article(orphan_page_id):
@@ -197,7 +193,7 @@ def crosslingual_candidates(
     qid = qid_index.qid_for_page(language, orphan_page_id)
     if qid is None:
         if stats is not None:
-            stats.reasons[orphan_page_id] = "no_qid"
+            stats.n_no_qid += 1
         return []
     votes: dict[int, set[str]] = {}
     for other in sorted(snapshots):

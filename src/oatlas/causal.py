@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,8 +63,9 @@ class RankDeficientError(ValueError):
         self.columns = columns
 
 
-@dataclass(frozen=True)
-class PairAssignment:
+class PairAssignment(NamedTuple):
+    """One row of ``pairs.tsv``; the fields are its columns."""
+
     pair_id: str
     qid: str
     treated_language: str
@@ -80,8 +81,9 @@ class PairBuildResult:
     n_dropped_no_control: int = 0
 
 
-@dataclass(frozen=True)
-class PanelObservation:
+class PanelObservation(NamedTuple):
+    """One row of ``panel.tsv``; the fields are its columns."""
+
     pair_id: str
     role: str
     language: str

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,9 +109,11 @@ def build_feature_table(
     return FeatureTable(language=language, columns=columns)
 
 
-@dataclass(frozen=True)
-class RepresentationScore:
+class RepresentationScore(NamedTuple):
     """How one feature is represented among orphans versus all articles.
+
+    One row of ``representation_scores.tsv``, whose columns are the
+    fields (``n_articles`` is headed ``n_rows`` there).
 
     ``undefined`` is set (and ``log_ratio`` is NaN) when either
     probability has an empty or zero denominator; a zero orphan share
@@ -170,8 +172,9 @@ def representation_scores(
     return scores
 
 
-@dataclass(frozen=True)
-class WikiSummary:
+class WikiSummary(NamedTuple):
+    """One row of ``wiki_summary.tsv``; the fields are its columns."""
+
     language: str
     n_articles: int
     orphan_fraction: float

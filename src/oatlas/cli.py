@@ -10,7 +10,7 @@ as long as its inputs are present:
 * ``orphans``      snapshots -> wiki_summary.tsv, lowess_curve.tsv
 * ``characterize`` snapshots + features.tsv -> representation_scores.tsv
 * ``panel``        snapshots + qidmap + pageviews.tsv -> pairs.tsv, panel.tsv
-* ``did``          pairs.tsv + panel.tsv -> estimates.json
+* ``did``          panel.tsv -> estimates.json
 * ``candidates``   snapshots + qidmap + titles -> candidates.tsv, coverage.tsv
 * ``all``          the six above, in order
 
@@ -21,6 +21,7 @@ error.  All outputs are deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -29,7 +30,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -65,16 +66,6 @@ class ModelError(Exception):
 # Configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "data_root",
-    "out",
-    "languages",
-    "months",
-    "strict",
-    "window",
-    "min_pairs",
-    "lowess_fraction",
-}
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 ENV_DATA_ROOT = "OATLAS_DATA"
@@ -85,8 +76,8 @@ class RunConfig:
     """Resolved settings for one pipeline run."""
 
     data_root: Path
-    out_dir: Path
-    months: tuple[str, ...]
+    out_dir: Path = Path("oatlas_out")
+    months: tuple[str, ...] = ()
     languages: tuple[str, ...] | None = None
     strict: bool = False
     window: int = causal.DEFAULT_WINDOW
@@ -113,36 +104,47 @@ class RunConfig:
             raise ConfigError(f"min_pairs must be at least 1, got {self.min_pairs}")
 
 
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse_path(raw: str) -> Path:
+    if not raw:
+        raise ValueError("empty path")
+    return Path(raw)
+
+
+def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"cannot read {key}={raw!r} as a boolean")
-
-
-def _parse_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"cannot read {key}={raw!r} as an integer") from exc
+    raise ValueError("not a boolean")
 
 
 def _parse_months(raw: str) -> tuple[str, ...]:
     """Expand ``YYYY-MM`` or ``YYYY-MM:YYYY-MM`` into an inclusive tuple."""
     raw = raw.strip()
-    try:
-        if ":" in raw:
-            first, last = raw.split(":", 1)
-            return tuple(month_range(first.strip(), last.strip()))
-        return tuple(month_range(raw, raw))
-    except MonthFormatError as exc:
-        raise ConfigError(str(exc)) from exc
+    if ":" in raw:
+        first, last = raw.split(":", 1)
+        return tuple(month_range(first.strip(), last.strip()))
+    return tuple(month_range(raw, raw))
 
 
 def _parse_languages(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+# Config key -> (RunConfig field, parser of the key's text).  The config
+# file, the environment and the flags all supply text; a parser raising
+# ValueError makes the run a configuration error.
+_SETTINGS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "data_root": ("data_root", _parse_path),
+    "out": ("out_dir", Path),
+    "languages": ("languages", _parse_languages),
+    "months": ("months", _parse_months),
+    "strict": ("strict", _parse_bool),
+    "window": ("window", int),
+    "min_pairs": ("min_pairs", int),
+    "lowess_fraction": ("lowess_fraction", float),
+}
 
 
 def load_config_file(path: Path) -> dict[str, str]:
@@ -162,75 +164,39 @@ def load_config_file(path: Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{number}: expected key = value")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{number}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
 def build_config(args: argparse.Namespace, env: Mapping[str, str]) -> RunConfig:
-    """Merge defaults, config file, environment and flags into a RunConfig."""
-    file_values: dict[str, str] = {}
-    if args.config is not None:
-        file_values = load_config_file(Path(args.config))
+    """Merge defaults, config file, environment and flags into a RunConfig.
 
-    data_root = file_values.get("data_root")
+    Later sources win.  Every text any source supplies is parsed, so a
+    bad value is a :class:`ConfigError` even where a later source
+    overrides it.
+    """
+    texts: list[tuple[str, str]] = []
+    if args.config is not None:
+        texts += load_config_file(Path(args.config)).items()
     if env.get(ENV_DATA_ROOT):
-        data_root = env[ENV_DATA_ROOT]
-    if args.data is not None:
-        data_root = args.data
-    if not data_root:
+        texts.append(("data_root", env[ENV_DATA_ROOT]))
+    texts += [
+        (key, getattr(args, key)) for key in _SETTINGS if getattr(args, key) is not None
+    ]
+    values: dict[str, object] = {}
+    for key, text in texts:
+        name, parse = _SETTINGS[key]
+        try:
+            values[name] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"cannot read {key}={text!r}: {exc}") from exc
+    if "data_root" not in values:
         raise ConfigError(
             f"no data root configured (use --data, {ENV_DATA_ROOT} or the config file)"
         )
-
-    out_dir = file_values.get("out", "oatlas_out")
-    if args.out is not None:
-        out_dir = args.out
-
-    languages: tuple[str, ...] | None = None
-    if "languages" in file_values:
-        languages = _parse_languages(file_values["languages"])
-    if args.languages is not None:
-        languages = _parse_languages(args.languages)
-
-    months: tuple[str, ...] = ()
-    if "months" in file_values:
-        months = _parse_months(file_values["months"])
-    if args.months is not None:
-        months = _parse_months(args.months)
-
-    strict = _parse_bool(file_values["strict"], "strict") if "strict" in file_values else False
-    if args.strict:
-        strict = True
-
-    window = _parse_int(file_values.get("window", str(causal.DEFAULT_WINDOW)), "window")
-    if args.window is not None:
-        window = args.window
-
-    min_pairs = _parse_int(
-        file_values.get("min_pairs", str(causal.DEFAULT_MIN_PAIRS)), "min_pairs"
-    )
-    if args.min_pairs is not None:
-        min_pairs = args.min_pairs
-
-    try:
-        lowess_fraction = float(file_values.get("lowess_fraction", "0.67"))
-    except ValueError as exc:
-        raise ConfigError("cannot read lowess_fraction as a number") from exc
-    if args.lowess_fraction is not None:
-        lowess_fraction = args.lowess_fraction
-
-    config = RunConfig(
-        data_root=Path(data_root),
-        out_dir=Path(out_dir),
-        months=months,
-        languages=languages,
-        strict=strict,
-        window=window,
-        min_pairs=min_pairs,
-        lowess_fraction=lowess_fraction,
-    )
+    config = RunConfig(**values)
     config.validate()
     return config
 
@@ -241,6 +207,8 @@ def build_config(args: argparse.Namespace, env: Mapping[str, str]) -> RunConfig:
 
 
 def _fmt(value: object) -> str:
+    if value is None:
+        return "NA"
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, np.integer):
@@ -259,11 +227,17 @@ def _fmt(value: object) -> str:
 
 
 def _write_report(
-    path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]
+    path: Path,
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    notes: Iterable[str] = (),
 ) -> None:
+    """Write a ``#`` header line, one ``#`` line per note, then the rows."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write("# " + "\t".join(header) + "\n")
+        for note in notes:
+            handle.write(f"# {note}\n")
         for row in rows:
             handle.write("\t".join(_fmt(value) for value in row) + "\n")
 
@@ -291,13 +265,14 @@ def _sanitize_json(value: object) -> object:
     return value
 
 
-def _read_report_rows(path: Path) -> list[list[str]]:
-    rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line.split("\t"))
-    return rows
+@contextlib.contextmanager
+def _tsv_lines(path: Path) -> Iterator[TextIO]:
+    """Open a TSV to read; a malformed row becomes a DataError naming it."""
+    with path.open(encoding="utf-8") as handle:
+        try:
+            yield handle
+        except ingest.TsvFormatError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +316,13 @@ def _load_qid_index(config: RunConfig) -> ingest.QidIndex:
     if not path.is_file():
         raise DataError(f"{path} not found; run the ingest stage first")
     index = ingest.QidIndex()
-    for row in _read_report_rows(path):
-        if len(row) != 4:
-            raise DataError(f"malformed qidmap row {row!r} in {path}")
-        qid, language, page_id, title = row
-        index.add(qid, language, title)
-        if page_id != "NA":
-            index.attach_page(qid, language, int(page_id))
+    with _tsv_lines(path) as lines:
+        for qid, language, page_id, title in ingest.read_tsv(
+            lines, (str, str, ingest.optional(int), str)
+        ):
+            index.add(qid, language, title)
+            if page_id is not None:
+                index.attach_page(qid, language, page_id)
     return index
 
 
@@ -355,16 +330,17 @@ def _load_titles(config: RunConfig, language: str) -> dict[int, str]:
     path = config.out_dir / "titles" / f"{language}.tsv"
     if not path.is_file():
         raise DataError(f"{path} not found; run the ingest stage first")
-    return {int(row[0]): row[1] for row in _read_report_rows(path)}
+    with _tsv_lines(path) as lines:
+        return dict(ingest.read_tsv(lines, (int, str)))
 
 
 def _load_pageview_table(config: RunConfig) -> ingest.PageviewTable:
     path = config.data_root / "pageviews.tsv"
     if not path.is_file():
         raise DataError(f"pageview table not found: {path}")
-    with path.open(encoding="utf-8") as handle:
+    with _tsv_lines(path) as lines:
         return ingest.load_pageviews(
-            ingest.read_pageviews_tsv(handle), strict=config.strict
+            ingest.read_pageviews_tsv(lines), strict=config.strict
         )
 
 
@@ -487,9 +463,9 @@ def cmd_ingest(config: RunConfig) -> None:
         raise DataError(f"sitelink table not found: {sitelinks_path}")
     results = [_ingest_language(config, lang) for lang in languages]
 
-    with sitelinks_path.open(encoding="utf-8") as handle:
+    with _tsv_lines(sitelinks_path) as lines:
         index = ingest.load_sitelinks(
-            ingest.read_sitelinks_tsv(handle), strict=config.strict
+            ingest.read_sitelinks_tsv(lines), strict=config.strict
         )
     for language, (_, id_by_title) in zip(languages, results):
         index.attach_page_ids(language, id_by_title)
@@ -497,8 +473,7 @@ def cmd_ingest(config: RunConfig) -> None:
     qid_rows = []
     for qid in index.qids():
         for language, title in sorted(index.sitelinks(qid).items()):
-            page_id = index.page_for_qid(language, qid)
-            qid_rows.append((qid, language, "NA" if page_id is None else page_id, title))
+            qid_rows.append((qid, language, index.page_for_qid(language, qid), title))
     _write_report(
         config.out_dir / "qidmap.tsv", ("qid", "language", "page_id", "title"), qid_rows
     )
@@ -521,12 +496,7 @@ def cmd_orphans(config: RunConfig) -> None:
     snapshots = _load_snapshots(config, month)
     summaries = characterize.orphan_fraction_by_wiki(snapshots.values())
     _write_report(
-        config.out_dir / "wiki_summary.tsv",
-        ("language", "n_articles", "orphan_fraction", "deadend_fraction"),
-        (
-            (s.language, s.n_articles, s.orphan_fraction, s.deadend_fraction)
-            for s in summaries
-        ),
+        config.out_dir / "wiki_summary.tsv", characterize.WikiSummary._fields, summaries
     )
 
     # A wiki without articles has no size to place on the log axis.
@@ -563,8 +533,8 @@ def cmd_characterize(config: RunConfig) -> None:
     features_path = config.data_root / "features.tsv"
     if not features_path.is_file():
         raise DataError(f"feature table not found: {features_path}")
-    with features_path.open(encoding="utf-8") as handle:
-        records = list(ingest.read_features_tsv(handle))
+    with _tsv_lines(features_path) as lines:
+        records = list(ingest.read_features_tsv(lines))
 
     rows = []
     for language in sorted(snapshots):
@@ -576,19 +546,7 @@ def cmd_characterize(config: RunConfig) -> None:
         articles = set(snapshot.article_ids.tolist())
         table = characterize.build_feature_table(subset, language, articles=articles)
         orphan_ids = graph.orphans(snapshot) & set(table.page_ids)
-        for score in characterize.representation_scores(orphan_ids, table):
-            rows.append(
-                (
-                    score.language,
-                    score.feature,
-                    score.p_x_given_o,
-                    score.p_x,
-                    score.log_ratio,
-                    score.n_orphans,
-                    score.n_articles,
-                    score.undefined,
-                )
-            )
+        rows.extend(characterize.representation_scores(orphan_ids, table))
     _write_report(
         config.out_dir / "representation_scores.tsv",
         (
@@ -635,40 +593,15 @@ def cmd_panel(config: RunConfig) -> None:
         )
         pairs.extend(result.pairs)
         drop_notes.append(
-            f"# {direction}: pairs={len(result.pairs)}"
+            f"{direction}: pairs={len(result.pairs)}"
             f" dropped_no_qid={result.n_dropped_no_qid}"
             f" dropped_no_control={result.n_dropped_no_control}"
         )
 
     pairs.sort(key=lambda p: p.pair_id)
-    pairs_path = config.out_dir / "pairs.tsv"
-    pairs_path.parent.mkdir(parents=True, exist_ok=True)
-    with pairs_path.open("w", encoding="utf-8", newline="\n") as handle:
-        header = (
-            "pair_id",
-            "qid",
-            "treated_language",
-            "control_language",
-            "treatment_month",
-            "direction",
-        )
-        handle.write("# " + "\t".join(header) + "\n")
-        for note in drop_notes:
-            handle.write(note + "\n")
-        for pair in pairs:
-            handle.write(
-                "\t".join(
-                    (
-                        pair.pair_id,
-                        pair.qid,
-                        pair.treated_language,
-                        pair.control_language,
-                        pair.treatment_month,
-                        pair.direction,
-                    )
-                )
-                + "\n"
-            )
+    _write_report(
+        config.out_dir / "pairs.tsv", causal.PairAssignment._fields, pairs, drop_notes
+    )
 
     observations: list[causal.PanelObservation] = []
     classes = ["all"] + sorted(views.referrer_classes() - {"all"})
@@ -686,28 +619,7 @@ def cmd_panel(config: RunConfig) -> None:
         key=lambda o: (o.pair_id, o.referrer_class, o.role, o.period_index)
     )
     _write_report(
-        config.out_dir / "panel.tsv",
-        (
-            "pair_id",
-            "role",
-            "language",
-            "month",
-            "period_index",
-            "log_views",
-            "referrer_class",
-        ),
-        (
-            (
-                o.pair_id,
-                o.role,
-                o.language,
-                o.month,
-                o.period_index,
-                o.log_views,
-                o.referrer_class,
-            )
-            for o in observations
-        ),
+        config.out_dir / "panel.tsv", causal.PanelObservation._fields, observations
     )
 
 
@@ -720,22 +632,11 @@ def _read_panel(config: RunConfig) -> list[causal.PanelObservation]:
     path = config.out_dir / "panel.tsv"
     if not path.is_file():
         raise DataError(f"{path} not found; run the panel stage first")
-    observations = []
-    for row in _read_report_rows(path):
-        if len(row) != 7:
-            raise DataError(f"malformed panel row {row!r} in {path}")
-        observations.append(
-            causal.PanelObservation(
-                pair_id=row[0],
-                role=row[1],
-                language=row[2],
-                month=row[3],
-                period_index=int(row[4]),
-                log_views=float(row[5]),
-                referrer_class=row[6],
-            )
-        )
-    return observations
+    with _tsv_lines(path) as lines:
+        return [
+            causal.PanelObservation._make(row)
+            for row in ingest.read_tsv(lines, (str, str, str, str, int, float, str))
+        ]
 
 
 def _estimates_for_direction(
@@ -796,23 +697,25 @@ def _load_documents(
     if not path.is_file():
         return []
     documents = []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            document = candidates_mod.AnnotatedDocument(
-                language=language,
-                page_id=int(raw["page_id"]),
-                text=raw["text"],
-                existing_link_spans=tuple(
-                    (int(a), int(b), int(t)) for a, b, t in raw.get("links", ())
-                ),
-            )
-            document.validate()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{number}: bad document: {exc}") from exc
-        documents.append(document)
+    # Only line ends split records: JSON leaves U+2028 unescaped in strings.
+    with path.open(encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)
+                document = candidates_mod.AnnotatedDocument(
+                    language=language,
+                    page_id=int(raw["page_id"]),
+                    text=raw["text"],
+                    existing_link_spans=tuple(
+                        (int(a), int(b), int(t)) for a, b, t in raw.get("links", ())
+                    ),
+                )
+                document.validate()
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{number}: bad document: {exc}") from exc
+            documents.append(document)
     return documents
 
 
@@ -939,22 +842,24 @@ def run_stage(command: str, config: RunConfig) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Every setting flag stores text; build_config parses it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
-    common.add_argument("--data", help="data root directory")
-    common.add_argument("--out", help="output directory (default oatlas_out)")
+    common.add_argument("--data", dest="data_root", help="data root directory")
+    common.add_argument("--out", help=f"output directory (default {RunConfig.out_dir})")
     common.add_argument(
         "--languages", help="comma-separated allowlist; empty string selects none"
     )
     common.add_argument("--months", help="month or inclusive range, e.g. 2022-11:2022-12")
     common.add_argument(
-        "--strict", action="store_true", help="abort on malformed input rows"
+        "--strict",
+        action="store_const",
+        const="1",
+        help="abort on malformed input rows",
     )
-    common.add_argument("--window", type=int, help="months on each side of treatment")
-    common.add_argument("--min-pairs", type=int, dest="min_pairs")
-    common.add_argument(
-        "--lowess-fraction", type=float, dest="lowess_fraction", help="smoother bandwidth"
-    )
+    common.add_argument("--window", help="months on each side of treatment")
+    common.add_argument("--min-pairs")
+    common.add_argument("--lowess-fraction", help="smoother bandwidth")
 
     parser = argparse.ArgumentParser(
         prog="oatlas",

@@ -7,9 +7,11 @@ Three kinds of sources are understood:
   (...),(...);`` statements.  :func:`parse_sql_insert_rows` streams
   typed value tuples out of such a file without ever holding more than
   a bounded window of it in memory.
-* Tab-separated side tables: sitelinks (``qid, language, title``),
-  pageviews (``language, page_id, month, referrer_class, views``) and
-  per-article features.
+* Tab-separated tables, read by :func:`read_tsv` with one converter
+  per column: sitelinks (``qid, language, title``), pageviews
+  (``language, page_id, month, referrer_class, views``) and per-article
+  features.  :class:`SitelinkRecord` and :class:`PageviewRecord` are
+  NamedTuples whose fields are their file's columns.
 * The loaders (:func:`load_page_table`, :func:`load_redirects`,
   :func:`load_sitelinks`, :func:`load_pageviews`) turn streams of rows
   into indexed, validated tables used by the graph and analysis layers.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .months import MonthFormatError, parse_month
 
@@ -71,28 +73,23 @@ class PageRecord:
 
 
 @dataclass(frozen=True)
-class RedirectRecord:
-    from_page_id: int
-    target_namespace: int
-    target_title: str
-
-
-@dataclass(frozen=True)
 class RawLink:
     from_page_id: int
     target_namespace: int
     target_title: str
 
 
-@dataclass(frozen=True)
-class SitelinkRecord:
+class SitelinkRecord(NamedTuple):
+    """One row of ``sitelinks.tsv``; the fields are its columns."""
+
     qid: str
     language: str
     title: str
 
 
-@dataclass(frozen=True)
-class PageviewRecord:
+class PageviewRecord(NamedTuple):
+    """One row of ``pageviews.tsv``; the fields are its columns."""
+
     language: str
     page_id: int
     month: str
@@ -559,16 +556,56 @@ class QidIndex:
         return self._page_by_qid.get(qid, {}).get(language)
 
 
-def read_sitelinks_tsv(lines: Iterable[str]) -> Iterator[SitelinkRecord]:
-    """Parse headerless sitelink TSV lines ``qid<TAB>language<TAB>title``."""
+def read_tsv(
+    lines: Iterable[str], converters: Sequence[Callable[[str], object]]
+) -> Iterator[list]:
+    """Yield the rows of tab-separated ``lines`` as lists of converted cells.
+
+    Blank lines and lines starting with ``#`` are skipped.  Each row
+    needs one cell per converter.  A wrong column count, or a converter
+    raising ``ValueError``, raises :class:`TsvFormatError` with the line
+    number.
+    """
+    width = len(converters)
     for number, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) != 3 or not all(parts):
-            raise TsvFormatError(f"bad sitelink line {line!r}", number)
-        yield SitelinkRecord(parts[0], parts[1], parts[2])
+        cells = line.split("\t")
+        if len(cells) != width:
+            raise TsvFormatError(f"expected {width} columns, got {len(cells)}", number)
+        try:
+            row = [convert(cell) for convert, cell in zip(converters, cells)]
+        except ValueError as exc:
+            raise TsvFormatError(f"bad line {line!r}: {exc}", number) from None
+        yield row
+
+
+def optional(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """A converter reading ``NA`` as None and any other cell with ``convert``."""
+    return lambda cell: None if cell == "NA" else convert(cell)
+
+
+def _nonempty(cell: str) -> str:
+    if not cell:
+        raise ValueError("empty cell")
+    return cell
+
+
+def _flag(cell: str) -> bool:
+    return bool(int(cell))
+
+
+def _probability(cell: str) -> float:
+    value = float(cell)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"probability {value} outside [0, 1]")
+    return value
+
+
+def read_sitelinks_tsv(lines: Iterable[str]) -> Iterator[SitelinkRecord]:
+    """Parse headerless sitelink TSV lines ``qid<TAB>language<TAB>title``."""
+    return map(SitelinkRecord._make, read_tsv(lines, (_nonempty,) * 3))
 
 
 def load_sitelinks(
@@ -622,19 +659,7 @@ class PageviewTable:
 
 def read_pageviews_tsv(lines: Iterable[str]) -> Iterator[PageviewRecord]:
     """Parse headerless pageview TSV lines."""
-    for number, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise TsvFormatError(f"expected 5 columns, got {len(parts)}", number)
-        try:
-            yield PageviewRecord(
-                parts[0], int(parts[1]), parts[2], parts[3], int(parts[4])
-            )
-        except ValueError as exc:
-            raise TsvFormatError(f"bad pageview line {line!r}: {exc}", number)
+    return map(PageviewRecord._make, read_tsv(lines, (str, int, str, str, int)))
 
 
 def load_pageviews(
@@ -667,6 +692,9 @@ def load_pageviews(
     return table
 
 
+_FEATURE_COLUMNS = (str, int, _flag, optional(_flag), *(_probability,) * 5, int)
+
+
 def read_features_tsv(lines: Iterable[str]) -> Iterator[FeatureRecord]:
     """Parse headerless per-article feature TSV lines.
 
@@ -674,34 +702,15 @@ def read_features_tsv(lines: Iterable[str]) -> Iterator[FeatureRecord]:
     for non-biographies), p_culture, p_geography, p_history_society,
     p_stem, quality_score, creation_timestamp.
     """
-    for number, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 10:
-            raise TsvFormatError(f"expected 10 columns, got {len(parts)}", number)
-        try:
-            woman: bool | None
-            if parts[3] == "NA":
-                woman = None
-            else:
-                woman = bool(int(parts[3]))
-            probs = {
-                label: float(parts[4 + i]) for i, label in enumerate(TOPIC_LABELS)
-            }
-            quality = float(parts[8])
-            for value in (*probs.values(), quality):
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"probability {value} outside [0, 1]")
-            yield FeatureRecord(
-                language=parts[0],
-                page_id=int(parts[1]),
-                bot_created=bool(int(parts[2])),
-                is_woman_biography=woman,
-                topic_probabilities=probs,
-                quality_score=quality,
-                creation_timestamp=int(parts[9]),
-            )
-        except ValueError as exc:
-            raise TsvFormatError(f"bad feature line {line!r}: {exc}", number)
+    for language, page_id, bot, woman, *topics, quality, created in read_tsv(
+        lines, _FEATURE_COLUMNS
+    ):
+        yield FeatureRecord(
+            language=language,
+            page_id=page_id,
+            bot_created=bot,
+            is_woman_biography=woman,
+            topic_probabilities=dict(zip(TOPIC_LABELS, topics)),
+            quality_score=quality,
+            creation_timestamp=created,
+        )

@@ -3,10 +3,14 @@
 import json
 import math
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oatlas import cli, fixtures
+from oatlas import causal, cli, fixtures
 from oatlas.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
@@ -354,3 +358,85 @@ def test_representation_scores_cover_feature_rows(pipeline):
     languages = {r[0] for r in rows}
     assert "aa" in languages
     assert all(len(r) == 8 for r in rows)
+
+
+def test_document_text_may_hold_a_line_separator(golden_root, pipeline, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    docs_path = data / "aa" / "docs.jsonl"
+    lines = docs_path.read_text(encoding="utf-8").splitlines()
+    docs = [json.loads(line) for line in lines]
+    # JSON leaves U+2028 unescaped; it must not end a document's line.
+    docs[0]["text"] += "\u2028Next paragraph."
+    fixtures.write_docs_jsonl(docs_path, docs)
+    assert "\u2028" in docs_path.read_text(encoding="utf-8")
+    out = tmp_path / "out"
+    rc = _run("all", "--data", str(data), "--out", str(out), "--months", MONTHS)
+    assert rc == EXIT_OK
+    for name in ("candidates.tsv", "coverage.tsv"):
+        assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "name, column, cell",
+    [
+        ("titles/aa.tsv", 1, None),
+        ("titles/aa.tsv", 0, "two"),
+        ("qidmap.tsv", 3, None),
+        ("qidmap.tsv", 2, "twelve"),
+        ("panel.tsv", 6, None),
+        ("panel.tsv", 5, "lots"),
+    ],
+)
+def test_malformed_stage_file_names_file_and_line(
+    golden_root, pipeline, tmp_path, capsys, name, column, cell
+):
+    """One bad row (a column short, or a non-numeric cell) exits 3."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[2].rstrip("\n").split("\t")
+    if cell is None:
+        del cells[column]
+    else:
+        cells[column] = cell
+    lines[2] = "\t".join(cells) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    stage = {"titles/aa.tsv": "candidates", "qidmap.tsv": "panel", "panel.tsv": "did"}
+    capsys.readouterr()
+    rc = _run(
+        stage[name], "--data", str(golden_root), "--out", str(out), "--months", MONTHS
+    )
+    assert rc == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "(line 3)" in err
+
+
+# Text cells hold anything but tabs and line ends.  A row whose first
+# cell starts with '#' reads as a comment; pair ids start with their
+# direction.
+_cell = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"))
+_observations = st.lists(
+    st.builds(
+        causal.PanelObservation,
+        pair_id=_cell.filter(lambda text: not text.startswith("#")),
+        role=_cell,
+        language=_cell,
+        month=_cell,
+        period_index=st.integers(),
+        log_views=st.floats(allow_nan=False, allow_infinity=False),
+        referrer_class=_cell,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(observations=_observations)
+def test_panel_rows_round_trip_through_the_report_writer(observations):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = cli.RunConfig(data_root=Path(tmp), out_dir=Path(tmp))
+        cli._write_report(
+            config.out_dir / "panel.tsv", causal.PanelObservation._fields, observations
+        )
+        assert cli._read_panel(config) == observations
