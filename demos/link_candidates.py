@@ -13,48 +13,50 @@ from pathlib import Path
 
 from oatlas import candidates, fixtures, graph, ingest
 
-root = fixtures.golden_tree(Path(tempfile.mkdtemp(prefix="oatlas_demo_")))
 month = fixtures.GOLDEN_MONTHS[0]
 languages = ("aa", "bb", "cc")
 
 snapshots = {}
 page_tables = {}
-for lang in languages:
-    month_dir = root / lang / month
-    with (month_dir / "page.sql").open("rb") as handle:
-        pages = ingest.load_page_table(ingest.parse_sql_insert_rows(handle))
-    with (month_dir / "redirect.sql").open("rb") as handle:
-        redirects = ingest.load_redirects(
-            ingest.parse_sql_insert_rows(handle), pages
-        )
-    with (month_dir / "pagelinks.sql").open("rb") as handle:
-        snapshots[lang] = graph.build_snapshot(
-            pages,
-            redirects,
-            ingest.iter_raw_links(ingest.parse_sql_insert_rows(handle)),
-            language=lang,
-            month=month,
-        )
-    page_tables[lang] = pages
+with tempfile.TemporaryDirectory(prefix="oatlas_demo_") as tmp:
+    root = fixtures.golden_tree(Path(tmp))
+    for lang in languages:
+        month_dir = root / lang / month
+        with (month_dir / "page.sql").open("rb") as handle:
+            pages = ingest.load_page_table(ingest.parse_sql_insert_rows(handle))
+        with (month_dir / "redirect.sql").open("rb") as handle:
+            redirects = ingest.load_redirects(
+                ingest.parse_sql_insert_rows(handle), pages
+            )
+        with (month_dir / "pagelinks.sql").open("rb") as handle:
+            snapshots[lang] = graph.build_snapshot(
+                pages,
+                redirects,
+                ingest.iter_raw_links(ingest.parse_sql_insert_rows(handle)),
+                language=lang,
+                month=month,
+            )
+        page_tables[lang] = pages
 
-with (root / "sitelinks.tsv").open(encoding="utf-8") as handle:
-    index = ingest.load_sitelinks(ingest.read_sitelinks_tsv(handle))
-for lang in languages:
-    index.attach_page_ids(lang, page_tables[lang].id_by_title)
+    with (root / "sitelinks.tsv").open(encoding="utf-8") as handle:
+        index = ingest.load_sitelinks(ingest.read_sitelinks_tsv(handle))
+    for lang in languages:
+        index.attach_page_ids(lang, page_tables[lang].id_by_title)
 
-docs = []
-for line in (root / "aa" / "docs.jsonl").read_text(encoding="utf-8").splitlines():
-    raw = json.loads(line)
-    doc = candidates.AnnotatedDocument(
-        language="aa",
-        page_id=int(raw["page_id"]),
-        text=raw["text"],
-        existing_link_spans=tuple(
-            (int(a), int(b), int(t)) for a, b, t in raw.get("links", ())
-        ),
-    )
-    doc.validate()
-    docs.append(doc)
+    docs = []
+    docs_text = (root / "aa" / "docs.jsonl").read_text(encoding="utf-8")
+    for line in docs_text.splitlines():
+        raw = json.loads(line)
+        doc = candidates.AnnotatedDocument(
+            language="aa",
+            page_id=int(raw["page_id"]),
+            text=raw["text"],
+            existing_link_spans=tuple(
+                (int(a), int(b), int(t)) for a, b, t in raw.get("links", ())
+            ),
+        )
+        doc.validate()
+        docs.append(doc)
 
 snapshot = snapshots["aa"]
 titles = {pid: page.title for pid, page in page_tables["aa"].by_id.items()}

@@ -12,23 +12,24 @@ from pathlib import Path
 
 from oatlas import fixtures, graph, ingest
 
-root = fixtures.golden_tree(Path(tempfile.mkdtemp(prefix="oatlas_demo_")))
-print(f"fixture tree: {root}")
-
 snapshots = {}
-for month in fixtures.GOLDEN_MONTHS:
-    month_dir = root / "aa" / month
-    with (month_dir / "page.sql").open("rb") as handle:
-        pages = ingest.load_page_table(ingest.parse_sql_insert_rows(handle))
-    with (month_dir / "redirect.sql").open("rb") as handle:
-        redirects = ingest.load_redirects(
-            ingest.parse_sql_insert_rows(handle), pages
-        )
-    with (month_dir / "pagelinks.sql").open("rb") as handle:
-        links = ingest.iter_raw_links(ingest.parse_sql_insert_rows(handle))
-        snapshots[month] = graph.build_snapshot(
-            pages, redirects, links, language="aa", month=month
-        )
+with tempfile.TemporaryDirectory(prefix="oatlas_demo_") as tmp:
+    root = fixtures.golden_tree(Path(tmp))
+    print(f"fixture tree: {root}")
+
+    for month in fixtures.GOLDEN_MONTHS:
+        month_dir = root / "aa" / month
+        with (month_dir / "page.sql").open("rb") as handle:
+            pages = ingest.load_page_table(ingest.parse_sql_insert_rows(handle))
+        with (month_dir / "redirect.sql").open("rb") as handle:
+            redirects = ingest.load_redirects(
+                ingest.parse_sql_insert_rows(handle), pages
+            )
+        with (month_dir / "pagelinks.sql").open("rb") as handle:
+            links = ingest.iter_raw_links(ingest.parse_sql_insert_rows(handle))
+            snapshots[month] = graph.build_snapshot(
+                pages, redirects, links, language="aa", month=month
+            )
 
 titles = {page_id: page.title for page_id, page in pages.by_id.items()}
 

@@ -326,8 +326,12 @@ def _load_qid_index(config: RunConfig) -> ingest.QidIndex:
     return index
 
 
+def _titles_path(config: RunConfig, language: str) -> Path:
+    return config.out_dir / "titles" / f"{language}.tsv"
+
+
 def _load_titles(config: RunConfig, language: str) -> dict[int, str]:
-    path = config.out_dir / "titles" / f"{language}.tsv"
+    path = _titles_path(config, language)
     if not path.is_file():
         raise DataError(f"{path} not found; run the ingest stage first")
     with _tsv_lines(path) as lines:
@@ -433,11 +437,7 @@ def _ingest_language(config: RunConfig, language: str) -> tuple[dict, dict[str, 
                 for page_id, page in pages.by_id.items()
                 if not page.is_redirect
             )
-            _write_report(
-                config.out_dir / "titles" / f"{language}.tsv",
-                ("page_id", "title"),
-                rows,
-            )
+            _write_report(_titles_path(config, language), ("page_id", "title"), rows)
             titles_written = True
     return entry, id_by_title
 
@@ -736,9 +736,15 @@ def cmd_candidates(config: RunConfig) -> None:
         for orphan in sorted(orphan_ids):
             found: list[candidates_mod.CandidateLink] = []
             if documents:
+                title = titles.get(orphan)
+                if title is None:
+                    raise DataError(
+                        f"{_titles_path(config, language)}: no row for orphan page "
+                        f"{orphan}; run the ingest stage again"
+                    )
                 found.extend(
                     candidates_mod.findlink_candidates(
-                        orphan, titles[orphan], documents, snapshot
+                        orphan, title, documents, snapshot
                     )
                 )
             found.extend(

@@ -5,8 +5,15 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import settings
 
 from oatlas import fixtures
+
+# Every property test in tier-1 is deterministic: a fixed example
+# sequence, no example database and no per-example deadline.  Tests set
+# only ``max_examples``.
+settings.register_profile("oatlas", deadline=None, derandomize=True, database=None)
+settings.load_profile("oatlas")
 
 
 @pytest.fixture(scope="session")

@@ -413,6 +413,24 @@ def test_malformed_stage_file_names_file_and_line(
     assert f"{path}: " in err and "(line 3)" in err
 
 
+def test_titles_file_without_an_orphan_row_is_a_data_error(
+    golden_root, pipeline, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    path = out / "titles" / "aa.tsv"
+    text = path.read_text(encoding="utf-8")
+    assert "2\tA_Star\n" in text
+    path.write_text(text.replace("2\tA_Star\n", ""), encoding="utf-8")
+    capsys.readouterr()
+    rc = _run(
+        "candidates", "--data", str(golden_root), "--out", str(out), "--months", MONTHS
+    )
+    assert rc == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "orphan page 2" in err
+
+
 # Text cells hold anything but tabs and line ends.  A row whose first
 # cell starts with '#' reads as a comment; pair ids start with their
 # direction.
@@ -431,7 +449,7 @@ _observations = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(observations=_observations)
 def test_panel_rows_round_trip_through_the_report_writer(observations):
     with tempfile.TemporaryDirectory() as tmp:

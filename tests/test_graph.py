@@ -205,7 +205,7 @@ def _fuzz_container():
 
 _FUZZ_BLOB = _fuzz_container()
 _CORRUPT = (SnapshotFormatError, SnapshotIntegrityError)
-_fuzz = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+_fuzz = settings(max_examples=300)
 
 
 @_fuzz

@@ -9,11 +9,14 @@ parser output.
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oatlas import fixtures
+from oatlas import fixtures, ingest
 from oatlas.ingest import (
     DuplicateKeyError,
     InvalidRecordError,
@@ -166,6 +169,130 @@ def test_buffer_high_water_mark_does_not_scale_with_file():
     # Both inputs are larger than one read chunk, where the high-water
     # mark saturates; a 5x bigger file must not move it.
     assert peak(20_000) == peak(100_000)
+
+
+# Row values for the parser properties.  Strings take every byte the
+# dump format escapes, the separators of the VALUES list and non-ASCII
+# text; surrogates are left out because they have no UTF-8 form.
+_sql_text = st.text(
+    st.one_of(
+        st.sampled_from("'\"\\\0\x1a(),;\t\n\r "),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+_sql_kinds = {
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": _sql_text,
+}
+
+
+@st.composite
+def _sql_rows(draw):
+    """Rows that mostly share one shape, with NULLs and odd rows mixed in."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_sql_kinds)), min_size=1, max_size=5))
+    shaped = st.tuples(*(st.one_of(_sql_kinds[k], st.none()) for k in kinds))
+    odd = st.lists(st.one_of(st.none(), *_sql_kinds.values()), min_size=1, max_size=4)
+    row = st.one_of(shaped, shaped, shaped, odd.map(tuple))
+    return draw(st.lists(row, min_size=1, max_size=60))
+
+
+def _exact(rows):
+    """Rows as reprs, so that ``1`` differs from ``1.0`` and ``0.0`` from ``-0.0``."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
+def _dump_bytes(rows, rows_per_statement):
+    out = io.StringIO()
+    fixtures.write_sql_dump(out, "t", rows, rows_per_statement=rows_per_statement)
+    return out.getvalue().encode("utf-8")
+
+
+def _parse(data, **kwargs):
+    return list(parse_sql_insert_rows(io.BytesIO(data), **kwargs))
+
+
+@settings(max_examples=300)
+@given(rows=_sql_rows(), per_statement=st.integers(1, 80), chunk=st.integers(1, 64))
+def test_parser_round_trips_written_rows(rows, per_statement, chunk):
+    data = _dump_bytes(rows, per_statement)
+    assert _exact(_parse(data)) == _exact(rows)
+    # A tiny read chunk cuts rows at every possible byte; those rows must
+    # leave the batch path and come back through the generic loop intact.
+    with mock.patch.object(ingest, "_CHUNK_SIZE", chunk):
+        assert _exact(_parse(data)) == _exact(rows)
+
+
+@settings(max_examples=300)
+@given(rows=_sql_rows(), per_statement=st.integers(2, 80))
+def test_batched_rows_parse_like_one_row_statements(rows, per_statement):
+    # With one row per statement every row goes through the generic loop,
+    # which makes it the reference for the batch path.
+    reference = _parse(_dump_bytes(rows, 1))
+    assert _exact(_parse(_dump_bytes(rows, per_statement))) == _exact(reference)
+
+
+_BAD_TUPLE = b"(1,oops)"
+
+
+@settings(max_examples=200)
+@given(rows=_sql_rows(), data=st.data())
+def test_malformed_tuple_mid_statement_is_reported_at_its_offset(rows, data):
+    at = data.draw(st.integers(1, len(rows)), label="at")
+    placeholder = ("@bad@",)
+    dump = _dump_bytes(rows[:at] + [placeholder] + rows[at:], len(rows) + 1)
+    dump = dump.replace(b"('@bad@')", _BAD_TUPLE)
+    assume(dump.count(_BAD_TUPLE) == 1)
+    offset = dump.find(_BAD_TUPLE)
+
+    stats = ParseStats()
+    assert _exact(_parse(dump, stats=stats)) == _exact(rows[:at])
+    assert stats.skipped == 1
+    assert [error.offset for error in stats.errors] == [offset]
+    with pytest.raises(SqlDumpError) as info:
+        _parse(dump, strict=True)
+    assert info.value.offset == offset
+
+
+def _statement(rows):
+    return b"INSERT INTO `t` VALUES " + b",".join(rows) + b";\n"
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [
+        b"( 20,'c')",
+        b"(2e1,'c')",
+        b"(+20,'c')",
+        b"(20,NULL)",
+        b"(20.5,'c')",
+        b"(" + b"9" * 5000 + b",'c')",  # too long for int(); the loop reads a float
+    ],
+)
+def test_rows_outside_the_batch_spellings_parse_like_the_generic_loop(odd):
+    rows = [b"(%d,'r%d')" % (i, i) for i in range(40)]
+    rows[20] = odd
+    stats = ParseStats()
+    batched = _parse(_statement(rows), stats=stats)
+    single = _parse(b"".join(_statement([row]) for row in rows))
+    assert _exact(batched) == _exact(single)
+    assert len(batched) == 40 and stats.skipped == 0
+
+
+def test_bad_utf8_inside_a_run_is_reported_at_its_row():
+    rows = [b"(%d,'r%d')" % (i, i) for i in range(40)]
+    rows[25] = b"(25,'\xff')"
+    dump = _statement(rows) + _statement([b"(99,'after')"])
+    offset = dump.find(b"(25,")
+    stats = ParseStats()
+    assert _parse(dump, stats=stats) == [(i, f"r{i}") for i in range(25)] + [
+        (99, "after")
+    ]
+    assert [error.offset for error in stats.errors] == [offset]
+    with pytest.raises(SqlDumpError) as info:
+        _parse(dump, strict=True)
+    assert info.value.offset == offset
 
 
 def test_load_page_table_filters_and_deduplicates():
