@@ -390,6 +390,7 @@ def _ingest_language(config: RunConfig, language: str) -> tuple[dict, dict[str, 
                     handle, strict=config.strict, stats=parse_stats["page.sql"]
                 ),
                 strict=config.strict,
+                stats=parse_stats["page.sql"],
             )
         with (month_dir / "redirect.sql").open("rb") as handle:
             redirects = ingest.load_redirects(
@@ -398,6 +399,7 @@ def _ingest_language(config: RunConfig, language: str) -> tuple[dict, dict[str, 
                 ),
                 pages,
                 strict=config.strict,
+                stats=parse_stats["redirect.sql"],
             )
         build_stats = graph.BuildStats()
         with (month_dir / "pagelinks.sql").open("rb") as handle:

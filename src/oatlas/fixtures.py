@@ -52,6 +52,8 @@ def _format_value(value: object) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):  # MySQL stores no NaN or infinity
+            raise ValueError(f"cannot write the non-finite float {value!r} into a dump")
         return repr(value)
     if isinstance(value, str):
         return f"'{escape_sql_string(value)}'"

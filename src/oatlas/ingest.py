@@ -6,11 +6,11 @@ Three kinds of sources are understood:
   ``pagelinks.sql``) consisting of ``INSERT INTO `tbl` VALUES
   (...),(...);`` statements.  :func:`parse_sql_insert_rows` streams
   typed value tuples out of such a file without ever holding more than
-  a bounded window of it in memory.  A generic tuple loop reads the
-  first row of each statement and learns its shape (the type of each
-  value); runs of rows of that shape are then decoded in batches by
-  regexes compiled per shape, and every row the batch does not take
-  goes back to the generic loop.
+  a bounded window of it in memory.  A generic tuple loop walks the
+  first row of each statement one value at a time and learns its shape
+  (the type of each value); runs of that shape are then decoded in
+  batches by regexes compiled per shape from the same value grammar,
+  and every row the batch does not take goes back to the generic loop.
 * Tab-separated tables, read by :func:`read_tsv` with one converter
   per column: sitelinks (``qid, language, title``), pageviews
   (``language, page_id, month, referrer_class, views``) and per-article
@@ -21,7 +21,8 @@ Three kinds of sources are understood:
   into indexed, validated tables used by the graph and analysis layers.
 
 All loaders support a ``strict`` flag: strict mode aborts on the first
-bad row, lenient mode skips and counts.
+bad row, lenient mode skips and counts; the dump loaders count in their
+file's ``ParseStats``.
 """
 
 from __future__ import annotations
@@ -69,16 +70,14 @@ class InvalidRecordError(ValueError):
     """A structurally valid row whose values fail validation."""
 
 
-@dataclass(frozen=True)
-class PageRecord:
+class PageRecord(NamedTuple):
     page_id: int
     namespace: int
     title: str
     is_redirect: bool
 
 
-@dataclass(frozen=True)
-class RawLink:
+class RawLink(NamedTuple):
     from_page_id: int
     target_namespace: int
     target_title: str
@@ -121,8 +120,9 @@ class ParseIssue:
 
 @dataclass
 class ParseStats:
-    """Counters filled in by :func:`parse_sql_insert_rows`.
+    """Counters of one dump file, filled in by the parser and the loader.
 
+    ``skipped`` counts malformed tuples and the rows the loader rejects.
     ``peak_buffer_bytes`` is the high-water mark of the parser's own
     buffer; on well-formed input it depends on the chunk size and the
     longest tuple, not on the file size.
@@ -141,12 +141,11 @@ class ParseStats:
 
 
 _INSERT_HEAD_RE = re.compile(
-    rb"INSERT\s+INTO\s+`?([^`\s(]+)`?\s+VALUES\s*", re.IGNORECASE
+    rb"INSERT\s+INTO\s+`?[^`\s(]+`?\s+VALUES\s*", re.IGNORECASE
 )
 # One complete parenthesized tuple.  Quoted strings are consumed
 # atomically, so parens and commas inside them cannot end the match.
 _TUPLE_RE = re.compile(rb"\((?:[^'()\\]|'(?:[^'\\]|\\.)*'|\\.)*\)")
-_FIELD_RE = re.compile(rb"'(?:[^'\\]|\\.)*'|[^,]+")
 
 _UNESCAPE = {
     ord("n"): b"\n",
@@ -179,33 +178,39 @@ def _decode_sql_strings(raws: Iterable[bytes]) -> list[str]:
     ]
 
 
-# The batch path reads only spellings that the generic tuple loop turns
-# into the same value and type: ints as ``-?[0-9]+``, floats with a
-# decimal point (which ``int()`` rejects, so ``1`` never becomes
-# ``1.0``), quoted strings and NULL.  Each type maps to the quote around
-# its value, the value's pattern and the decoder of a column of values.
-# Strings are unrolled as ``[^'\\]*(?:\\.[^'\\]*)*``; the per-character
-# alternation ``(?:[^'\\]|\\.)*`` made the regex engine alone cost half
-# the parse.
-_BATCH_VALUES = {
-    int: (b"", rb"-?[0-9]+", lambda column: list(map(int, column))),
+# The value grammar of both parser paths.  Each type maps to the quote
+# around its value, the value's pattern and the decoder of a column of
+# values.  A float needs a decimal point or an exponent, so ``1`` never
+# becomes ``1.0``; it is listed before int, so that the alternation in
+# ``_VALUE_RE`` tries it first.  Strings are unrolled as
+# ``[^'\\]*(?:\\.[^'\\]*)*``; the per-character alternation
+# ``(?:[^'\\]|\\.)*`` made the regex engine alone cost half the parse.
+_VALUES = {
     float: (
         b"",
-        rb"-?[0-9]+\.[0-9]+(?:[eE][-+]?[0-9]+)?",
+        rb"[-+]?[0-9]+(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)",
         lambda column: list(map(float, column)),
     ),
+    int: (b"", rb"[-+]?[0-9]+", lambda column: list(map(int, column))),
     str: (b"'", rb"[^'\\]*(?:\\.[^'\\]*)*", _decode_sql_strings),
     type(None): (b"", b"NULL", lambda column: [None] * len(column)),
 }
 
 
+def _value_pattern(kind: type, group: bytes) -> bytes:
+    """One value of the given type; ``group`` opens its group."""
+    quote, body, _ = _VALUES[kind]
+    return quote + group + body + b")" + quote
+
+
 def _shape_pattern(kinds: tuple[type, ...], group: bytes) -> bytes:
-    """One row of the given value types; ``group`` opens each value's group."""
-    fields = []
-    for kind in kinds:
-        quote, body, _ = _BATCH_VALUES[kind]
-        fields.append(quote + group + body + b")" + quote)
-    return rb"\(" + b",".join(fields) + rb"\)"
+    """One row of the given value types."""
+    return rb"\(" + b",".join(_value_pattern(kind, group) for kind in kinds) + rb"\)"
+
+
+_KINDS = tuple(_VALUES)
+# One value of any type; its ``lastindex`` - 1 is the type's place in ``_KINDS``.
+_VALUE_RE = re.compile(b"|".join(_value_pattern(kind, b"(") for kind in _KINDS))
 
 
 class _RowShape:
@@ -219,13 +224,13 @@ class _RowShape:
         row = _shape_pattern(kinds, b"(?:")
         self.run = re.compile(row + b"(?:," + row + b")*").match
         self._findall = re.compile(_shape_pattern(kinds, b"(")).findall
-        self._decoders = [_BATCH_VALUES[kind][2] for kind in kinds]
+        self._decoders = [_VALUES[kind][2] for kind in kinds]
 
     def rows(self, buf: bytes, start: int, end: int) -> list[tuple]:
         """Decode the rows in ``buf[start:end]``.
 
-        Raises ``ValueError`` on a value the generic loop must judge:
-        bytes that are not UTF-8, or an int too long for ``int()``.
+        Raises ``ValueError`` on a value in the grammar that does not
+        decode: bytes that are not UTF-8, or an int too long for ``int()``.
         """
         found = self._findall(buf, start, end)
         # findall gives bare groups, not 1-tuples, for one-column rows.
@@ -233,9 +238,7 @@ class _RowShape:
         return list(zip(*(decode(c) for decode, c in zip(self._decoders, columns))))
 
 
-@functools.lru_cache(maxsize=64)
-def _row_shape(kinds: tuple[type, ...]) -> _RowShape:
-    return _RowShape(kinds)
+_row_shape = functools.lru_cache(maxsize=64)(_RowShape)
 
 
 def escape_sql_string(value: str) -> str:
@@ -256,28 +259,29 @@ def parse_sql_insert_rows(
     stream: BinaryIO,
     *,
     strict: bool = False,
-    table: str | None = None,
     stats: ParseStats | None = None,
 ) -> Iterator[tuple]:
     """Yield typed value tuples from a SQL dump, one per inserted row.
 
-    ``stream`` must be a binary file object.  Integers, floats, strings
-    (backslash escapes undone, decoded as UTF-8) and NULL (``None``) are
-    supported value types.  Lines that are not INSERT statements are
-    skipped.  With ``table`` given, statements for other tables are
-    skipped too.
+    ``stream`` must be a binary file object.  A row is one or more
+    values separated by single commas, with no whitespace.  A value is
+    an int (``[-+]?[0-9]+``), a float (an int followed by a decimal
+    point with digits, an exponent, or both), a quoted string (backslash
+    escapes undone, decoded as UTF-8) or NULL (``None``).  Lines that
+    are not INSERT statements are skipped.
 
     In strict mode a malformed tuple raises :class:`SqlDumpError` with
     its byte offset; otherwise the rest of that statement line is
     dropped, counted in ``stats.skipped``.
 
     The first row of each statement goes through the generic tuple
-    loop, which learns the row's shape: the type of each value.  From
-    then on each run of complete, comma-separated rows of that shape in
-    the buffer is decoded in one batch.  A row outside the run (another
-    shape, a spelling the batch does not read, a bad value, or a row cut
-    by the end of the buffer) goes back to the generic loop, so errors,
-    offsets and the buffer's high-water mark are the generic loop's.
+    loop, which walks it one value at a time and learns the row's shape:
+    the type of each value.  From then on each run of complete,
+    comma-separated rows of that shape in the buffer is decoded in one
+    batch.  A row outside the run (another shape, a malformed tuple, a
+    bad value, or a row cut by the end of the buffer) goes back to the
+    generic loop, so errors, offsets and the buffer's high-water mark
+    are the generic loop's.
     """
     if stats is None:
         stats = ParseStats()
@@ -289,8 +293,7 @@ def parse_sql_insert_rows(
     statements = 0
     head_match = _INSERT_HEAD_RE.match
     tuple_match = _TUPLE_RE.match
-    field_iter = _FIELD_RE.finditer
-    want_table = table.encode("utf-8") if table is not None else None
+    value_match = _VALUE_RE.match
     generic_until = 0  # absolute offset before which batches are not tried
 
     def fill() -> bool:
@@ -335,8 +338,7 @@ def parse_sql_insert_rows(
         while pos < len(buf) and buf[pos] in (9, 10, 13, 32):
             pos += 1
         if len(buf) - pos < len(b"INSERT") and not eof:
-            if not fill():
-                continue
+            fill()
             continue
         if pos >= len(buf) and eof:
             stats.rows = rows
@@ -357,9 +359,6 @@ def parse_sql_insert_rows(
             skip_line()
             break
         if m is None:
-            continue
-        if want_table is not None and m.group(1) != want_table:
-            skip_line()
             continue
         statements += 1
         pos = m.end()
@@ -405,31 +404,58 @@ def parse_sql_insert_rows(
                 fail(base + pos, "malformed or oversized tuple")
                 skip_line()
                 break
+            # Walk the values: after "(" or "," one value, up to the ")".
+            close = t.end() - 1
+            kinds = []
+            at = pos
+            while buf[at] in b"(," and (v := value_match(buf, at + 1, close)):
+                kinds.append(_KINDS[v.lastindex - 1])
+                at = v.end()
+            if at != close:
+                fail(base + pos, "malformed tuple")
+                skip_line()
+                break
+            shape = _row_shape(tuple(kinds))
             try:
-                values = []
-                append = values.append
-                for f in field_iter(buf, t.start() + 1, t.end() - 1):
-                    b = f.group()
-                    if b[0] == 39:  # '
-                        s = b[1:-1]
-                        if b"\\" in s:
-                            s = _unescape_bytes(s)
-                        append(s.decode("utf-8"))
-                    elif b == b"NULL":
-                        append(None)
-                    else:
-                        try:
-                            append(int(b))
-                        except ValueError:
-                            append(float(b))
-            except (ValueError, UnicodeDecodeError) as exc:
+                (values,) = shape.rows(buf, pos, t.end())
+            except ValueError as exc:
                 fail(base + pos, f"bad value in tuple: {exc}")
                 skip_line()
                 break
             rows += 1
             pos = t.end()
-            shape = _row_shape(tuple(map(type, values))) if values else None
-            yield tuple(values)
+            yield values
+
+
+# The leading columns of each dump table that its loader reads, and the
+# check on their values.  Extra columns are ignored.
+_DUMP_COLUMNS = {
+    # (page_id, page_namespace, page_title, page_is_redirect)
+    "page": ((int, int, str, int), lambda r: r[0] > 0 and r[2] and r[3] in (0, 1)),
+    # (rd_from, rd_namespace, rd_title)
+    "redirect": ((int, int, str), lambda r: r[2]),
+    # (pl_from, pl_namespace, pl_title, pl_from_namespace)
+    "pagelinks": ((int, int, str, int), lambda r: True),
+}
+
+
+def _dump_rows(
+    table: str, rows: Iterable[tuple], strict: bool, stats: ParseStats | None
+) -> Iterator[tuple]:
+    """Yield the rows whose leading columns have ``table``'s types and values.
+
+    Strict mode raises :class:`InvalidRecordError` naming the table and
+    any other row; lenient mode counts it in ``stats.skipped``.
+    """
+    kinds, valid = _DUMP_COLUMNS[table]
+    width = len(kinds)
+    for row in rows:
+        if len(row) >= width and all(map(isinstance, row, kinds)) and valid(row):
+            yield row
+        elif strict:
+            raise InvalidRecordError(f"bad {table} row {row!r}")
+        elif stats is not None:
+            stats.skipped += 1
 
 
 @dataclass
@@ -440,7 +466,6 @@ class PageTable:
     id_by_title: dict[str, int]
     n_foreign_namespace: int = 0
     n_duplicates: int = 0
-    n_skipped: int = 0
 
     def __len__(self) -> int:
         return len(self.by_id)
@@ -449,7 +474,9 @@ class PageTable:
         return {pid for pid, rec in self.by_id.items() if not rec.is_redirect}
 
 
-def load_page_table(rows: Iterable[tuple], *, strict: bool = False) -> PageTable:
+def load_page_table(
+    rows: Iterable[tuple], *, strict: bool = False, stats: ParseStats | None = None
+) -> PageTable:
     """Index ``page`` rows ``(page_id, namespace, title, is_redirect, ...)``.
 
     Only namespace-0 rows are kept.  Extra columns are ignored.  A
@@ -459,20 +486,7 @@ def load_page_table(rows: Iterable[tuple], *, strict: bool = False) -> PageTable
     table = PageTable(by_id={}, id_by_title={})
     by_id = table.by_id
     id_by_title = table.id_by_title
-    for row in rows:
-        if (
-            len(row) < 4
-            or not isinstance(row[0], int)
-            or not isinstance(row[1], int)
-            or not isinstance(row[2], str)
-            or row[0] <= 0
-            or not row[2]
-            or row[3] not in (0, 1, True, False)
-        ):
-            if strict:
-                raise InvalidRecordError(f"bad page row {row!r}")
-            table.n_skipped += 1
-            continue
+    for row in _dump_rows("page", rows, strict, stats):
         if row[1] != 0:
             table.n_foreign_namespace += 1
             continue
@@ -499,7 +513,6 @@ class RedirectTable:
     targets: dict[int, int]
     dropped_missing_target: int = 0
     dropped_bad_source: int = 0
-    n_skipped: int = 0
 
     @property
     def n_dropped(self) -> int:
@@ -510,7 +523,11 @@ class RedirectTable:
 
 
 def load_redirects(
-    rows: Iterable[tuple], pages: PageTable, *, strict: bool = False
+    rows: Iterable[tuple],
+    pages: PageTable,
+    *,
+    strict: bool = False,
+    stats: ParseStats | None = None,
 ) -> RedirectTable:
     """Join ``redirect`` rows ``(rd_from, rd_namespace, rd_title, ...)``.
 
@@ -520,18 +537,7 @@ def load_redirects(
     namespace-0 redirect page.
     """
     table = RedirectTable(targets={})
-    for row in rows:
-        if (
-            len(row) < 3
-            or not isinstance(row[0], int)
-            or not isinstance(row[1], int)
-            or not isinstance(row[2], str)
-            or not row[2]
-        ):
-            if strict:
-                raise InvalidRecordError(f"bad redirect row {row!r}")
-            table.n_skipped += 1
-            continue
+    for row in _dump_rows("redirect", rows, strict, stats):
         from_id, target_ns, target_title = row[0], row[1], row[2]
         source = pages.by_id.get(from_id)
         if source is None or not source.is_redirect:
@@ -557,22 +563,9 @@ def iter_raw_links(
     Rows originating outside namespace 0 are dropped here; target
     namespace filtering is left to the graph builder, which counts it.
     """
-    for row in rows:
-        if (
-            len(row) < 4
-            or not isinstance(row[0], int)
-            or not isinstance(row[1], int)
-            or not isinstance(row[2], str)
-            or not isinstance(row[3], int)
-        ):
-            if strict:
-                raise InvalidRecordError(f"bad pagelinks row {row!r}")
-            if stats is not None:
-                stats.skipped += 1
-            continue
-        if row[3] != 0:
-            continue
-        yield RawLink(row[0], row[1], row[2])
+    for row in _dump_rows("pagelinks", rows, strict, stats):
+        if row[3] == 0:
+            yield RawLink(row[0], row[1], row[2])
 
 
 class QidIndex:
@@ -586,7 +579,8 @@ class QidIndex:
 
     def __init__(self) -> None:
         self._langs_by_qid: dict[str, dict[str, str]] = {}
-        self._qid_by_title: dict[tuple[str, str], str] = {}
+        # language -> title -> qid
+        self._qid_by_title: dict[str, dict[str, str]] = {}
         self._page_by_qid: dict[str, dict[str, int]] = {}
         self._qid_by_page: dict[tuple[str, int], str] = {}
         self.n_conflicts = 0
@@ -595,7 +589,8 @@ class QidIndex:
         return len(self._langs_by_qid)
 
     def add(self, qid: str, language: str, title: str, *, strict: bool = False) -> None:
-        existing_qid = self._qid_by_title.get((language, title))
+        titles = self._qid_by_title.setdefault(language, {})
+        existing_qid = titles.get(title)
         per_lang = self._langs_by_qid.setdefault(qid, {})
         existing_title = per_lang.get(language)
         if (existing_qid is not None and existing_qid != qid) or (
@@ -610,10 +605,10 @@ class QidIndex:
                 del self._langs_by_qid[qid]
             return
         per_lang[language] = title
-        self._qid_by_title[(language, title)] = qid
+        titles[title] = qid
 
     def qid_for(self, language: str, title: str) -> str | None:
-        return self._qid_by_title.get((language, title))
+        return self._qid_by_title.get(language, {}).get(title)
 
     def qids(self) -> list[str]:
         """All known item ids, sorted."""
@@ -629,9 +624,7 @@ class QidIndex:
         index are skipped.
         """
         attached = 0
-        for (lang, title), qid in self._qid_by_title.items():
-            if lang != language:
-                continue
+        for title, qid in self._qid_by_title.get(language, {}).items():
             page_id = id_by_title.get(title)
             if page_id is None:
                 continue

@@ -315,6 +315,31 @@ def test_malformed_pagelinks_row_lenient_skip_and_strict_abort(golden_root, tmp_
     assert rc == EXIT_DATA_ERROR
 
 
+def test_mistyped_page_and_redirect_rows_are_counted_and_strict_aborts(
+    golden_root, tmp_path
+):
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    month_dir = data / "aa" / "2022-11"
+    for name, row, mistyped in (
+        ("page.sql", b"(6,0,'A_Iso',0)", b"(6,0,'A_Iso','x')"),
+        ("redirect.sql", b"(5,0,'A_Home')", b"(5,'0','A_Home')"),
+    ):
+        dump = (month_dir / name).read_bytes()
+        assert dump.count(row) == 1
+        (month_dir / name).write_bytes(dump.replace(row, mistyped))
+    out = tmp_path / "out"
+    rc = _run("ingest", "--data", str(data), "--out", str(out), "--months", MONTHS)
+    assert rc == EXIT_OK
+    months = json.loads((out / "manifest.json").read_text())["languages"]["aa"]["months"]
+    assert months["2022-11"]["skipped_rows"] == 2
+    assert months["2022-11"]["n_articles"] == 5
+    assert months["2022-12"]["skipped_rows"] == 0
+    rc = _run("ingest", "--data", str(data), "--out", str(tmp_path / "out2"),
+              "--months", MONTHS, "--strict")
+    assert rc == EXIT_DATA_ERROR
+
+
 def test_orphans_keeps_a_wiki_without_articles_off_the_curve(golden_root, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(golden_root, data)

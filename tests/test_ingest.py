@@ -72,16 +72,6 @@ def test_parse_counts_statements_and_rows():
     assert stats.skipped == 0
 
 
-def test_table_filter_keeps_only_named_table():
-    dump = (
-        b"INSERT INTO `page` VALUES (1,'keep');\n"
-        b"INSERT INTO `pagelinks` VALUES (2,'drop');\n"
-        b"INSERT INTO `page` VALUES (3,'keep');\n"
-    )
-    rows = list(parse_sql_insert_rows(io.BytesIO(dump), table="page"))
-    assert rows == [(1, "keep"), (3, "keep")]
-
-
 def test_escape_unescape_round_trip_random_strings():
     rng = np.random.default_rng(42)
     alphabet = list("abc'\"\\\n\r\t\x00xyzé中 _0")
@@ -112,6 +102,12 @@ def test_round_trip_through_dump_writer(tmp_path):
     assert parsed == rows
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_dump_writer_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        fixtures.write_sql_dump(io.StringIO(), "t", [(1, value)])
+
+
 def test_random_wiki_rows_round_trip_and_keep_their_redirects(tmp_path):
     wiki = fixtures.random_wiki(np.random.default_rng(0))
     parsed = {}
@@ -126,8 +122,9 @@ def test_random_wiki_rows_round_trip_and_keep_their_redirects(tmp_path):
             parsed[table] = list(parse_sql_insert_rows(handle))
         assert parsed[table] == rows
     pages = load_page_table(parsed["page"])
-    redirects = load_redirects(parsed["redirect"], pages)
-    assert redirects.n_skipped == 0
+    stats = ParseStats()
+    redirects = load_redirects(parsed["redirect"], pages, stats=stats)
+    assert stats.skipped == 0
     assert len(redirects) + redirects.n_dropped == len(wiki.redirect_rows)
     assert len(redirects) > 0
 
@@ -233,18 +230,30 @@ def test_batched_rows_parse_like_one_row_statements(rows, per_statement):
     assert _exact(_parse(_dump_bytes(rows, per_statement))) == _exact(reference)
 
 
-_BAD_TUPLE = b"(1,oops)"
+# Tuples outside the value grammar: a bare word, whitespace, an empty
+# value, two values with no comma between them, spellings that int() or
+# float() would take, and an int too long for int().
+_BAD_TUPLES = [
+    b"(1,oops)",
+    b"( 20,'x')",
+    b"(1,,2)",
+    b"(3,'a''b')",
+    b"(1_000,'x')",
+    b"(nan,'x')",
+    b"(inf,'x')",
+    b"(" + b"9" * 5000 + b",'x')",
+]
 
 
 @settings(max_examples=200)
-@given(rows=_sql_rows(), data=st.data())
-def test_malformed_tuple_mid_statement_is_reported_at_its_offset(rows, data):
+@given(rows=_sql_rows(), bad=st.sampled_from(_BAD_TUPLES), data=st.data())
+def test_malformed_tuple_mid_statement_is_reported_at_its_offset(rows, bad, data):
     at = data.draw(st.integers(1, len(rows)), label="at")
     placeholder = ("@bad@",)
     dump = _dump_bytes(rows[:at] + [placeholder] + rows[at:], len(rows) + 1)
-    dump = dump.replace(b"('@bad@')", _BAD_TUPLE)
-    assume(dump.count(_BAD_TUPLE) == 1)
-    offset = dump.find(_BAD_TUPLE)
+    dump = dump.replace(b"('@bad@')", bad)
+    assume(dump.count(bad) == 1)
+    offset = dump.find(bad)
 
     stats = ParseStats()
     assert _exact(_parse(dump, stats=stats)) == _exact(rows[:at])
@@ -261,14 +270,7 @@ def _statement(rows):
 
 @pytest.mark.parametrize(
     "odd",
-    [
-        b"( 20,'c')",
-        b"(2e1,'c')",
-        b"(+20,'c')",
-        b"(20,NULL)",
-        b"(20.5,'c')",
-        b"(" + b"9" * 5000 + b",'c')",  # too long for int(); the loop reads a float
-    ],
+    [b"(2e1,'c')", b"(+20,'c')", b"(20,NULL)", b"(20.5,'c')"],
 )
 def test_rows_outside_the_batch_spellings_parse_like_the_generic_loop(odd):
     rows = [b"(%d,'r%d')" % (i, i) for i in range(40)]
@@ -356,12 +358,14 @@ def test_qid_index_page_attachment_round_trip():
     index = QidIndex()
     index.add("Q1", "aa", "Star")
     index.add("Q1", "bb", "Stern")
+    index.add("Q2", "bb", "Star")  # the same title in another language
     attached = index.attach_page_ids("aa", {"Star": 11, "Unrelated": 12})
     assert attached == 1
     assert index.page_for_qid("aa", "Q1") == 11
     assert index.qid_for_page("aa", 11) == "Q1"
     assert index.page_for_qid("bb", "Q1") is None
-    assert index.qids() == ["Q1"]
+    assert index.page_for_qid("aa", "Q2") is None
+    assert index.qids() == ["Q1", "Q2"]
 
 
 def test_sitelink_tsv_rejects_short_rows():
