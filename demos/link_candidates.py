@@ -63,14 +63,15 @@ titles = {pid: page.title for pid, page in page_tables["aa"].by_id.items()}
 orphan_ids = sorted(graph.orphans(snapshot))
 print(f"aa orphans: {', '.join(titles[p] for p in orphan_ids)}\n")
 
+# One pass over the documents finds the mentions of every orphan's title.
+per_orphan = candidates.findlink_by_orphan(
+    {orphan: titles[orphan] for orphan in orphan_ids}, docs, snapshot
+)
 stats = candidates.CandidateStats()
-per_orphan = {}
-for orphan in orphan_ids:
-    found = candidates.findlink_candidates(orphan, titles[orphan], docs, snapshot)
+for orphan, found in per_orphan.items():
     found += candidates.crosslingual_candidates(
         orphan, "aa", snapshots, index, stats=stats
     )
-    per_orphan[orphan] = found
     for cand in found:
         if cand.method == candidates.FINDLINK:
             where = ", ".join(f"bytes {a}-{b}" for a, b in cand.evidence)

@@ -2,11 +2,15 @@
 
 Two generators propose source articles for a given orphan:
 
-* :func:`findlink_candidates` scans a corpus of annotated plain-text
-  documents for unlinked mentions of the orphan's title.  A mention
+* :func:`findlink_by_orphan` scans a corpus of annotated plain-text
+  documents for unlinked mentions of the orphans' titles.  A mention
   matches the title (underscores as spaces) exactly except for the
   case of the first character, must start and end at an alphanumeric /
   non-alphanumeric transition, and must not overlap an existing link.
+  Each document is read once for all orphans: its word starts are
+  looked up in an index of the titles' leading characters, so the cost
+  is the text length plus the hits.  :func:`findlink_candidates` is the
+  same for one orphan.
 * :func:`crosslingual_candidates` translates incoming links from other
   language versions of the same article: if s' links to a' in another
   wiki and both map to articles s, a here, then s -> a is proposed,
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -80,17 +84,53 @@ class CandidateStats:
     n_no_qid: int = 0
 
 
-def _mention_pattern(title: str) -> re.Pattern[str]:
-    name = title.replace("_", " ")
+# Titles are indexed by their first _KEY_CHARS characters, the head in
+# each of its case variants.  Longer keys hit fewer titles per word but
+# cost a lookup per distinct length of the shorter titles.
+_KEY_CHARS = 10
+# After each non-alphanumeric character (``[\W_]`` is exactly ``not
+# str.isalnum``), the next _KEY_CHARS characters.  Starting the pattern
+# with a character class lets the regex engine skip ahead in C.
+_AFTER_NON_ALNUM = re.compile(r"[\W_](?=(.{1,%d}))" % _KEY_CHARS, re.DOTALL)
+
+
+def _word_start_prefixes(text: str) -> set[str]:
+    """The _KEY_CHARS characters from each place a mention may start."""
+    return {text[:_KEY_CHARS], *_AFTER_NON_ALNUM.findall(text)}
+
+
+def _mention_heads(name: str) -> set[str]:
+    """The characters a mention of ``name`` may start with.
+
+    These are the characters of the first character's lower and upper
+    case, which may be longer than one character (``ß`` gives ``SS``).
+    """
     if not name:
         raise ValueError("empty title")
-    first, rest = name[0], name[1:]
+    first = name[0]
     variants = {first.lower(), first.upper()}
-    if len(variants) > 1:
-        head = "[" + "".join(re.escape(v) for v in sorted(variants)) + "]"
-    else:
-        head = re.escape(first)
-    return re.compile(head + re.escape(rest))
+    return set("".join(variants)) if len(variants) > 1 else {first}
+
+
+def _title_hits(text: str, name: str) -> Iterator[tuple[int, int]]:
+    """Leftmost non-overlapping ``(start, end)`` hits of ``name`` in ``text``.
+
+    The first character may be any of :func:`_mention_heads`; the rest
+    must match exactly.  Each search starts where the last hit ended.
+    """
+    needles = [head + name[1:] for head in _mention_heads(name)]
+    next_at = {needle: text.find(needle) for needle in needles}
+    pos = 0
+    while True:
+        for needle, at in next_at.items():
+            if 0 <= at < pos:
+                next_at[needle] = text.find(needle, pos)
+        hits = [(at, needle) for needle, at in next_at.items() if at >= 0]
+        if not hits:
+            return
+        start, needle = min(hits)
+        pos = start + len(needle)
+        yield start, pos
 
 
 def _has_edge(snapshot: LinkSnapshot, source: int, target: int) -> bool:
@@ -105,17 +145,15 @@ def unlinked_mentions(document: AnnotatedDocument, title: str) -> list[tuple[int
     A mention must sit at word boundaries: the characters immediately
     before and after it are absent or non-alphanumeric.
     """
-    pattern = _mention_pattern(title)
     text = document.text
     spans = []
-    for match in pattern.finditer(text):
-        start, end = match.start(), match.end()
+    for start, end in _title_hits(text, title.replace("_", " ")):
         if start > 0 and text[start - 1].isalnum():
             continue
         if end < len(text) and text[end].isalnum():
             continue
         byte_start = len(text[:start].encode("utf-8"))
-        byte_end = byte_start + len(match.group().encode("utf-8"))
+        byte_end = byte_start + len(text[start:end].encode("utf-8"))
         overlaps = any(
             byte_start < span_end and span_start < byte_end
             for span_start, span_end, _ in document.existing_link_spans
@@ -125,46 +163,79 @@ def unlinked_mentions(document: AnnotatedDocument, title: str) -> list[tuple[int
     return spans
 
 
+def findlink_by_orphan(
+    titles: Mapping[int, str],
+    corpus: Iterable[AnnotatedDocument],
+    snapshot: LinkSnapshot,
+) -> dict[int, list[CandidateLink]]:
+    """Documents containing unlinked mentions of each orphan's title.
+
+    ``titles`` maps orphan page ids to their titles.  The corpus is read
+    once: each document's word starts are looked up in an index of the
+    titles' leading characters, and only the orphans found there are
+    matched with :func:`unlinked_mentions`.  So the cost is the text
+    length plus the hits, not orphans x documents.
+
+    An orphan's own document and documents for pages outside the
+    snapshot's article set are skipped.  No source links to an orphan
+    yet, so every proposal is a new edge.  Each orphan's candidates are
+    ordered by mention count, ties by source page id.
+    """
+    index: dict[str, list[int]] = {}
+    for orphan, title in titles.items():
+        if not snapshot.has_article(orphan):
+            raise ValueError(f"page {orphan} is not an article in the snapshot")
+        if snapshot.in_degree_of(orphan) != 0:
+            raise ValueError(f"page {orphan} is not an orphan")
+        name = title.replace("_", " ")
+        for head in _mention_heads(name):
+            index.setdefault(head + name[1:_KEY_CHARS], []).append(orphan)
+    key_lengths = {len(key) for key in index}
+
+    found: dict[int, list[CandidateLink]] = {orphan: [] for orphan in titles}
+    for document in corpus:
+        source = document.page_id
+        if not snapshot.has_article(source):
+            continue
+        hit = {
+            orphan
+            for prefix in _word_start_prefixes(document.text)
+            for length in key_lengths
+            for orphan in index.get(prefix[:length], ())
+        }
+        hit.discard(source)
+        source_is_orphan = snapshot.in_degree_of(source) == 0
+        for orphan in hit:
+            spans = unlinked_mentions(document, titles[orphan])
+            if spans:
+                found[orphan].append(
+                    CandidateLink(
+                        language=snapshot.language,
+                        source_page_id=source,
+                        target_page_id=orphan,
+                        method=FINDLINK,
+                        evidence=tuple(spans),
+                        source_is_orphan=source_is_orphan,
+                    )
+                )
+    for out in found.values():
+        out.sort(key=lambda c: (-len(c.evidence), c.source_page_id))
+    return found
+
+
 def findlink_candidates(
     orphan_page_id: int,
     orphan_title: str,
     corpus: Iterable[AnnotatedDocument],
     snapshot: LinkSnapshot,
 ) -> list[CandidateLink]:
-    """Documents containing unlinked mentions of the orphan's title.
+    """:func:`findlink_by_orphan` for one orphan.
 
-    The orphan's own document, documents for pages outside the
-    snapshot's article set, and sources already linking to the orphan
-    are skipped.  Candidates are ordered by mention count, ties by
-    source page id.
+    Raises ``ValueError`` unless the page is an orphan article.
     """
-    if not snapshot.has_article(orphan_page_id):
-        raise ValueError(f"page {orphan_page_id} is not an article in the snapshot")
-    if snapshot.in_degree_of(orphan_page_id) != 0:
-        raise ValueError(f"page {orphan_page_id} is not an orphan")
-    out = []
-    for document in corpus:
-        if document.page_id == orphan_page_id:
-            continue
-        if not snapshot.has_article(document.page_id):
-            continue
-        if _has_edge(snapshot, document.page_id, orphan_page_id):
-            continue
-        spans = unlinked_mentions(document, orphan_title)
-        if not spans:
-            continue
-        out.append(
-            CandidateLink(
-                language=snapshot.language,
-                source_page_id=document.page_id,
-                target_page_id=orphan_page_id,
-                method=FINDLINK,
-                evidence=tuple(spans),
-                source_is_orphan=snapshot.in_degree_of(document.page_id) == 0,
-            )
-        )
-    out.sort(key=lambda c: (-len(c.evidence), c.source_page_id))
-    return out
+    return findlink_by_orphan({orphan_page_id: orphan_title}, corpus, snapshot)[
+        orphan_page_id
+    ]
 
 
 def crosslingual_candidates(

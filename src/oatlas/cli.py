@@ -335,7 +335,7 @@ def _load_titles(config: RunConfig, language: str) -> dict[int, str]:
     if not path.is_file():
         raise DataError(f"{path} not found; run the ingest stage first")
     with _tsv_lines(path) as lines:
-        return dict(ingest.read_tsv(lines, (int, str)))
+        return dict(ingest.read_tsv(lines, (int, ingest.nonempty)))
 
 
 def _load_pageview_table(config: RunConfig) -> ingest.PageviewTable:
@@ -733,28 +733,26 @@ def cmd_candidates(config: RunConfig) -> None:
         titles = _load_titles(config, language)
         documents = _load_documents(config, language)
         orphan_ids = graph.orphans(snapshot)
-        stats = candidates_mod.CandidateStats()
-        per_orphan: dict[int, list[candidates_mod.CandidateLink]] = {}
-        for orphan in sorted(orphan_ids):
-            found: list[candidates_mod.CandidateLink] = []
-            if documents:
-                title = titles.get(orphan)
-                if title is None:
+        per_orphan: dict[int, list[candidates_mod.CandidateLink]] = {
+            orphan: [] for orphan in sorted(orphan_ids)
+        }
+        if documents:
+            for orphan in per_orphan:
+                if orphan not in titles:
                     raise DataError(
                         f"{_titles_path(config, language)}: no row for orphan page "
                         f"{orphan}; run the ingest stage again"
                     )
-                found.extend(
-                    candidates_mod.findlink_candidates(
-                        orphan, title, documents, snapshot
-                    )
-                )
+            per_orphan = candidates_mod.findlink_by_orphan(
+                {orphan: titles[orphan] for orphan in per_orphan}, documents, snapshot
+            )
+        stats = candidates_mod.CandidateStats()
+        for orphan, found in per_orphan.items():
             found.extend(
                 candidates_mod.crosslingual_candidates(
                     orphan, language, snapshots, index, stats=stats
                 )
             )
-            per_orphan[orphan] = found
         flat = [cand for found in per_orphan.values() for cand in found]
         candidates_mod.validate_candidates(flat, snapshot, orphan_ids)
 

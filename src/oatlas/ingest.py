@@ -263,9 +263,10 @@ def parse_sql_insert_rows(
 ) -> Iterator[tuple]:
     """Yield typed value tuples from a SQL dump, one per inserted row.
 
-    ``stream`` must be a binary file object.  A row is one or more
-    values separated by single commas, with no whitespace.  A value is
-    an int (``[-+]?[0-9]+``), a float (an int followed by a decimal
+    ``stream`` must be a binary file object.  Rows are separated by
+    single commas, with whitespace allowed around them.  A row is one or
+    more values separated by single commas, with no whitespace.  A value
+    is an int (``[-+]?[0-9]+``), a float (an int followed by a decimal
     point with digits, an exponent, or both), a quoted string (backslash
     escapes undone, decoded as UTF-8) or NULL (``None``).  Lines that
     are not INSERT statements are skipped.
@@ -363,10 +364,13 @@ def parse_sql_insert_rows(
         statements += 1
         pos = m.end()
         shape = None
+        # After a row or run, one comma leads to the next row and ";" ends
+        # the statement; anywhere else only a row may come next.
+        after_row = False
 
         # Tuple loop for one statement.
         while True:
-            while pos < len(buf) and buf[pos] in (9, 10, 13, 32, 44):
+            while pos < len(buf) and buf[pos] in (9, 10, 13, 32):
                 pos += 1
             if pos >= len(buf):
                 if fill():
@@ -374,11 +378,15 @@ def parse_sql_insert_rows(
                 fail(base + pos, "statement truncated at end of file")
                 break
             c = buf[pos]
-            if c == 59:  # ;
+            if c == 59 and after_row:  # ;
                 pos += 1
                 skip_line()
                 break
-            if c != 40:  # (
+            if c == 44 and after_row:  # ,
+                pos += 1
+                after_row = False
+                continue
+            if c != 40 or after_row:  # (
                 fail(base + pos, f"unexpected byte {bytes((c,))!r} in VALUES list")
                 skip_line()
                 break
@@ -394,6 +402,7 @@ def parse_sql_insert_rows(
                     else:
                         rows += len(batch)
                         pos = end
+                        after_row = True
                         yield from batch
                         continue
             t = tuple_match(buf, pos)
@@ -424,6 +433,7 @@ def parse_sql_insert_rows(
                 break
             rows += 1
             pos = t.end()
+            after_row = True
             yield values
 
 
@@ -675,7 +685,7 @@ def optional(convert: Callable[[str], object]) -> Callable[[str], object]:
     return lambda cell: None if cell == "NA" else convert(cell)
 
 
-def _nonempty(cell: str) -> str:
+def nonempty(cell: str) -> str:
     if not cell:
         raise ValueError("empty cell")
     return cell
@@ -694,7 +704,7 @@ def _probability(cell: str) -> float:
 
 def read_sitelinks_tsv(lines: Iterable[str]) -> Iterator[SitelinkRecord]:
     """Parse headerless sitelink TSV lines ``qid<TAB>language<TAB>title``."""
-    return map(SitelinkRecord._make, read_tsv(lines, (_nonempty,) * 3))
+    return map(SitelinkRecord._make, read_tsv(lines, (nonempty,) * 3))
 
 
 def load_sitelinks(

@@ -8,8 +8,11 @@ compared against.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
+from typing import Iterable, Mapping
 
+from oatlas.candidates import AnnotatedDocument
 from oatlas.ingest import PageTable, QidIndex, RawLink, RedirectTable
 from oatlas.graph import LinkSnapshot
 
@@ -130,3 +133,67 @@ def crosslingual_oracle(
         evidence.items(), key=lambda item: (-len(item[1]), item[0])
     )
     return [(source, tuple(sorted(langs))) for source, langs in ordered]
+
+
+def _mention_pattern(title: str) -> re.Pattern[str]:
+    """The title as a regex: first character in either case, rest exact."""
+    name = title.replace("_", " ")
+    if not name:
+        raise ValueError("empty title")
+    first, rest = name[0], name[1:]
+    variants = {first.lower(), first.upper()}
+    if len(variants) > 1:
+        head = "[" + "".join(re.escape(v) for v in sorted(variants)) + "]"
+    else:
+        head = re.escape(first)
+    return re.compile(head + re.escape(rest))
+
+
+def unlinked_mentions_oracle(
+    document: AnnotatedDocument, title: str
+) -> list[tuple[int, int]]:
+    """Byte spans of the title's regex hits at word boundaries, outside links."""
+    text = document.text
+    spans = []
+    for match in _mention_pattern(title).finditer(text):
+        start, end = match.start(), match.end()
+        if start > 0 and text[start - 1].isalnum():
+            continue
+        if end < len(text) and text[end].isalnum():
+            continue
+        byte_start = len(text[:start].encode("utf-8"))
+        byte_end = byte_start + len(match.group().encode("utf-8"))
+        if not any(
+            byte_start < span_end and span_start < byte_end
+            for span_start, span_end, _ in document.existing_link_spans
+        ):
+            spans.append((byte_start, byte_end))
+    return spans
+
+
+def findlink_oracle(
+    titles: Mapping[int, str],
+    corpus: Iterable[AnnotatedDocument],
+    snapshot: LinkSnapshot,
+) -> dict[int, list[tuple[int, tuple[tuple[int, int], ...], bool]]]:
+    """Scan every (orphan, document) pair with the regex matcher.
+
+    Returns, per orphan, ``(source_page_id, evidence, source_is_orphan)``
+    in the library's output order: most mentions first, then source id.
+    """
+    corpus = list(corpus)
+    out = {}
+    for orphan, title in titles.items():
+        found = []
+        for document in corpus:
+            source = document.page_id
+            if source == orphan or not snapshot.has_article(source):
+                continue
+            if orphan in snapshot.out_neighbors(source).tolist():
+                continue
+            spans = unlinked_mentions_oracle(document, title)
+            if spans:
+                found.append((source, tuple(spans), snapshot.in_degree_of(source) == 0))
+        found.sort(key=lambda item: (-len(item[1]), item[0]))
+        out[orphan] = found
+    return out

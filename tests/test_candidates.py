@@ -1,8 +1,14 @@
 """Mention scanning, cross-wiki link translation, and coverage counts."""
 
+import sys
+from itertools import zip_longest
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oatlas import candidates
 from oatlas.candidates import (
     CROSSLINGUAL,
     FINDLINK,
@@ -11,6 +17,7 @@ from oatlas.candidates import (
     CandidateStats,
     coverage_report,
     crosslingual_candidates,
+    findlink_by_orphan,
     findlink_candidates,
     unlinked_mentions,
     validate_candidates,
@@ -18,7 +25,7 @@ from oatlas.candidates import (
 from oatlas.graph import LinkSnapshot, orphans
 from oatlas.ingest import QidIndex
 
-from .oracles import crosslingual_oracle
+from .oracles import crosslingual_oracle, findlink_oracle, unlinked_mentions_oracle
 
 
 def _doc(text, page_id=1, spans=(), language="aa"):
@@ -80,6 +87,14 @@ def test_mention_multiple_hits_and_digit_titles():
         unlinked_mentions(_doc("anything"), "")
 
 
+def test_mention_head_takes_each_character_of_a_multi_character_case_map():
+    # "ß".upper() is "SS" and "İ".lower() is "i" + U+0307: a mention may
+    # start with any one of those characters.
+    assert unlinked_mentions(_doc("Sa, ßa"), "ßa") == [(0, 2), (4, 7)]
+    assert unlinked_mentions(_doc("SSa"), "ßa") == []
+    assert unlinked_mentions(_doc("i, \u0307, İ"), "İ") == [(0, 1), (3, 5), (7, 9)]
+
+
 def test_document_span_validation():
     _doc("short", spans=((0, 5, 9),)).validate()
     with pytest.raises(ValueError, match="outside"):
@@ -138,6 +153,138 @@ def test_findlink_preconditions():
         findlink_candidates(99, "Rock_music", corpus, snapshot)
     with pytest.raises(ValueError, match="not an orphan"):
         findlink_candidates(1, "T1", corpus, snapshot)
+
+
+# -- exactness against the regex oracle ---------------------------------------
+
+# Pieces of titles and texts: self-overlapping titles, first characters
+# whose case maps to several characters (ß gives SS, İ gives i + U+0307),
+# accents, digits, brackets, underscores and single and double spaces.
+_PIECES = (
+    "A_a", "A a", "Abab", "ab", "a", "A", "b", "ß", "S", "SS", "s", "İ", "i",
+    "\u0307", "é", "É", "1", "2", "(", ")", "_", " ", "  ",
+)
+_titles = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=6).map("".join)
+
+
+@st.composite
+def _documents(draw, titles, page_ids=st.just(1)):
+    """A text of pieces and near mentions of ``titles``, with random link spans.
+
+    A title's first character is replaced by its lower and upper case
+    and by each character of those.
+    """
+    mentions = []
+    for name in (title.replace("_", " ") for title in titles):
+        lower, upper = name[0].lower(), name[0].upper()
+        for head in (name[0], lower, upper, *lower, *upper):
+            mentions.append(head + name[1:])
+    words = st.sampled_from(_PIECES + tuple(mentions))
+    text = "".join(draw(st.lists(words, max_size=20)))
+    limit = len(text.encode("utf-8"))
+    spans = []
+    for _ in range(draw(st.integers(0, 3)) if limit else 0):
+        start = draw(st.integers(0, limit - 1))
+        spans.append((start, draw(st.integers(start + 1, limit)), 9))
+    return _doc(text, page_id=draw(page_ids), spans=tuple(spans))
+
+
+@settings(max_examples=1000)
+@given(data=st.data(), title=_titles)
+def test_unlinked_mentions_match_the_regex_oracle(data, title):
+    document = data.draw(_documents([title]), label="document")
+    assert unlinked_mentions(document, title) == unlinked_mentions_oracle(
+        document, title
+    )
+
+
+@st.composite
+def _findlink_worlds(draw):
+    """A small snapshot, titles for its orphans and a corpus mentioning them."""
+    pages = list(range(1, draw(st.integers(2, 8)) + 1))
+    edges = draw(st.sets(st.tuples(st.sampled_from(pages), st.sampled_from(pages))))
+    snapshot = LinkSnapshot.from_edges(
+        "aa", "2023-05", pages, {(u, v) for u, v in edges if u != v}
+    )
+    titles = {orphan: draw(_titles) for orphan in sorted(orphans(snapshot))}
+    # Page ids past the snapshot's articles stand for unknown pages.
+    documents = _documents(list(titles.values()), st.integers(1, len(pages) + 2))
+    return titles, draw(st.lists(documents, max_size=6)), snapshot
+
+
+@settings(max_examples=300)
+@given(world=_findlink_worlds())
+def test_findlink_by_orphan_matches_the_pairwise_oracle(world):
+    titles, corpus, snapshot = world
+    got = findlink_by_orphan(titles, corpus, snapshot)
+    assert {
+        orphan: [(c.source_page_id, c.evidence, c.source_is_orphan) for c in found]
+        for orphan, found in got.items()
+    } == findlink_oracle(titles, corpus, snapshot)
+    for orphan, found in got.items():
+        assert all(c.target_page_id == orphan for c in found)
+        assert all(c.method == FINDLINK and c.language == "aa" for c in found)
+        assert found == findlink_candidates(orphan, titles[orphan], corpus, snapshot)
+
+
+def test_word_starts_follow_exactly_the_non_alphanumeric_characters():
+    # The index is looked up only where a mention may start, so the
+    # regex's idea of "alphanumeric" must be exactly str.isalnum's.
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    got = (m.start() for m in candidates._AFTER_NON_ALNUM.finditer(text))
+    want = (i for i, c in enumerate(text[:-1]) if not c.isalnum())
+    assert all(a == b for a, b in zip_longest(got, want))
+
+
+def test_findlink_matches_only_pairs_whose_key_starts_a_word(monkeypatch):
+    # 300 orphans and 100 documents; the documents link in a ring, so
+    # only pages 1-300 are orphans.  Five titles occur, each at a word
+    # start; two more keys occur only inside a word; one key starts a
+    # word without the rest of its title.
+    n_orphans, n_docs = 300, 100
+    docs = range(n_orphans + 1, n_orphans + n_docs + 1)
+    snapshot = LinkSnapshot.from_edges(
+        "aa",
+        "2023-05",
+        range(1, n_orphans + n_docs + 1),
+        [(d, d + 1 if d < docs[-1] else docs[0]) for d in docs],
+    )
+    titles = {k: f"Tower_{k:03d}_grove" for k in range(1, n_orphans + 1)}
+    corpus = [
+        _doc(
+            f"the tower {d % 5 + 1:03d} grove and xTower 050 grove, "
+            f"atower 060 grove; Tower 070 glen",
+            page_id=d,
+        )
+        for d in docs
+    ]
+    calls = []
+    real = candidates.unlinked_mentions
+
+    def counted(document, title):
+        calls.append((document.page_id, title))
+        return real(document, title)
+
+    monkeypatch.setattr(candidates, "unlinked_mentions", counted)
+    found = findlink_by_orphan(titles, corpus, snapshot)
+
+    keyed = set()
+    for document in corpus:
+        text = document.text
+        for orphan, title in titles.items():
+            name = title.replace("_", " ")
+            for head in (name[0].lower(), name[0].upper()):
+                key = head + name[1 : candidates._KEY_CHARS]
+                at = text.find(key)
+                while at >= 0:
+                    if at == 0 or not text[at - 1].isalnum():
+                        keyed.add((document.page_id, title))
+                    at = text.find(key, at + 1)
+    assert len(calls) == len(set(calls)) == len(keyed) == 2 * n_docs
+    assert set(calls) == keyed
+    assert len(calls) < n_orphans * n_docs / 100
+    assert {o for o, cands in found.items() if cands} == {1, 2, 3, 4, 5}
+    assert sum(len(cands) for cands in found.values()) == n_docs
 
 
 # -- crosslingual_candidates --------------------------------------------------

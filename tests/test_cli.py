@@ -407,6 +407,7 @@ def test_document_text_may_hold_a_line_separator(golden_root, pipeline, tmp_path
     [
         ("titles/aa.tsv", 1, None),
         ("titles/aa.tsv", 0, "two"),
+        ("titles/aa.tsv", 1, ""),
         ("qidmap.tsv", 3, None),
         ("qidmap.tsv", 2, "twelve"),
         ("panel.tsv", 6, None),
@@ -416,7 +417,7 @@ def test_document_text_may_hold_a_line_separator(golden_root, pipeline, tmp_path
 def test_malformed_stage_file_names_file_and_line(
     golden_root, pipeline, tmp_path, capsys, name, column, cell
 ):
-    """One bad row (a column short, or a non-numeric cell) exits 3."""
+    """One bad row (a column short, a non-numeric cell or a blank title) exits 3."""
     out = tmp_path / "out"
     shutil.copytree(pipeline, out)
     path = out / name

@@ -282,6 +282,38 @@ def test_rows_outside_the_batch_spellings_parse_like_the_generic_loop(odd):
     assert len(batched) == 40 and stats.skipped == 0
 
 
+# VALUES lists with a missing, doubled, leading or trailing comma between
+# tuples, or no tuple at all; ``at`` is the offset of the bad byte.
+@pytest.mark.parametrize(
+    "values, kept, at",
+    [
+        (b"(1,2)(3,4)", [(1, 2)], 5),
+        (b"(1,2),,(3,4)", [(1, 2)], 6),
+        (b"(1,2) (3,4)", [(1, 2)], 6),
+        (b",(1,2)", [], 0),
+        (b"(1,2),", [(1, 2)], 6),
+        (b"", [], 0),
+    ],
+)
+def test_tuples_need_exactly_one_comma_between_them(values, kept, at):
+    head = b"INSERT INTO `t` VALUES "
+    dump = head + values + b";\n" + _statement([b"(5,6)"])
+    stats = ParseStats()
+    assert _parse(dump, stats=stats) == kept + [(5, 6)]
+    assert stats.skipped == 1
+    assert [error.offset for error in stats.errors] == [len(head) + at]
+    with pytest.raises(SqlDumpError) as info:
+        _parse(dump, strict=True)
+    assert info.value.offset == len(head) + at
+
+
+def test_whitespace_may_surround_the_comma_between_tuples():
+    dump = b"INSERT INTO `t` VALUES (1,2) ,\n (3,4)\t;\n"
+    stats = ParseStats()
+    assert _parse(dump, stats=stats) == [(1, 2), (3, 4)]
+    assert stats.skipped == 0
+
+
 def test_bad_utf8_inside_a_run_is_reported_at_its_row():
     rows = [b"(%d,'r%d')" % (i, i) for i in range(40)]
     rows[25] = b"(25,'\xff')"
