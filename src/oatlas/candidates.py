@@ -250,9 +250,10 @@ def crosslingual_candidates(
 
     For every other language where the same item exists, each inlink
     source is mapped back through its item id; sources that exist here
-    and do not already link to the orphan become candidates.  Evidence
-    is the sorted tuple of supporting languages, and candidates are
-    ordered by evidence size (descending), ties by source page id.
+    become candidates (none links to the orphan yet, as it has no
+    inlinks).  Evidence is the sorted tuple of supporting languages, and
+    candidates are ordered by evidence size (descending), ties by source
+    page id.
     An orphan with no item id yields an empty list and, when ``stats``
     is given, counts in ``stats.n_no_qid``.
     """
@@ -283,20 +284,17 @@ def crosslingual_candidates(
             if source == orphan_page_id:
                 continue
             votes.setdefault(source, set()).add(other)
-    out = []
-    for source, languages in votes.items():
-        if _has_edge(snapshot, source, orphan_page_id):
-            continue
-        out.append(
-            CandidateLink(
-                language=language,
-                source_page_id=source,
-                target_page_id=orphan_page_id,
-                method=CROSSLINGUAL,
-                evidence=tuple(sorted(languages)),
-                source_is_orphan=snapshot.in_degree_of(source) == 0,
-            )
+    out = [
+        CandidateLink(
+            language=language,
+            source_page_id=source,
+            target_page_id=orphan_page_id,
+            method=CROSSLINGUAL,
+            evidence=tuple(sorted(languages)),
+            source_is_orphan=snapshot.in_degree_of(source) == 0,
         )
+        for source, languages in votes.items()
+    ]
     out.sort(key=lambda c: (-len(c.evidence), c.source_page_id))
     return out
 

@@ -14,6 +14,12 @@ by ordinary least squares with both classical and pair-clustered
 standard errors.  The reverse direction (orphanization, links lost)
 is symmetric.
 
+Each spec of :func:`fit_did` fits one design on a subset of the rows:
+intercept, ``treated``, time dummies and each dummy times ``treated``.
+The time dummy is ``after``; ``by_month`` has one per period but the
+reference period -1.  The per-language and per-referrer subsets are
+masks over one group key.
+
 The month label of a snapshot is its dump date, i.e. the state at the
 start of that month.  Treatment during calendar month m is therefore
 the difference between the snapshots labeled m and m+1, the pre window
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -249,9 +256,13 @@ def assemble_panel(
     return panel
 
 
+def _finite_or_none(value: float) -> float | None:
+    """JSON has no NaN or infinity: an undefined estimate is null."""
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class TermEstimate:
-    name: str
     coef: float
     se_classical: float
     se_clustered: float
@@ -261,18 +272,7 @@ class TermEstimate:
     ci_high: float
 
     def to_dict(self) -> dict:
-        def clean(v: float) -> float | None:
-            return None if (isinstance(v, float) and not math.isfinite(v)) else v
-
-        return {
-            "coef": clean(self.coef),
-            "se_classical": clean(self.se_classical),
-            "se_clustered": clean(self.se_clustered),
-            "t_stat": clean(self.t_stat),
-            "p_value": clean(self.p_value),
-            "ci_low": clean(self.ci_low),
-            "ci_high": clean(self.ci_high),
-        }
+        return {key: _finite_or_none(value) for key, value in vars(self).items()}
 
 
 @dataclass
@@ -302,13 +302,11 @@ class DidEstimate:
         out = {
             "n_observations": self.n_observations,
             "n_pairs": self.n_pairs,
-            "residual_variance": (
-                None if math.isnan(self.residual_variance) else self.residual_variance
-            ),
+            "residual_variance": _finite_or_none(self.residual_variance),
             "terms": {name: term.to_dict() for name, term in self.terms.items()},
         }
         if self.effect is not None:
-            out["effect_percent"] = self.effect_percent
+            out["effect_percent"] = _finite_or_none(self.effect_percent)
         return out
 
 
@@ -363,7 +361,6 @@ def _ols(
             t = math.nan
             p = math.nan
         terms[name] = TermEstimate(
-            name=name,
             coef=coef,
             se_classical=float(se_classical[i]),
             se_clustered=se,
@@ -380,55 +377,30 @@ def _ols(
     )
 
 
-def _panel_arrays(
-    panel: Sequence[PanelObservation],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    treated = np.fromiter((o.role == TREATED for o in panel), dtype=float, count=len(panel))
-    after = np.fromiter((o.period_index > 0 for o in panel), dtype=float, count=len(panel))
-    y = np.fromiter((o.log_views for o in panel), dtype=float, count=len(panel))
-    clusters = np.array([o.pair_id for o in panel])
-    return treated, after, y, clusters
-
-
-def _fit_pooled(panel: Sequence[PanelObservation]) -> DidEstimate:
-    treated, after, y, clusters = _panel_arrays(panel)
-    if len(set(treated)) < 2 or len(set(after)) < 2:
-        raise DegeneratePanelError("panel does not cover both roles and both periods")
-    X = np.column_stack([np.ones(len(y)), treated, after, treated * after])
-    return _ols(X, y, clusters, ["intercept", "treated", "after", "treated_after"])
-
-
-def _fit_by_month(panel: Sequence[PanelObservation]) -> DidEstimate:
-    treated, _, y, clusters = _panel_arrays(panel)
-    periods = sorted({o.period_index for o in panel})
-    if -1 not in periods:
-        raise DegeneratePanelError("reference period -1 missing from panel")
-    period_values = np.fromiter(
-        (o.period_index for o in panel), dtype=int, count=len(panel)
+def _fit(
+    columns: tuple[np.ndarray, ...], rows: slice | np.ndarray, by_month: bool
+) -> DidEstimate:
+    """OLS of the one design (see the module docstring) on ``rows``."""
+    treated, period, y, pair = (column[rows] for column in columns)
+    if by_month:
+        levels = np.unique(period)
+        if -1 not in levels:
+            raise DegeneratePanelError("reference period -1 missing from panel")
+        levels = levels[levels != -1]
+        labels = [f"period[{k:+d}]" for k in levels]
+        dummies = [period == k for k in levels]
+        interactions = [f"treated:{label}" for label in labels]
+    else:
+        after = period > 0
+        if any(c.all() or not c.any() for c in (treated, after)):
+            raise DegeneratePanelError(
+                "panel does not cover both roles and both periods"
+            )
+        labels, dummies, interactions = ["after"], [after], ["treated_after"]
+    X = np.column_stack(
+        [np.ones(len(y)), treated, *dummies, *(treated & d for d in dummies)]
     )
-    columns = [np.ones(len(y)), treated]
-    names = ["intercept", "treated"]
-    for period in periods:
-        if period == -1:
-            continue  # reference period, effect pinned at zero
-        dummy = (period_values == period).astype(float)
-        columns.append(dummy)
-        names.append(f"period[{period:+d}]")
-    for period in periods:
-        if period == -1:
-            continue
-        dummy = (period_values == period).astype(float)
-        columns.append(treated * dummy)
-        names.append(f"treated:period[{period:+d}]")
-    return _ols(np.column_stack(columns), y, clusters, names)
-
-
-def _treated_language_by_pair(panel: Sequence[PanelObservation]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for obs in panel:
-        if obs.role == TREATED:
-            out[obs.pair_id] = obs.language
-    return out
+    return _ols(X, y, pair, ["intercept", "treated", *labels, *interactions])
 
 
 def fit_did(
@@ -449,40 +421,38 @@ def fit_did(
     * ``by_referrer``: one pooled fit per referrer class present in the
       panel other than ``all``; returns a dict keyed by class.
 
-    Groups that come out empty are skipped with a warning.
+    Every spec fits the same design on a subset of the panel's rows.
+    When no group qualifies the result is empty and a warning is logged.
     """
     if not panel:
         raise DegeneratePanelError("empty panel")
-    if spec == "pooled":
-        return _fit_pooled(panel)
-    if spec == "by_month":
-        return _fit_by_month(panel)
-    if spec == "by_language":
-        language_of = _treated_language_by_pair(panel)
-        pairs_per_language: dict[str, set[str]] = {}
-        for pair_id, language in language_of.items():
-            pairs_per_language.setdefault(language, set()).add(pair_id)
-        out: dict[str, DidEstimate] = {}
-        for language in sorted(pairs_per_language):
-            pair_ids = pairs_per_language[language]
-            if len(pair_ids) < min_pairs:
-                continue
-            group = [o for o in panel if o.pair_id in pair_ids]
-            out[language] = _fit_pooled(group)
-        if not out:
-            logger.warning(
-                "by_language: no language reaches min_pairs=%d", min_pairs
-            )
-        return out
-    if spec == "by_referrer":
-        classes = sorted({o.referrer_class for o in panel} - {"all"})
-        out = {}
-        for cls in classes:
-            group = [o for o in panel if o.referrer_class == cls]
-            if not group:
-                continue
-            out[cls] = _fit_pooled(group)
-        if not out:
-            logger.warning("by_referrer: no referrer classes beyond 'all' in panel")
-        return out
-    raise ValueError(f"unknown spec {spec!r}")
+    if spec in ("pooled", "by_month"):
+        key, groups = None, [None]
+    elif spec == "by_language":
+        # A pair belongs to the language of its treated article.
+        language_of = {o.pair_id: o.language for o in panel if o.role == TREATED}
+        key = np.array([language_of.get(o.pair_id) for o in panel], dtype=object)
+        n_pairs = Counter(language_of.values())
+        groups = sorted(g for g, count in n_pairs.items() if count >= min_pairs)
+        empty = f"by_language: no language reaches min_pairs={min_pairs}"
+    elif spec == "by_referrer":
+        key = np.array([o.referrer_class for o in panel], dtype=object)
+        groups = sorted(set(key) - {"all"})
+        empty = "by_referrer: no referrer classes beyond 'all' in panel"
+    else:
+        raise ValueError(f"unknown spec {spec!r}")
+    if not groups:
+        logger.warning(empty)
+        return {}
+    n = len(panel)
+    pair_code: dict[str, int] = {}
+    pairs = (pair_code.setdefault(o.pair_id, len(pair_code)) for o in panel)
+    columns = (
+        np.fromiter((o.role == TREATED for o in panel), dtype=bool, count=n),
+        np.fromiter((o.period_index for o in panel), dtype=np.int64, count=n),
+        np.fromiter((o.log_views for o in panel), dtype=float, count=n),
+        np.fromiter(pairs, dtype=np.int64, count=n),
+    )
+    if key is None:
+        return _fit(columns, slice(None), by_month=spec == "by_month")
+    return {group: _fit(columns, key == group, by_month=False) for group in groups}

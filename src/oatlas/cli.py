@@ -244,25 +244,10 @@ def _write_report(
 
 def _write_json(path: Path, payload: object) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    sanitized = _sanitize_json(payload)
     path.write_text(
-        json.dumps(sanitized, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )
-
-
-def _sanitize_json(value: object) -> object:
-    if isinstance(value, dict):
-        return {key: _sanitize_json(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize_json(item) for item in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        value = float(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 @contextlib.contextmanager

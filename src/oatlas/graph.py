@@ -511,7 +511,6 @@ class OrphanEvent:
     page_id: int
     direction: str
     new_inlink_count: int | None = None
-    qid: str | None = None
 
 
 def deorphanizing_events(

@@ -22,7 +22,8 @@ Three kinds of sources are understood:
 
 All loaders support a ``strict`` flag: strict mode aborts on the first
 bad row, lenient mode skips and counts; the dump loaders count in their
-file's ``ParseStats``.
+file's ``ParseStats``.  The lenient parser skips a malformed tuple and
+keeps the rows after it, unless the tuple's end cannot be found.
 """
 
 from __future__ import annotations
@@ -272,8 +273,10 @@ def parse_sql_insert_rows(
     are not INSERT statements are skipped.
 
     In strict mode a malformed tuple raises :class:`SqlDumpError` with
-    its byte offset; otherwise the rest of that statement line is
-    dropped, counted in ``stats.skipped``.
+    its byte offset; otherwise it is counted in ``stats.skipped`` and the
+    rows after it are kept.  Only where the tuple's end is unknown (an
+    unclosed quote, an oversized tuple) or the VALUES list is broken is
+    the rest of the statement line dropped.
 
     The first row of each statement goes through the generic tuple
     loop, which walks it one value at a time and learns the row's shape:
@@ -414,27 +417,27 @@ def parse_sql_insert_rows(
                 skip_line()
                 break
             # Walk the values: after "(" or "," one value, up to the ")".
+            # A bad tuple whose end is known is skipped like a row.
             close = t.end() - 1
             kinds = []
             at = pos
             while buf[at] in b"(," and (v := value_match(buf, at + 1, close)):
                 kinds.append(_KINDS[v.lastindex - 1])
                 at = v.end()
+            values = None
             if at != close:
                 fail(base + pos, "malformed tuple")
-                skip_line()
-                break
-            shape = _row_shape(tuple(kinds))
-            try:
-                (values,) = shape.rows(buf, pos, t.end())
-            except ValueError as exc:
-                fail(base + pos, f"bad value in tuple: {exc}")
-                skip_line()
-                break
-            rows += 1
+            else:
+                shape = _row_shape(tuple(kinds))
+                try:
+                    (values,) = shape.rows(buf, pos, t.end())
+                except ValueError as exc:
+                    fail(base + pos, f"bad value in tuple: {exc}")
             pos = t.end()
             after_row = True
-            yield values
+            if values is not None:
+                rows += 1
+                yield values
 
 
 # The leading columns of each dump table that its loader reads, and the

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oatlas import fixtures
 from oatlas.causal import (
@@ -564,6 +566,107 @@ def test_by_referrer_splits_classes_and_skips_all(caplog):
     with caplog.at_level(logging.WARNING, logger="oatlas.causal"):
         assert fit_did(all_only, "by_referrer") == {}
     assert "referrer" in caplog.text
+
+
+_LANGUAGES = ("aa", "bb", "cc")
+_CLASSES = ("all", "internal", "search")
+_OFFSETS = (-3, -2, -1, 1, 2, 3)
+
+
+@st.composite
+def _unbalanced_panels(draw):
+    """A shuffled panel over three treated languages and three referrer
+    classes, where pairs miss random rows, and its pairs' languages.
+
+    The first pair of each language has every row, so every language
+    and class subset covers every (role, period) cell.  Some pairs keep
+    no treated row; they have no treated language.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pairs = draw(st.integers(3, 12))
+    panel, language_of = [], {}
+    for i in range(n_pairs):
+        pid = f"forward:{MONTH}:Q{i}:x"
+        complete = i < len(_LANGUAGES)
+        language = _LANGUAGES[i] if complete else str(rng.choice(_LANGUAGES))
+        treated_kept = complete or rng.random() > 0.2
+        language_of[pid] = language if treated_kept else None
+        for referrer in _CLASSES:
+            for role in (TREATED, CONTROL):
+                if role == TREATED and not treated_kept:
+                    continue
+                for offset in _OFFSETS:
+                    if complete or rng.random() < 0.6:
+                        panel.append(
+                            _obs(
+                                pid,
+                                role,
+                                offset,
+                                float(rng.normal(3.0, 1.5)),
+                                language if role == TREATED else "zz",
+                                referrer,
+                            )
+                        )
+    return [panel[i] for i in rng.permutation(len(panel))], language_of
+
+
+def _assert_same_fit(got, want, tol):
+    assert (got.n_observations, got.n_pairs) == (want.n_observations, want.n_pairs)
+    assert got.terms.keys() == want.terms.keys()
+    for name, term in got.terms.items():
+        for field, value in vars(term).items():
+            expected = getattr(want.terms[name], field)
+            if math.isnan(expected):
+                assert math.isnan(value), (name, field)
+            else:
+                assert abs(value - expected) <= tol * max(1.0, abs(expected)), (
+                    name,
+                    field,
+                )
+
+
+@settings(max_examples=150)
+@given(data=_unbalanced_panels(), min_pairs=st.integers(1, 4))
+def test_grouped_specs_are_pooled_fits_of_their_row_subsets(data, min_pairs):
+    panel, language_of = data
+    by_language = fit_did(panel, "by_language", min_pairs=min_pairs)
+    n_pairs = {
+        language: sum(1 for lang in language_of.values() if lang == language)
+        for language in _LANGUAGES
+    }
+    assert sorted(by_language) == [g for g in _LANGUAGES if n_pairs[g] >= min_pairs]
+    for language, fit in by_language.items():
+        subset = [o for o in panel if language_of[o.pair_id] == language]
+        _assert_same_fit(fit, fit_did(subset, "pooled"), 1e-12)
+
+    by_referrer = fit_did(panel, "by_referrer")
+    assert sorted(by_referrer) == ["internal", "search"]
+    for referrer, fit in by_referrer.items():
+        subset = [o for o in panel if o.referrer_class == referrer]
+        _assert_same_fit(fit, fit_did(subset, "pooled"), 1e-12)
+
+
+@settings(max_examples=150)
+@given(data=_unbalanced_panels())
+def test_by_month_effects_are_cell_mean_double_differences(data):
+    panel, _ = data
+    cells = {}
+    for o in panel:
+        cells.setdefault((o.role, o.period_index), []).append(o.log_views)
+
+    def mean(role, offset):
+        return math.fsum(cells[role, offset]) / len(cells[role, offset])
+
+    fit = fit_did(panel, "by_month")
+    effects = {name for name in fit.terms if name.startswith("treated:")}
+    assert effects == {f"treated:period[{k:+d}]" for k in _OFFSETS if k != -1}
+    for k in _OFFSETS:
+        if k == -1:
+            continue
+        expected = (mean(TREATED, k) - mean(TREATED, -1)) - (
+            mean(CONTROL, k) - mean(CONTROL, -1)
+        )
+        assert abs(fit.terms[f"treated:period[{k:+d}]"].coef - expected) < 1e-9
 
 
 def test_unknown_spec_rejected():

@@ -255,8 +255,9 @@ def test_malformed_tuple_mid_statement_is_reported_at_its_offset(rows, bad, data
     assume(dump.count(bad) == 1)
     offset = dump.find(bad)
 
+    # The bad tuple is skipped alone: every good row around it survives.
     stats = ParseStats()
-    assert _exact(_parse(dump, stats=stats)) == _exact(rows[:at])
+    assert _exact(_parse(dump, stats=stats)) == _exact(rows)
     assert stats.skipped == 1
     assert [error.offset for error in stats.errors] == [offset]
     with pytest.raises(SqlDumpError) as info:
@@ -320,13 +321,35 @@ def test_bad_utf8_inside_a_run_is_reported_at_its_row():
     dump = _statement(rows) + _statement([b"(99,'after')"])
     offset = dump.find(b"(25,")
     stats = ParseStats()
-    assert _parse(dump, stats=stats) == [(i, f"r{i}") for i in range(25)] + [
-        (99, "after")
-    ]
+    kept = [(i, f"r{i}") for i in range(40) if i != 25]
+    assert _parse(dump, stats=stats) == kept + [(99, "after")]
     assert [error.offset for error in stats.errors] == [offset]
     with pytest.raises(SqlDumpError) as info:
         _parse(dump, strict=True)
     assert info.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "values, kept",
+    [
+        (b"(1,oops),(2,3),(4,5)", [(2, 3), (4, 5)]),
+        (b"(2,3),(1,,2),(4,5)", [(2, 3), (4, 5)]),
+        (b"(2,3),(4,5),(6,'\xff')", [(2, 3), (4, 5)]),
+    ],
+)
+def test_lenient_mode_skips_a_malformed_tuple_alone(values, kept):
+    dump = b"INSERT INTO t VALUES " + values + b";\nINSERT INTO t VALUES (7,8);\n"
+    stats = ParseStats()
+    assert _parse(dump, stats=stats) == kept + [(7, 8)]
+    assert stats.skipped == 1 and stats.rows == len(kept) + 1
+
+
+def test_unknown_tuple_end_still_drops_the_rest_of_the_line():
+    dump = b"INSERT INTO t VALUES (2,3),(1,'open),(4,5);\n"
+    dump += b"INSERT INTO t VALUES (7,8);\n"
+    stats = ParseStats()
+    assert _parse(dump, stats=stats) == [(2, 3), (7, 8)]
+    assert stats.skipped == 1
 
 
 def test_load_page_table_filters_and_deduplicates():
