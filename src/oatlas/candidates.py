@@ -133,12 +133,6 @@ def _title_hits(text: str, name: str) -> Iterator[tuple[int, int]]:
         yield start, pos
 
 
-def _has_edge(snapshot: LinkSnapshot, source: int, target: int) -> bool:
-    row = snapshot.out_neighbors(source)
-    i = int(np.searchsorted(row, target))
-    return i < len(row) and int(row[i]) == target
-
-
 def unlinked_mentions(document: AnnotatedDocument, title: str) -> list[tuple[int, int]]:
     """Byte spans of title mentions outside existing link spans.
 
@@ -304,19 +298,37 @@ def validate_candidates(
     snapshot: LinkSnapshot,
     orphan_ids: set[int],
 ) -> None:
-    """Re-check candidate invariants against a snapshot; raise on any hole."""
-    for cand in proposals:
-        if cand.target_page_id not in orphan_ids:
-            raise ValueError(f"candidate targets non-orphan {cand.target_page_id}")
-        if cand.source_page_id == cand.target_page_id:
-            raise ValueError(f"self candidate on {cand.source_page_id}")
-        if not snapshot.has_article(cand.source_page_id):
-            raise ValueError(f"candidate from unknown page {cand.source_page_id}")
-        if _has_edge(snapshot, cand.source_page_id, cand.target_page_id):
-            raise ValueError(
-                f"candidate duplicates existing edge "
-                f"{cand.source_page_id}->{cand.target_page_id}"
-            )
+    """Re-check candidate invariants against a snapshot; raise on any hole.
+
+    All candidates are checked at once; the error names the first
+    failing candidate and the first check it fails.
+    """
+    proposals = list(proposals)
+    n = len(proposals)
+    source = np.fromiter((c.source_page_id for c in proposals), np.int64, n)
+    target = np.fromiter((c.target_page_id for c in proposals), np.int64, n)
+    checks = (
+        (
+            ~np.isin(target, np.fromiter(orphan_ids, np.int64, len(orphan_ids))),
+            lambda c: f"candidate targets non-orphan {c.target_page_id}",
+        ),
+        (source == target, lambda c: f"self candidate on {c.source_page_id}"),
+        (
+            ~np.isin(source, snapshot.article_ids),
+            lambda c: f"candidate from unknown page {c.source_page_id}",
+        ),
+        (
+            snapshot.has_edges(source, target),
+            lambda c: "candidate duplicates existing edge "
+            f"{c.source_page_id}->{c.target_page_id}",
+        ),
+    )
+    failed = np.vstack([mask for mask, _ in checks])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if len(bad):
+        i = int(bad[0])
+        _, message = checks[int(np.argmax(failed[:, i]))]
+        raise ValueError(message(proposals[i]))
 
 
 @dataclass(frozen=True)

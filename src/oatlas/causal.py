@@ -6,7 +6,9 @@ them, gives a treated observation (the newly linked version) and a
 control (the still-orphaned version of the same article elsewhere).
 :func:`build_pairs` finds such pairs around a treatment month;
 :func:`assemble_panel` attaches log pageview outcomes over a symmetric
-window excluding the treatment month itself; :func:`fit_did` estimates
+window excluding the treatment month itself, looking up the views of
+all its rows in one gather from the pageview table; :func:`fit_did`
+estimates
 
     log_views = b0 + b1*treated + b2*after + b3*treated*after + e
 
@@ -28,6 +30,7 @@ is months m-3..m-1 and the post window m+1..m+3.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections import Counter
@@ -44,7 +47,7 @@ from .graph import (
     orphans,
 )
 from .ingest import PageviewTable, QidIndex
-from .months import month_add
+from .months import month_add, month_at, month_index
 
 logger = logging.getLogger(__name__)
 
@@ -102,16 +105,28 @@ class PanelObservation(NamedTuple):
 
 def _mean_pre_log_views(
     pageviews: PageviewTable,
-    language: str,
-    page_id: int,
+    articles: Sequence[tuple[str, int]],
     treatment_month: str,
     window: int,
-) -> float:
-    total = 0.0
-    for offset in range(-window, 0):
-        month = month_add(treatment_month, offset)
-        total += math.log1p(pageviews.views(language, page_id, month, "all"))
-    return total / window
+) -> list[float]:
+    """Mean ln(1 + views) of each (language, page id) over the pre window.
+
+    The terms are added from month -window to -1.  That order fixes the
+    rounding, and the closest level to the last bit picks the control.
+    """
+    start = month_index(treatment_month)
+    views = pageviews.gather(
+        [language for language, _ in articles for _ in range(window)],
+        np.repeat([page for _, page in articles], window),
+        np.tile(np.arange(start - window, start), len(articles)),
+    )
+    levels = []
+    for row in views.reshape(len(articles), window).tolist():
+        total = 0.0
+        for count in row:
+            total += math.log1p(count)
+        levels.append(total / window)
+    return levels
 
 
 def build_pairs(
@@ -183,19 +198,13 @@ def build_pairs(
                 result.n_dropped_no_control += 1
                 continue
             if pageviews is not None and len(eligible) > 1:
-                treated_level = _mean_pre_log_views(
-                    pageviews, lang, event.page_id, treatment_month, window
+                articles = [(lang, event.page_id), *eligible]
+                treated_level, *levels = _mean_pre_log_views(
+                    pageviews, articles, treatment_month, window
                 )
+                level = dict(zip(eligible, levels))
                 eligible.sort(
-                    key=lambda item: (
-                        abs(
-                            _mean_pre_log_views(
-                                pageviews, item[0], item[1], treatment_month, window
-                            )
-                            - treated_level
-                        ),
-                        item[0],
-                    )
+                    key=lambda item: (abs(level[item] - treated_level), item[0])
                 )
             control_language = eligible[0][0]
             result.pairs.append(
@@ -224,10 +233,14 @@ def assemble_panel(
 
     Months run from -window to +window around the treatment month,
     which is itself excluded.  The outcome is ln(1 + views); months
-    with no pageview row count as zero views.
+    with no pageview row count as zero views.  The views of all rows are
+    looked up in one gather.  The rows are sorted by pair id, role and
+    period; rows that tie keep the order of ``pairs``.
     """
-    panel: list[PanelObservation] = []
     offsets = [k for k in range(-window, window + 1) if k != 0]
+    # One member per pair and role, in input order, treated before control.
+    pair_ids, roles, languages, pages, starts = [], [], [], [], []
+    start_of: dict[str, int] = {}
     for pair in pairs:
         for role, language in (
             (TREATED, pair.treated_language),
@@ -238,22 +251,50 @@ def assemble_panel(
                 raise KeyError(
                     f"pair {pair.pair_id}: no page for {pair.qid} in {language}"
                 )
-            for offset in offsets:
-                month = month_add(pair.treatment_month, offset)
-                views = pageviews.views(language, page, month, referrer_class)
-                panel.append(
-                    PanelObservation(
-                        pair_id=pair.pair_id,
-                        role=role,
-                        language=language,
-                        month=month,
-                        period_index=offset,
-                        log_views=math.log1p(views),
-                        referrer_class=referrer_class,
-                    )
-                )
-    panel.sort(key=lambda o: (o.pair_id, o.referrer_class, o.role, o.period_index))
-    return panel
+            treatment = pair.treatment_month
+            if treatment not in start_of:
+                start_of[treatment] = month_index(treatment)
+            pair_ids.append(pair.pair_id)
+            roles.append(role)
+            languages.append(language)
+            pages.append(page)
+            starts.append(start_of[treatment])
+    width = len(offsets)
+    period = np.tile(np.array(offsets, dtype=np.int64), len(pages))
+    month = np.repeat(np.array(starts, dtype=np.int64), width) + period
+    views = pageviews.gather(
+        np.repeat(np.array(languages, dtype=object), width),
+        np.repeat(np.array(pages, dtype=np.int64), width),
+        month,
+        referrer_class,
+    )
+    rank = {pair_id: r for r, pair_id in enumerate(sorted(set(pair_ids)))}
+    order = np.lexsort(
+        (
+            period,
+            np.repeat(np.array(roles) == TREATED, width),
+            np.repeat(np.array([rank[pair_id] for pair_id in pair_ids]), width),
+        )
+    )
+    member = (order // width).tolist()
+    month = month[order].tolist()
+    month_name = {index: month_at(index) for index in set(month)}
+    return list(
+        map(
+            PanelObservation._make,
+            zip(
+                map(pair_ids.__getitem__, member),
+                map(roles.__getitem__, member),
+                map(languages.__getitem__, member),
+                map(month_name.__getitem__, month),
+                period[order].tolist(),
+                # Not np.log1p: it differs from math.log1p in the last bit
+                # for some counts (2 is one), and the reports would change.
+                map(math.log1p, views[order].tolist()),
+                itertools.repeat(referrer_class),
+            ),
+        )
+    )
 
 
 def _finite_or_none(value: float) -> float | None:

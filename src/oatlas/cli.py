@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import math
@@ -206,6 +207,11 @@ def build_config(args: argparse.Namespace, env: Mapping[str, str]) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+# Rows formatted at a time by _write_report; more rows per block raise
+# the peak RSS of a stage without making it faster.
+_REPORT_BLOCK_ROWS = 1024
+
+
 def _fmt(value: object) -> str:
     if value is None:
         return "NA"
@@ -226,28 +232,44 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _format_column(values: Sequence[object]) -> Sequence[str]:
+    """:func:`_fmt` of every value, one conversion for a column of one type."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return values
+    if kinds == {int}:
+        return list(map(str, values))
+    if kinds == {float}:
+        return ["NA" if value != value else repr(value) for value in values]
+    return list(map(_fmt, values))
+
+
 def _write_report(
     path: Path,
     header: Sequence[str],
     rows: Iterable[Sequence[object]],
     notes: Iterable[str] = (),
 ) -> None:
-    """Write a ``#`` header line, one ``#`` line per note, then the rows."""
+    """Write a ``#`` header line, one ``#`` line per note, then the rows.
+
+    The rows are formatted a block at a time, column by column.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("# " + "\t".join(header) + "\n")
-        for note in notes:
-            handle.write(f"# {note}\n")
-        for row in rows:
-            handle.write("\t".join(_fmt(value) for value in row) + "\n")
+    rows = iter(rows)
+    with ingest.atomic_file(path) as handle:
+        lines = ["# " + "\t".join(header), *(f"# {note}" for note in notes)]
+        handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+        while block := list(itertools.islice(rows, _REPORT_BLOCK_ROWS)):
+            columns = [_format_column(column) for column in zip(*block)]
+            lines = map("\t".join, zip(*columns))
+            handle.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _write_json(path: Path, payload: object) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with ingest.atomic_file(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 @contextlib.contextmanager
@@ -302,12 +324,11 @@ def _load_qid_index(config: RunConfig) -> ingest.QidIndex:
         raise DataError(f"{path} not found; run the ingest stage first")
     index = ingest.QidIndex()
     with _tsv_lines(path) as lines:
-        for qid, language, page_id, title in ingest.read_tsv(
-            lines, (str, str, ingest.optional(int), str)
-        ):
-            index.add(qid, language, title)
-            if page_id is not None:
-                index.attach_page(qid, language, page_id)
+        for block in ingest.read_tsv(lines, (str, str, ingest.optional(int), str)):
+            for qid, language, page_id, title in zip(*block):
+                index.add(qid, language, title)
+                if page_id is not None:
+                    index.attach_page(qid, language, page_id)
     return index
 
 
@@ -319,8 +340,11 @@ def _load_titles(config: RunConfig, language: str) -> dict[int, str]:
     path = _titles_path(config, language)
     if not path.is_file():
         raise DataError(f"{path} not found; run the ingest stage first")
+    titles: dict[int, str] = {}
     with _tsv_lines(path) as lines:
-        return dict(ingest.read_tsv(lines, (int, ingest.nonempty)))
+        for page_ids, names in ingest.read_tsv(lines, (int, ingest.nonempty)):
+            titles.update(zip(page_ids, names))
+    return titles
 
 
 def _load_pageview_table(config: RunConfig) -> ingest.PageviewTable:
@@ -619,11 +643,11 @@ def _read_panel(config: RunConfig) -> list[causal.PanelObservation]:
     path = config.out_dir / "panel.tsv"
     if not path.is_file():
         raise DataError(f"{path} not found; run the panel stage first")
+    observations: list[causal.PanelObservation] = []
     with _tsv_lines(path) as lines:
-        return [
-            causal.PanelObservation._make(row)
-            for row in ingest.read_tsv(lines, (str, str, str, str, int, float, str))
-        ]
+        for block in ingest.read_tsv(lines, (str, str, str, str, int, float, str)):
+            observations.extend(map(causal.PanelObservation._make, zip(*block)))
+    return observations
 
 
 def _estimates_for_direction(

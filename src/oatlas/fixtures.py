@@ -18,7 +18,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .causal import PairAssignment
-from .ingest import PageviewRecord, PageviewTable, QidIndex, escape_sql_string
+from .ingest import PageviewTable, QidIndex, escape_sql_string, load_pageviews
 from .months import month_add
 
 _ROWS_PER_STATEMENT = 1000
@@ -467,7 +467,6 @@ def synthetic_did_inputs(
     counts = np.maximum(np.rint(np.exp(mu)).astype(np.int64), 0)
 
     pairs: list[PairAssignment] = []
-    views = PageviewTable()
     qids = QidIndex()
     for i in range(n_pairs):
         qid = f"Q{i + 1:06d}"
@@ -485,15 +484,18 @@ def synthetic_did_inputs(
                 direction=direction,
             )
         )
-        for role, language in enumerate((treated_language, control_language)):
-            for j, month in enumerate(months):
-                views.add(
-                    PageviewRecord(
-                        language=language,
-                        page_id=page_id,
-                        month=month,
-                        referrer_class="all",
-                        views=int(counts[i, role, j]),
-                    )
-                )
+    # One pageview row per pair, role and month, in the order of counts.
+    width = len(months)
+    views = load_pageviews(
+        [
+            (
+                ([treated_language] * width + [control_language] * width) * n_pairs,
+                np.repeat(np.arange(1, n_pairs + 1), 2 * width),
+                months * (2 * n_pairs),
+                ["all"] * (2 * width * n_pairs),
+                counts.reshape(-1),
+            )
+        ],
+        strict=True,
+    )
     return pairs, views, qids

@@ -32,7 +32,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .ingest import PageTable, RawLink, RedirectTable
+from .ingest import PageTable, RawLink, RedirectTable, atomic_file
 
 _MAGIC = b"OATL"
 _TRAILER = b"LTAO"
@@ -166,6 +166,21 @@ class LinkSnapshot:
     def in_degree_of(self, page_id: int) -> int:
         return int(self._in_degree[self._index[page_id]])
 
+    def has_edges(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Whether each (source, target) pair of page ids is an edge."""
+        ids, n = self._ids, len(self._ids)
+        if not self.n_edges:
+            return np.zeros(len(sources), dtype=bool)
+        s = np.minimum(np.searchsorted(ids, sources), n - 1)
+        t = np.minimum(np.searchsorted(ids, targets), n - 1)
+        # Rows are in source order and sorted within, so these keys are sorted.
+        keys = self._sources()
+        keys *= n
+        keys += self._targets
+        wanted = s * n + t
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return (ids[s] == sources) & (ids[t] == targets) & (keys[at] == wanted)
+
     def in_degree_array(self) -> np.ndarray:
         """In-degrees aligned with :attr:`article_ids` (do not mutate)."""
         return self._in_degree
@@ -233,7 +248,7 @@ class LinkSnapshot:
     def save(self, target: Path | IO[bytes]) -> None:
         """Write the snapshot as a versioned binary container."""
         if isinstance(target, Path):
-            with target.open("wb") as handle:
+            with atomic_file(target) as handle:
                 self.save(handle)
             return
         ids, indptr, targets = self._ids, self._indptr, self._targets

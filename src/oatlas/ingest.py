@@ -12,13 +12,20 @@ Three kinds of sources are understood:
   batches by regexes compiled per shape from the same value grammar,
   and every row the batch does not take goes back to the generic loop.
 * Tab-separated tables, read by :func:`read_tsv` with one converter
-  per column: sitelinks (``qid, language, title``), pageviews
-  (``language, page_id, month, referrer_class, views``) and per-article
-  features.  :class:`SitelinkRecord` and :class:`PageviewRecord` are
-  NamedTuples whose fields are their file's columns.
+  per column, in blocks of columns of up to ``_TSV_BLOCK_LINES`` lines:
+  sitelinks (``qid, language, title``), pageviews (``language, page_id,
+  month, referrer_class, views``) and per-article features.
+  :class:`SitelinkRecord` and :class:`PageviewRecord` are NamedTuples
+  whose fields are their file's columns.
 * The loaders (:func:`load_page_table`, :func:`load_redirects`,
   :func:`load_sitelinks`, :func:`load_pageviews`) turn streams of rows
   into indexed, validated tables used by the graph and analysis layers.
+  :class:`PageviewTable` is one sorted int64 key per row next to the
+  view counts; it is built from the column blocks with array masks and
+  answers lookups by binary search, one or many keys at a time.
+
+:func:`atomic_file` is how every output file is written: through a temp
+file that replaces the target only once it is complete.
 
 All loaders support a ``strict`` flag: strict mode aborts on the first
 bad row, lenient mode skips and counts; the dump loaders count in their
@@ -28,13 +35,19 @@ keeps the rows after it, unless the tuple's end cannot be found.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import logging
+import os
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .months import MonthFormatError, parse_month
+import numpy as np
+
+from .months import MonthFormatError, month_at, month_index, parse_month
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +58,10 @@ _CHUNK_SIZE = 1 << 18
 _MAX_HEADER_BYTES = 1 << 16
 _MAX_TUPLE_BYTES = 1 << 20
 _MAX_RECORDED_ERRORS = 100
+# Lines per block of read_tsv.  Per-block work is small next to the
+# per-row work from a few hundred lines on; 4,096 lines raised a stage's
+# peak RSS by up to 2 MB over reading row by row, 1,024 by under 1 MB.
+_TSV_BLOCK_LINES = 1024
 
 
 class SqlDumpError(ValueError):
@@ -658,29 +675,86 @@ class QidIndex:
         return self._page_by_qid.get(qid, {}).get(language)
 
 
-def read_tsv(
-    lines: Iterable[str], converters: Sequence[Callable[[str], object]]
-) -> Iterator[list]:
-    """Yield the rows of tab-separated ``lines`` as lists of converted cells.
+def _tsv_rows(
+    lines: Sequence[str], first: int, converters: Sequence[Callable[[str], object]]
+) -> Iterator[list[list]]:
+    """Read ``lines`` one at a time; ``first`` is the first one's number.
 
-    Blank lines and lines starting with ``#`` are skipped.  Each row
-    needs one cell per converter.  A wrong column count, or a converter
-    raising ``ValueError``, raises :class:`TsvFormatError` with the line
-    number.
+    Yields the block of the rows before the first bad line, if any, then
+    raises that line's :class:`TsvFormatError`.
     """
     width = len(converters)
-    for number, line in enumerate(lines, start=1):
+    rows = []
+    error = None
+    for number, line in enumerate(lines, start=first):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
             continue
         cells = line.split("\t")
         if len(cells) != width:
-            raise TsvFormatError(f"expected {width} columns, got {len(cells)}", number)
+            message = f"expected {width} columns, got {len(cells)}"
+            error = TsvFormatError(message, number)
+            break
         try:
-            row = [convert(cell) for convert, cell in zip(converters, cells)]
+            rows.append([convert(cell) for convert, cell in zip(converters, cells)])
         except ValueError as exc:
-            raise TsvFormatError(f"bad line {line!r}: {exc}", number) from None
-        yield row
+            error = TsvFormatError(f"bad line {line!r}: {exc}", number)
+            break
+    if rows:
+        yield [list(column) for column in zip(*rows)]
+    if error is not None:
+        raise error
+
+
+def _tsv_columns(
+    lines: Sequence[str], converters: Sequence[Callable[[str], object]]
+) -> list[list]:
+    """The converted columns of ``lines``; ``ValueError`` on any bad line."""
+    width = len(converters)
+    rows = [
+        row
+        for row in map(str.rstrip, lines, itertools.repeat("\n"))
+        if row and row[0] != "#"
+    ]
+    if not rows:
+        return []
+    if set(map(str.count, rows, itertools.repeat("\t"))) != {width - 1}:
+        raise ValueError("column count")
+    # Every row has ``width`` cells, so column j of the cells of all rows
+    # in order sits at j, j + width, j + 2 * width, ...
+    cells = "\t".join(rows).split("\t")
+    return [
+        column if convert is str else list(map(convert, column))
+        for convert, column in zip(converters, (cells[j::width] for j in range(width)))
+    ]
+
+
+def read_tsv(
+    lines: Iterable[str], converters: Sequence[Callable[[str], object]]
+) -> Iterator[list[list]]:
+    """Yield the rows of tab-separated ``lines`` in blocks of columns.
+
+    Each block covers up to ``_TSV_BLOCK_LINES`` lines and holds one list
+    per converter: that column's converted cells, in line order.  Blank
+    lines and lines starting with ``#`` are skipped, and a block without
+    rows is not yielded.  Each row needs one cell per converter.  A wrong
+    column count, or a converter raising ``ValueError``, raises
+    :class:`TsvFormatError` with the line number, after a block of the
+    rows before that line.
+    """
+    lines = iter(lines)
+    first = 1
+    while block := list(itertools.islice(lines, _TSV_BLOCK_LINES)):
+        try:
+            columns = _tsv_columns(block, converters)
+        except ValueError:
+            # Find the first bad line, and its message, the slow way.
+            yield from _tsv_rows(block, first, converters)
+            columns = None
+        first += len(block)
+        del block  # only the columns stay alive while the caller reads them
+        if columns:
+            yield columns
 
 
 def optional(convert: Callable[[str], object]) -> Callable[[str], object]:
@@ -707,7 +781,8 @@ def _probability(cell: str) -> float:
 
 def read_sitelinks_tsv(lines: Iterable[str]) -> Iterator[SitelinkRecord]:
     """Parse headerless sitelink TSV lines ``qid<TAB>language<TAB>title``."""
-    return map(SitelinkRecord._make, read_tsv(lines, (nonempty,) * 3))
+    for block in read_tsv(lines, (nonempty,) * 3):
+        yield from map(SitelinkRecord, *block)
 
 
 def load_sitelinks(
@@ -722,75 +797,248 @@ def load_sitelinks(
     return index
 
 
+_REFERRER_CODES = {name: code for code, name in enumerate(REFERRER_CLASSES)}
+_N_REFERRERS = len(REFERRER_CLASSES)
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _month_code(month: str) -> int:
+    """The month's :func:`~oatlas.months.month_index`, or -1 if malformed."""
+    try:
+        return month_index(month)
+    except MonthFormatError:
+        return -1
+
+
 class PageviewTable:
-    """Monthly view counts keyed by (language, page_id, month, referrer)."""
+    """Monthly view counts keyed by (language, page_id, month, referrer).
+
+    The rows are one sorted int64 key per row and the view counts in the
+    same order.  A key packs, in mixed radix over the ranges found in
+    the data, a code of the language, the page id, the month's
+    :func:`~oatlas.months.month_index` and the referrer's place in
+    ``REFERRER_CLASSES``.  Lookups are binary searches in the keys.
+    :func:`load_pageviews` builds a table; ``PageviewTable()`` is the
+    empty one.
+    """
 
     def __init__(self) -> None:
-        self._views: dict[tuple[str, int, str, str], int] = {}
+        self._codes: dict[str, int] = {}
+        self._n_languages = 0
+        self._pages = (0, 0)  # first page id, number of page ids
+        self._months = (0, 0)  # first month index, number of months
+        self._keys = _EMPTY
+        self._views = _EMPTY
         self.n_rows = 0
         self.n_skipped = 0
         self.n_duplicates = 0
 
     def __len__(self) -> int:
-        return len(self._views)
+        return len(self._keys)
+
+    def _pack(
+        self,
+        language: np.ndarray,
+        page: np.ndarray,
+        month: np.ndarray,
+        referrer: np.ndarray | int,
+    ) -> np.ndarray:
+        (first_page, n_pages), (first_month, n_months) = self._pages, self._months
+        key = language * n_pages + (page - first_page)
+        return (key * n_months + (month - first_month)) * _N_REFERRERS + referrer
+
+    def _find(
+        self,
+        languages: Iterable[str],
+        page_ids: Sequence[int] | np.ndarray,
+        months: Sequence[int] | np.ndarray,
+        referrer_class: str,
+    ) -> np.ndarray:
+        """Row of each (language, page id, month index) key, or -1."""
+        page = np.asarray(page_ids, dtype=np.int64)
+        month = np.asarray(months, dtype=np.int64)
+        codes = map(self._codes.get, languages, itertools.repeat(-1))
+        language = np.fromiter(codes, np.int64, len(page))
+        referrer = _REFERRER_CODES.get(referrer_class, -1)
+        (first_page, n_pages), (first_month, n_months) = self._pages, self._months
+        known = (
+            (language >= 0)
+            & (language < self._n_languages)
+            & (page >= first_page)
+            & (page < first_page + n_pages)
+            & (month >= first_month)
+            & (month < first_month + n_months)
+        )
+        rows = np.full(len(page), -1, dtype=np.int64)
+        if referrer < 0 or not known.any():
+            return rows
+        keys = self._pack(language[known], page[known], month[known], referrer)
+        at = np.searchsorted(self._keys, keys)
+        at[at == len(self._keys)] = 0
+        rows[known] = np.where(self._keys[at] == keys, at, -1)
+        return rows
+
+    def gather(
+        self,
+        languages: Iterable[str],
+        page_ids: Sequence[int] | np.ndarray,
+        months: Sequence[int] | np.ndarray,
+        referrer_class: str = "all",
+    ) -> np.ndarray:
+        """View counts of many keys at once, 0 where no row exists.
+
+        ``months`` are :func:`~oatlas.months.month_index` values.
+        """
+        rows = self._find(languages, page_ids, months, referrer_class)
+        views = np.zeros(len(rows), dtype=np.int64)
+        found = rows >= 0
+        views[found] = self._views[rows[found]]
+        return views
+
+    def _row(
+        self, language: str, page_id: int, month: str, referrer_class: str
+    ) -> int:
+        index = _month_code(month)
+        if index < 0:
+            return -1
+        return int(self._find([language], [page_id], [index], referrer_class)[0])
 
     def views(
         self, language: str, page_id: int, month: str, referrer_class: str = "all"
     ) -> int:
         """The recorded count, or 0 when no row exists."""
-        return self._views.get((language, page_id, month, referrer_class), 0)
+        row = self._row(language, page_id, month, referrer_class)
+        return int(self._views[row]) if row >= 0 else 0
 
     def has_row(
         self, language: str, page_id: int, month: str, referrer_class: str = "all"
     ) -> bool:
-        return (language, page_id, month, referrer_class) in self._views
+        return self._row(language, page_id, month, referrer_class) >= 0
 
     def referrer_classes(self) -> set[str]:
-        return {key[3] for key in self._views}
+        rows = np.bincount(self._keys % _N_REFERRERS, minlength=_N_REFERRERS)
+        return {name for name, n in zip(REFERRER_CLASSES, rows.tolist()) if n}
 
-    def add(self, record: PageviewRecord, *, strict: bool = False) -> None:
-        key = (record.language, record.page_id, record.month, record.referrer_class)
-        if key in self._views:
-            if strict:
-                raise DuplicateKeyError(f"duplicate pageview row for {key}")
-            self.n_duplicates += 1
-            return
-        self._views[key] = record.views
-        self.n_rows += 1
+    def _fill(self, codes: dict[str, int], rows: list[tuple], strict: bool) -> None:
+        """Index the valid rows, the first of each key winning.
+
+        ``rows`` are blocks of (language code, page id, month index,
+        referrer code, views) arrays in input order.  A duplicate key
+        raises :class:`DuplicateKeyError` in strict mode, naming the
+        first duplicate row; otherwise it is counted.
+        """
+        language, page, month, referrer, views = (
+            np.concatenate(column) for column in zip(*rows)
+        )
+        self._codes = codes
+        self._n_languages = int(language.max(initial=-1)) + 1
+        if len(page):
+            self._pages = (int(page.min()), int(page.max() - page.min()) + 1)
+            self._months = (int(month.min()), int(month.max() - month.min()) + 1)
+        # Every key stays below the product of the radices.
+        span = self._n_languages * self._pages[1] * self._months[1] * _N_REFERRERS
+        if span > 1 << 63:
+            raise InvalidRecordError(
+                f"pageview keys span {span:,} values, more than an int64 holds"
+            )
+        keys = self._pack(language, page, month, referrer)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        if strict and not first.all():
+            i = int(order[~first].min())
+            key = (
+                list(codes)[language[i]],
+                int(page[i]),
+                month_at(int(month[i])),
+                REFERRER_CLASSES[referrer[i]],
+            )
+            raise DuplicateKeyError(f"duplicate pageview row for {key}")
+        self._keys = keys[first]
+        self._views = views[order[first]]
+        self.n_rows = len(self._keys)
+        self.n_duplicates = len(keys) - self.n_rows
 
 
-def read_pageviews_tsv(lines: Iterable[str]) -> Iterator[PageviewRecord]:
-    """Parse headerless pageview TSV lines."""
-    return map(PageviewRecord._make, read_tsv(lines, (str, int, str, str, int)))
+def read_pageviews_tsv(lines: Iterable[str]) -> Iterator[list[list]]:
+    """Parse headerless pageview TSV lines into blocks of five columns.
+
+    The columns are those of :class:`PageviewRecord`.
+    """
+    return read_tsv(lines, (str, int, str, str, int))
+
+
+def _check_pageview(rec: PageviewRecord) -> None:
+    """Raise the error of a bad pageview row."""
+    if rec.views < 0:
+        raise InvalidRecordError(f"negative view count in {rec}")
+    if rec.referrer_class not in REFERRER_CLASSES:
+        raise InvalidRecordError(f"unknown referrer class {rec.referrer_class!r}")
+    if not rec.language or rec.page_id <= 0:
+        raise InvalidRecordError(f"bad key in {rec}")
+    parse_month(rec.month)
+
+
+def _int64_column(values: Sequence[int], name: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        message = f"a pageview {name} does not fit in 64 bits"
+        raise InvalidRecordError(message) from None
 
 
 def load_pageviews(
-    records: Iterable[PageviewRecord], *, strict: bool = False
+    blocks: Iterable[Sequence[Sequence]], *, strict: bool = False
 ) -> PageviewTable:
-    """Validate pageview records into a :class:`PageviewTable`.
+    """Validate blocks of pageview columns into a :class:`PageviewTable`.
 
-    Bad rows (negative views, unknown referrer class, malformed month)
-    raise in strict mode and are skipped-and-counted otherwise.
-    Duplicate keys are rejected the same way.
+    Each block holds the five columns of :class:`PageviewRecord`, as
+    :func:`read_pageviews_tsv` yields them.  Bad rows (negative views,
+    unknown referrer class, empty language, page id below 1, malformed
+    month) raise in strict mode and are skipped and counted otherwise.
+    Duplicate keys are rejected the same way; in lenient mode the first
+    row of a key wins.  Strict mode raises for the first bad or
+    duplicate row in input order, before any later malformed line.
+    Each distinct month string is parsed once.
     """
     table = PageviewTable()
-    for rec in records:
-        try:
-            if rec.views < 0:
-                raise InvalidRecordError(f"negative view count in {rec}")
-            if rec.referrer_class not in REFERRER_CLASSES:
-                raise InvalidRecordError(
-                    f"unknown referrer class {rec.referrer_class!r}"
-                )
-            if not rec.language or rec.page_id <= 0:
-                raise InvalidRecordError(f"bad key in {rec}")
-            parse_month(rec.month)
-        except (InvalidRecordError, MonthFormatError):
-            if strict:
-                raise
-            table.n_skipped += 1
-            continue
-        table.add(rec, strict=strict)
+    codes: dict[str, int] = {}
+    month_codes: dict[str, int] = {}
+    kept: list[tuple] = [(_EMPTY,) * 5]
+    unknown = itertools.repeat(-1)
+    try:
+        for block in blocks:
+            language, page_id, month, referrer, views = block
+            n = len(language)
+            for name in sorted(set(language).difference(codes)):
+                codes[name] = len(codes)
+            for name in set(month).difference(month_codes):
+                month_codes[name] = _month_code(name)
+            columns = (
+                np.fromiter(map(codes.__getitem__, language), np.int64, n),
+                _int64_column(page_id, "page id"),
+                np.fromiter(map(month_codes.__getitem__, month), np.int64, n),
+                np.fromiter(map(_REFERRER_CODES.get, referrer, unknown), np.int64, n),
+                _int64_column(views, "view count"),
+            )
+            code, page, mon, ref, count = columns
+            bad = (count < 0) | (ref < 0) | (page <= 0) | (mon < 0)
+            if "" in codes:
+                bad |= code == codes[""]
+            (bad_rows,) = np.nonzero(bad)
+            if strict and len(bad_rows):
+                i = int(bad_rows[0])
+                kept.append(tuple(column[:i] for column in columns))
+                table._fill(codes, kept, strict)
+                _check_pageview(PageviewRecord._make(column[i] for column in block))
+            table.n_skipped += len(bad_rows)
+            kept.append(tuple(column[~bad] for column in columns))
+    except TsvFormatError:
+        if strict:  # a duplicate before the malformed line goes first
+            table._fill(codes, kept, strict)
+        raise
+    table._fill(codes, kept, strict)
     return table
 
 
@@ -804,15 +1052,32 @@ def read_features_tsv(lines: Iterable[str]) -> Iterator[FeatureRecord]:
     for non-biographies), p_culture, p_geography, p_history_society,
     p_stem, quality_score, creation_timestamp.
     """
-    for language, page_id, bot, woman, *topics, quality, created in read_tsv(
-        lines, _FEATURE_COLUMNS
-    ):
-        yield FeatureRecord(
-            language=language,
-            page_id=page_id,
-            bot_created=bot,
-            is_woman_biography=woman,
-            topic_probabilities=dict(zip(TOPIC_LABELS, topics)),
-            quality_score=quality,
-            creation_timestamp=created,
-        )
+    for block in read_tsv(lines, _FEATURE_COLUMNS):
+        for language, page_id, bot, woman, *topics, quality, created in zip(*block):
+            yield FeatureRecord(
+                language=language,
+                page_id=page_id,
+                bot_created=bot,
+                is_woman_biography=woman,
+                topic_probabilities=dict(zip(TOPIC_LABELS, topics)),
+                quality_score=quality,
+                creation_timestamp=created,
+            )
+
+
+@contextlib.contextmanager
+def atomic_file(path: Path) -> Iterator[BinaryIO]:
+    """Write ``path`` through a temp file beside it, opened for bytes.
+
+    The temp file replaces ``path`` when the block ends; if the block
+    raises, it is removed and ``path`` is left as it was.  So no reader
+    sees a partly written file, unless the machine itself goes down.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("wb") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

@@ -2,14 +2,17 @@
 
 Snapshots, pageview rows, and panel observations are all keyed by month
 strings of this form, so the helpers here are deliberately string-in,
-string-out.
+string-out.  Where months are held in arrays, :func:`month_index` and
+:func:`month_at` convert to and from consecutive integers.
 """
 
 from __future__ import annotations
 
 import re
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+# ASCII digits only, and the whole string: ``\d`` also takes other
+# scripts' digits and ``$`` a trailing newline.
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
 class MonthFormatError(ValueError):
@@ -18,7 +21,7 @@ class MonthFormatError(ValueError):
 
 def parse_month(month: str) -> tuple[int, int]:
     """Split a ``YYYY-MM`` string into (year, month), validating both."""
-    m = _MONTH_RE.match(month)
+    m = _MONTH_RE.fullmatch(month)
     if m is None:
         raise MonthFormatError(f"bad month {month!r}: expected YYYY-MM")
     year, mon = int(m.group(1)), int(m.group(2))
@@ -31,18 +34,25 @@ def format_month(year: int, mon: int) -> str:
     return f"{year:04d}-{mon:02d}"
 
 
+def month_index(month: str) -> int:
+    """Months since 0000-01: consecutive months have consecutive indices."""
+    year, mon = parse_month(month)
+    return year * 12 + mon - 1
+
+
+def month_at(index: int) -> str:
+    """The month string of a :func:`month_index` value."""
+    return format_month(index // 12, index % 12 + 1)
+
+
 def month_add(month: str, delta: int) -> str:
     """Return the month ``delta`` calendar months after (or before) ``month``."""
-    year, mon = parse_month(month)
-    idx = year * 12 + (mon - 1) + delta
-    return format_month(idx // 12, idx % 12 + 1)
+    return month_at(month_index(month) + delta)
 
 
 def month_diff(a: str, b: str) -> int:
     """Number of calendar months from ``b`` to ``a`` (positive when a > b)."""
-    ya, ma = parse_month(a)
-    yb, mb = parse_month(b)
-    return (ya * 12 + ma) - (yb * 12 + mb)
+    return month_index(a) - month_index(b)
 
 
 def month_range(first: str, last: str) -> list[str]:

@@ -1,4 +1,4 @@
-"""Brute-force oracles used by the graph and candidate test suites.
+"""Brute-force oracles used by the test suites.
 
 Everything here recomputes results with the most literal method
 available (per-link redirect chasing, full recounts, nested loops) so
@@ -8,13 +8,26 @@ compared against.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from oatlas.candidates import AnnotatedDocument
-from oatlas.ingest import PageTable, QidIndex, RawLink, RedirectTable
+from oatlas.candidates import AnnotatedDocument, CandidateLink
+from oatlas.causal import CONTROL, TREATED, PairAssignment, PanelObservation
+from oatlas.ingest import (
+    REFERRER_CLASSES,
+    DuplicateKeyError,
+    InvalidRecordError,
+    PageTable,
+    PageviewRecord,
+    QidIndex,
+    RawLink,
+    RedirectTable,
+    TsvFormatError,
+)
 from oatlas.graph import LinkSnapshot
+from oatlas.months import month_add, parse_month
 
 
 def chase_redirect(redirects: RedirectTable, page_id: int) -> int | None:
@@ -197,3 +210,110 @@ def findlink_oracle(
         found.sort(key=lambda item: (-len(item[1]), item[0]))
         out[orphan] = found
     return out
+
+
+def read_tsv_oracle(
+    lines: Iterable[str], converters: Sequence[Callable[[str], object]]
+) -> Iterator[list]:
+    """Rows of tab-separated lines, read one line at a time."""
+    width = len(converters)
+    for number, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split("\t")
+        if len(cells) != width:
+            raise TsvFormatError(f"expected {width} columns, got {len(cells)}", number)
+        try:
+            row = [convert(cell) for convert, cell in zip(converters, cells)]
+        except ValueError as exc:
+            raise TsvFormatError(f"bad line {line!r}: {exc}", number) from None
+        yield row
+
+
+class PageviewOracle:
+    """Pageview rows in a dict, validated and added one row at a time."""
+
+    def __init__(self, records: Iterable[PageviewRecord], *, strict: bool = False):
+        self.rows: dict[tuple[str, int, str, str], int] = {}
+        self.n_skipped = 0
+        self.n_duplicates = 0
+        for rec in records:
+            try:
+                if rec.views < 0:
+                    raise InvalidRecordError(f"negative view count in {rec}")
+                if rec.referrer_class not in REFERRER_CLASSES:
+                    raise InvalidRecordError(
+                        f"unknown referrer class {rec.referrer_class!r}"
+                    )
+                if not rec.language or rec.page_id <= 0:
+                    raise InvalidRecordError(f"bad key in {rec}")
+                parse_month(rec.month)
+            except ValueError:
+                if strict:
+                    raise
+                self.n_skipped += 1
+                continue
+            key = (rec.language, rec.page_id, rec.month, rec.referrer_class)
+            if key in self.rows:
+                if strict:
+                    raise DuplicateKeyError(f"duplicate pageview row for {key}")
+                self.n_duplicates += 1
+                continue
+            self.rows[key] = rec.views
+
+    def views(self, language, page_id, month, referrer_class="all") -> int:
+        return self.rows.get((language, page_id, month, referrer_class), 0)
+
+
+def assemble_panel_oracle(
+    pairs: Iterable[PairAssignment],
+    views: Callable[[str, int, str, str], int],
+    qid_index: QidIndex,
+    window: int,
+    referrer_class: str,
+) -> list[PanelObservation]:
+    """One observation per pair, role and window month, built row by row."""
+    panel = []
+    for pair in pairs:
+        for role, language in (
+            (TREATED, pair.treated_language),
+            (CONTROL, pair.control_language),
+        ):
+            page = qid_index.page_for_qid(language, pair.qid)
+            for offset in range(-window, window + 1):
+                if offset == 0:
+                    continue
+                month = month_add(pair.treatment_month, offset)
+                count = views(language, page, month, referrer_class)
+                panel.append(
+                    PanelObservation(
+                        pair.pair_id,
+                        role,
+                        language,
+                        month,
+                        offset,
+                        math.log1p(count),
+                        referrer_class,
+                    )
+                )
+    panel.sort(key=lambda o: (o.pair_id, o.referrer_class, o.role, o.period_index))
+    return panel
+
+
+def validate_candidates_oracle(
+    proposals: Iterable[CandidateLink], snapshot: LinkSnapshot, orphan_ids: set[int]
+) -> str | None:
+    """The message for the first failing candidate, checked one at a time."""
+    edges = snapshot.edge_set()
+    for cand in proposals:
+        source, target = cand.source_page_id, cand.target_page_id
+        if target not in orphan_ids:
+            return f"candidate targets non-orphan {target}"
+        if source == target:
+            return f"self candidate on {source}"
+        if not snapshot.has_article(source):
+            return f"candidate from unknown page {source}"
+        if (source, target) in edges:
+            return f"candidate duplicates existing edge {source}->{target}"
+    return None

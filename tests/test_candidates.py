@@ -25,7 +25,12 @@ from oatlas.candidates import (
 from oatlas.graph import LinkSnapshot, orphans
 from oatlas.ingest import QidIndex
 
-from .oracles import crosslingual_oracle, findlink_oracle, unlinked_mentions_oracle
+from .oracles import (
+    crosslingual_oracle,
+    findlink_oracle,
+    unlinked_mentions_oracle,
+    validate_candidates_oracle,
+)
 
 
 def _doc(text, page_id=1, spans=(), language="aa"):
@@ -436,6 +441,32 @@ def test_validate_candidates_catches_each_violation():
         validate_candidates([_cand(99, 3)], snapshot, {3})
     with pytest.raises(ValueError, match="existing edge"):
         validate_candidates([_cand(2, 1)], snapshot, {1, 3})
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_validate_candidates_matches_the_one_at_a_time_oracle(data):
+    articles = sorted(data.draw(st.sets(st.integers(1, 8), min_size=2), label="ids"))
+    edges = data.draw(
+        st.lists(st.tuples(st.sampled_from(articles), st.sampled_from(articles))),
+        label="edges",
+    )
+    snapshot = LinkSnapshot.from_edges(
+        "aa", "2023-05", articles, [(u, v) for u, v in edges if u != v]
+    )
+    orphan_ids = data.draw(st.sets(st.integers(0, 9)), label="orphans")
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=8),
+        label="candidates",
+    )
+    proposals = [_cand(source, target) for source, target in pairs]
+    expected = validate_candidates_oracle(proposals, snapshot, orphan_ids)
+    if expected is None:
+        validate_candidates(proposals, snapshot, orphan_ids)
+    else:
+        with pytest.raises(ValueError) as info:
+            validate_candidates(proposals, snapshot, orphan_ids)
+        assert str(info.value) == expected
 
 
 def test_coverage_report_counts_distinct_sources():

@@ -30,8 +30,10 @@ from oatlas.causal import (
     fit_did,
 )
 from oatlas.graph import LinkSnapshot
-from oatlas.ingest import PageviewRecord, PageviewTable, QidIndex
+from oatlas.ingest import REFERRER_CLASSES, PageviewTable, QidIndex, load_pageviews
 from oatlas.months import month_add
+
+from .oracles import assemble_panel_oracle
 
 MONTH = "2023-05"
 NEXT = "2023-06"
@@ -50,10 +52,7 @@ def _index(entries):
 
 
 def _views(rows):
-    table = PageviewTable()
-    for lang, page, month, referrer, count in rows:
-        table.add(PageviewRecord(lang, page, month, referrer, count))
-    return table
+    return load_pageviews([list(map(list, zip(*rows)))], strict=True)
 
 
 # -- build_pairs ------------------------------------------------------------
@@ -289,12 +288,58 @@ def test_panel_referrer_class_reads_matching_rows_only():
         month = month_add(MONTH, offset)
         for lang, page in (("ww", 5), ("pa", 61)):
             rows.append((lang, page, month, "all", 100))
-            rows.append((lang, page, month, "search", 60))
+            rows.append((lang, page, month, "internal", 60))
     panel = assemble_panel(
-        [_one_pair()], _views(rows), index, window=1, referrer_class="search"
+        [_one_pair()], _views(rows), index, window=1, referrer_class="internal"
     )
-    assert all(o.referrer_class == "search" for o in panel)
+    assert all(o.referrer_class == "internal" for o in panel)
     assert all(o.log_views == math.log1p(60) for o in panel)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_assemble_panel_matches_the_row_by_row_oracle(data):
+    languages = ["a", "b", "c"]
+    index = _index(
+        [(f"Q{q}", lang, 10 * q + k) for q in range(4) for k, lang in enumerate("abc")]
+    )
+    months = ["1999-12", "2022-11", "2023-01"]
+    view_months = [month_add(m, k) for m in months for k in range(-3, 4)]
+    # Pair ids may repeat, so that rows of equal sort key keep input order.
+    pairs = data.draw(
+        st.lists(
+            st.builds(
+                PairAssignment,
+                st.sampled_from(["p:1", "p:2", "p:3"]),
+                st.sampled_from([f"Q{q}" for q in range(4)]),
+                st.sampled_from(languages),
+                st.sampled_from(languages),
+                st.sampled_from(months),
+                st.just(FORWARD),
+            ),
+            max_size=6,
+        ),
+        label="pairs",
+    )
+    rows = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(languages),
+                st.integers(0, 33),
+                st.sampled_from(view_months),
+                st.sampled_from(REFERRER_CLASSES),
+                st.integers(0, 10**6),
+            ),
+            max_size=40,
+        ),
+        label="rows",
+    )
+    views = load_pageviews([list(map(list, zip(*rows)))] if rows else [])
+    window = data.draw(st.integers(1, 3), label="window")
+    referrer = data.draw(st.sampled_from(REFERRER_CLASSES), label="referrer")
+    panel = assemble_panel(pairs, views, index, window=window, referrer_class=referrer)
+    assert panel == assemble_panel_oracle(pairs, views.views, index, window, referrer)
+    assert all(type(o.period_index) is int for o in panel)
 
 
 def test_panel_sorted_and_control_page_required():

@@ -5,12 +5,14 @@ import math
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oatlas import causal, cli, fixtures
+from oatlas import causal, cli, fixtures, graph, ingest
 from oatlas.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
@@ -484,3 +486,64 @@ def test_panel_rows_round_trip_through_the_report_writer(observations):
             config.out_dir / "panel.tsv", causal.PanelObservation._fields, observations
         )
         assert cli._read_panel(config) == observations
+
+
+_REPORT_CELLS = [
+    st.integers(),
+    st.floats(),
+    st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+        max_size=3,
+    ),
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.integers(-3, 3).map(np.int64),
+        st.floats(),
+        st.floats().map(np.float64),
+        st.just("x"),
+    ),
+]
+
+
+@settings(max_examples=300)
+@given(data=st.data(), block_rows=st.integers(1, 5))
+def test_report_columns_are_formatted_like_each_value(
+    tmp_path_factory, data, block_rows
+):
+    kinds = data.draw(st.lists(st.sampled_from(_REPORT_CELLS), min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.tuples(*kinds), max_size=12))
+    path = tmp_path_factory.mktemp("report") / "report.tsv"
+    with mock.patch.object(cli, "_REPORT_BLOCK_ROWS", block_rows):
+        cli._write_report(path, ["c"] * len(kinds), rows, notes=["n"])
+    expected = "".join("\t".join(map(cli._fmt, row)) + "\n" for row in rows)
+    header = "# " + "\t".join(["c"] * len(kinds)) + "\n# n\n"
+    assert path.read_bytes() == (header + expected).encode("utf-8")
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "report.tsv"
+    cli._write_report(path, ("a",), [(1,)])
+
+    def rows():
+        yield (2,)
+        raise RuntimeError("writer stopped")
+
+    with pytest.raises(RuntimeError, match="writer stopped"):
+        cli._write_report(path, ("a",), rows())
+    with pytest.raises(RuntimeError, match="writer stopped"):
+        with ingest.atomic_file(path) as handle:
+            handle.write(b"partial")
+            raise RuntimeError("writer stopped")
+    assert path.read_bytes() == b"# a\n1\n"
+
+    snapshot_path = tmp_path / "aa.oatl"
+    snapshot = graph.LinkSnapshot.from_edges("aa", "2022-11", [1, 2], [(1, 2)])
+    snapshot.save(snapshot_path)
+    saved = snapshot_path.read_bytes()
+    with mock.patch.object(graph, "_encode_varints", side_effect=RuntimeError("stop")):
+        with pytest.raises(RuntimeError):
+            graph.LinkSnapshot.from_edges("aa", "2022-11", [1], []).save(snapshot_path)
+    assert snapshot_path.read_bytes() == saved
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["aa.oatl", "report.tsv"]

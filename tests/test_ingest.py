@@ -20,6 +20,8 @@ from oatlas import fixtures, ingest
 from oatlas.ingest import (
     DuplicateKeyError,
     InvalidRecordError,
+    PageviewRecord,
+    PageviewTable,
     ParseStats,
     QidIndex,
     SqlDumpError,
@@ -34,7 +36,10 @@ from oatlas.ingest import (
     read_features_tsv,
     read_pageviews_tsv,
     read_sitelinks_tsv,
+    read_tsv,
 )
+
+from .oracles import PageviewOracle, read_tsv_oracle
 
 # A dump exercising every escape the format defines, plus NULL, a
 # negative integer and a float.  Expected tuples were written first.
@@ -447,6 +452,154 @@ def test_pageview_loading_validates_rows():
     assert table.n_skipped == 3
     with pytest.raises((InvalidRecordError, DuplicateKeyError)):
         load_pageviews(read_pageviews_tsv(lines), strict=True)
+
+
+def test_empty_pageview_table_answers_every_lookup():
+    table = PageviewTable()
+    assert len(table) == 0 and table.referrer_classes() == set()
+    assert table.views("aa", 1, "2022-11") == 0
+    assert not table.has_row("aa", 1, "2022-11", "internal")
+    assert table.gather(["aa"], [1], [24262]).tolist() == [0]
+    assert len(load_pageviews([])) == 0
+
+
+def test_pageview_ids_and_counts_must_fit_in_64_bits():
+    for line in (
+        "aa\t1\t2022-11\tall\t9223372036854775808",
+        "aa\t" + "9" * 21 + "\t2022-11\tall\t1",
+    ):
+        with pytest.raises(InvalidRecordError, match="64 bits"):
+            load_pageviews(read_pageviews_tsv([line]))
+
+
+def test_strict_pageviews_name_the_first_duplicate_row():
+    a, b = "aa\t1\t2022-11\tall\t5", "aa\t2\t2022-11\tall\t5"
+    with pytest.raises(DuplicateKeyError, match="'aa', 2,"):
+        load_pageviews(read_pageviews_tsv([a, b, b, a]), strict=True)
+
+
+def test_languages_without_valid_rows_find_nothing():
+    # Keys of a language past the last one with rows would wrap around
+    # int64 here and land on the key of ("aa", 1).
+    lines = [
+        "aa\t1\t2022-11\tall\t5",
+        f"aa\t{1 << 61}\t2022-11\tall\t7",
+        "bb\t1\t2022-11\tall\t-1",
+        "cc\t1\t2022-11\tall\t-1",
+    ]
+    table = load_pageviews(read_pageviews_tsv(lines))
+    assert table.views("aa", 1, "2022-11") == 5
+    assert table.views("cc", 1, "2022-11") == 0
+
+
+def _collect(rows):
+    """The rows an iterator yields before its TsvFormatError, and the error."""
+    out = []
+    try:
+        for row in rows:
+            out.append(list(row))
+    except TsvFormatError as exc:
+        return out, (str(exc), exc.line_number)
+    return out, None
+
+
+_TSV_LINES = st.lists(
+    st.tuples(
+        st.one_of(
+            st.just(""),
+            st.just("# note"),
+            st.lists(
+                st.sampled_from(["1", "-2", "x", "", " 3", "\u0663", "#", "a b"]),
+                min_size=1,
+                max_size=4,
+            ).map("\t".join),
+        ),
+        st.sampled_from(["", "\n", "\n\n"]),
+    ).map("".join),
+    max_size=40,
+)
+
+
+@settings(max_examples=500)
+@given(lines=_TSV_LINES, block_lines=st.integers(1, 7))
+def test_read_tsv_blocks_match_the_row_by_row_oracle(lines, block_lines):
+    converters = (int, str, ingest.nonempty)
+    expected = _collect(read_tsv_oracle(lines, converters))
+    with mock.patch.object(ingest, "_TSV_BLOCK_LINES", block_lines):
+        blocks = read_tsv(lines, converters)
+        assert _collect(row for block in blocks for row in zip(*block)) == expected
+
+
+def _mostly(valid, invalid):
+    """One of ``valid``, or about one time in eight one of ``invalid``."""
+    return st.integers(0, 7).flatmap(
+        lambda k: st.sampled_from(invalid if k == 0 else valid)
+    )
+
+
+_PAGEVIEW_ROWS = st.lists(
+    st.builds(
+        PageviewRecord,
+        _mostly(["aa", "b"], [""]),
+        _mostly([1, 10**12], [0, -4]),
+        _mostly(
+            ["2022-11", "1999-01"],
+            ["2022-13", "2022-1", "\u0662\u0660\u0662\u0662-\u0661\u0661"],
+        ),
+        _mostly(ingest.REFERRER_CLASSES, ["search"]),
+        _mostly(range(31), [-1, -2]),
+    ),
+    max_size=50,
+)
+
+
+@settings(max_examples=500)
+@given(
+    rows=_PAGEVIEW_ROWS,
+    malformed_at=st.one_of(st.none(), st.integers(0, 50)),
+    block_lines=st.integers(1, 7),
+    strict=st.booleans(),
+)
+def test_pageview_table_answers_like_the_dict_oracle(
+    rows, malformed_at, block_lines, strict
+):
+    lines = ["\t".join(map(str, row)) + "\n" for row in rows]
+    if malformed_at is not None:
+        lines.insert(min(malformed_at, len(lines)), "aa\tx\t2022-11\tall\t5\n")
+    columns = (str, int, str, str, int)
+    try:
+        oracle = PageviewOracle(
+            map(PageviewRecord._make, read_tsv_oracle(lines, columns)), strict=strict
+        )
+    except ValueError as exc:
+        expected = exc
+    else:
+        expected = None
+    with mock.patch.object(ingest, "_TSV_BLOCK_LINES", block_lines):
+        if expected is not None:
+            # The error of the row the one-row-at-a-time loader names first.
+            with pytest.raises(ValueError) as info:
+                load_pageviews(read_pageviews_tsv(lines), strict=strict)
+            assert type(info.value) is type(expected)
+            assert str(info.value) == str(expected)
+            return
+        table = load_pageviews(read_pageviews_tsv(lines), strict=strict)
+    assert (len(table), table.n_rows, table.n_skipped, table.n_duplicates) == (
+        len(oracle.rows),
+        len(oracle.rows),
+        oracle.n_skipped,
+        oracle.n_duplicates,
+    )
+    assert table.referrer_classes() == {key[3] for key in oracle.rows}
+    probes = {(r.language, r.page_id, r.month, r.referrer_class) for r in rows} | {
+        ("aa", 4, "2022-11", "all"),
+        ("zz", 1, "2022-11", "all"),
+        ("aa", 1, "2023-05", "all"),
+        ("aa", 1, "2022-11\n", "all"),
+    }
+    for key in probes:
+        assert table.views(*key) == oracle.views(*key), key
+        assert table.has_row(*key) == (key in oracle.rows), key
 
 
 def test_pageview_tsv_is_column_checked():

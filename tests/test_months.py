@@ -20,7 +20,20 @@ def test_parse_and_format_round_trip():
     assert format_month(*parse_month("1999-01")) == "1999-01"
 
 
-@pytest.mark.parametrize("bad", ["2022-13", "2022-00", "202211", "2022-1", "abcd-ef", ""])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "2022-13",
+        "2022-00",
+        "202211",
+        "2022-1",
+        "abcd-ef",
+        "",
+        "\u0662\u0660\u0662\u0662-\u0661\u0661",  # Arabic-Indic digits
+        "\uff12\uff10\uff12\uff12-\uff11\uff11",  # fullwidth digits
+        "2022-11\n",
+    ],
+)
 def test_parse_rejects_malformed(bad):
     with pytest.raises(MonthFormatError):
         parse_month(bad)
