@@ -72,6 +72,10 @@ class RankDeficientError(ValueError):
         super().__init__(f"collinear design columns: {', '.join(columns)}")
         self.columns = columns
 
+    def __reduce__(self):
+        # Rebuild from the constructor's argument, so the error pickles.
+        return type(self), (self.columns,)
+
 
 class PairAssignment(NamedTuple):
     """One row of ``pairs.tsv``; the fields are its columns."""

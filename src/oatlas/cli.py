@@ -31,7 +31,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -324,11 +324,9 @@ def _load_qid_index(config: RunConfig) -> ingest.QidIndex:
         raise DataError(f"{path} not found; run the ingest stage first")
     index = ingest.QidIndex()
     with _tsv_lines(path) as lines:
-        for block in ingest.read_tsv(lines, (str, str, ingest.optional(int), str)):
-            for qid, language, page_id, title in zip(*block):
-                index.add(qid, language, title)
-                if page_id is not None:
-                    index.attach_page(qid, language, page_id)
+        columns = (str, str, ingest.optional(int), str)
+        for qids, languages, page_ids, titles in ingest.read_tsv(lines, columns):
+            index.add_rows(qids, languages, titles, page_ids)
     return index
 
 
@@ -372,26 +370,49 @@ def _require_month_pair(config: RunConfig) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _ingest_language(config: RunConfig, language: str) -> tuple[dict, dict[str, int]]:
-    """Parse and persist one language's months.
+class _IngestPlan(NamedTuple):
+    """One language's share of the ingest stage."""
 
-    Returns the manifest entry and the analysis-month title index used
-    for sitelink attachment.
+    language: str
+    months: list[str]  # the months whose three dumps all exist, in order
+    skipped: dict[str, dict]  # the manifest note of each month skipped
+    error: DataError | None  # strict mode's missing-dump error, raised last
+
+
+def _plan_language(config: RunConfig, language: str) -> _IngestPlan:
+    """Find ``language``'s months with a missing dump.
+
+    Lenient mode logs and skips each of them.  Strict mode stops at the
+    first; its error is raised once the months before it are ingested.
     """
-    entry: dict = {"months": {}}
-    id_by_title: dict[str, int] = {}
-    titles_written = False
+    plan = _IngestPlan(language, [], {}, None)
     for month in config.months:
         month_dir = config.data_root / language / month
         missing = [name for name in DUMP_FILES if not (month_dir / name).is_file()]
-        if missing:
-            message = f"missing {', '.join(missing)}"
-            if config.strict:
-                raise DataError(f"{language}/{month}: {message}")
-            logger.warning("skipping %s/%s: %s", language, month, message)
-            entry["months"][month] = {"skipped": message}
+        if not missing:
+            plan.months.append(month)
             continue
+        message = f"missing {', '.join(missing)}"
+        if config.strict:
+            return plan._replace(error=DataError(f"{language}/{month}: {message}"))
+        logger.warning("skipping %s/%s: %s", language, month, message)
+        plan.skipped[month] = {"skipped": message}
+    return plan
 
+
+def _ingest_language(
+    config: RunConfig, language: str, months: Sequence[str]
+) -> tuple[dict[str, dict], dict[str, int]]:
+    """Parse and persist one language's ``months``, whose dumps all exist.
+
+    Returns the manifest note of each month and the first month's title
+    index, used for sitelink attachment.  Runs in an ingest worker, so
+    it reads and writes only this language's files.
+    """
+    notes: dict[str, dict] = {}
+    id_by_title: dict[str, int] = {}
+    for month in months:
+        month_dir = config.data_root / language / month
         parse_stats = {name: ingest.ParseStats() for name in DUMP_FILES}
         with (month_dir / "page.sql").open("rb") as handle:
             pages = ingest.load_page_table(
@@ -426,7 +447,7 @@ def _ingest_language(config: RunConfig, language: str) -> tuple[dict, dict[str, 
         path.parent.mkdir(parents=True, exist_ok=True)
         snapshot.save(path)
 
-        entry["months"][month] = {
+        notes[month] = {
             "n_articles": snapshot.n_articles,
             "n_edges": snapshot.n_edges,
             "rows": {name: stats.rows for name, stats in parse_stats.items()},
@@ -441,7 +462,7 @@ def _ingest_language(config: RunConfig, language: str) -> tuple[dict, dict[str, 
                 "duplicate": build_stats.n_duplicate_links,
             },
         }
-        if not titles_written:
+        if month == months[0]:
             id_by_title = dict(pages.id_by_title)
             rows = sorted(
                 (page_id, page.title)
@@ -449,11 +470,51 @@ def _ingest_language(config: RunConfig, language: str) -> tuple[dict, dict[str, 
                 if not page.is_redirect
             )
             _write_report(_titles_path(config, language), ("page_id", "title"), rows)
-            titles_written = True
-    return entry, id_by_title
+    return notes, id_by_title
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _results_in_order(futures: list, plans: list[_IngestPlan]) -> list:
+    """Each language's result, in language order.  The first failure, a
+    worker's error or else the plan's missing-dump error, cancels the
+    workers not yet started and is raised."""
+    try:
+        results = []
+        for future, plan in zip(futures, plans):
+            results.append(future.result())
+            if plan.error is not None:
+                raise plan.error
+        return results
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
 
 
 def cmd_ingest(config: RunConfig) -> None:
+    """Parse every language's dumps into snapshots and titles, then
+    attach the sitelinks and write ``qidmap.tsv`` and ``manifest.json``.
+
+    Languages are independent, so each is ingested by its own worker
+    process, up to the usable CPUs at a time.  The workers are forked, so
+    they start with numpy and this package imported.  The parent checks
+    for missing dumps first, logging in language and month order, reads
+    the sitelink table while the workers run, and then takes their
+    results in language order.  It raises the error the languages would
+    raise one after another: the first failing language's, and the
+    sitelink table's only when every language succeeded.  Every worker
+    has ended when the stage returns or raises.
+    """
+    # Imported here: the pool's modules cost every other stage time and
+    # memory at start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     languages = _discover_languages(config)
     manifest: dict = {
         "config": {
@@ -472,14 +533,33 @@ def cmd_ingest(config: RunConfig) -> None:
     sitelinks_path = config.data_root / "sitelinks.tsv"
     if not sitelinks_path.is_file():
         raise DataError(f"sitelink table not found: {sitelinks_path}")
-    results = [_ingest_language(config, lang) for lang in languages]
+    # A language whose missing dump fails strict mode is the last one
+    # that would run; the languages after it are never started.
+    plans = []
+    for language in languages:
+        plans.append(_plan_language(config, language))
+        if plans[-1].error is not None:
+            break
 
-    with _tsv_lines(sitelinks_path) as lines:
-        index = ingest.load_sitelinks(
-            ingest.read_sitelinks_tsv(lines), strict=config.strict
-        )
-    for language, (_, id_by_title) in zip(languages, results):
-        index.attach_page_ids(language, id_by_title)
+    with ProcessPoolExecutor(
+        min(len(plans), _usable_cpus()), mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        futures = [
+            pool.submit(_ingest_language, config, plan.language, plan.months)
+            for plan in plans
+        ]
+        try:
+            with _tsv_lines(sitelinks_path) as lines:
+                index = ingest.load_sitelinks(
+                    ingest.read_sitelinks_tsv(lines), strict=config.strict
+                )
+        finally:
+            # A failing language raises here, in place of any error the
+            # sitelink table raised.
+            results = _results_in_order(futures, plans)
+
+    for plan, (_, id_by_title) in zip(plans, results):
+        index.attach_page_ids(plan.language, id_by_title)
 
     qid_rows = []
     for qid in index.qids():
@@ -489,8 +569,8 @@ def cmd_ingest(config: RunConfig) -> None:
         config.out_dir / "qidmap.tsv", ("qid", "language", "page_id", "title"), qid_rows
     )
 
-    for language, (entry, _) in zip(languages, results):
-        manifest["languages"][language] = entry
+    for plan, (notes, _) in zip(plans, results):
+        manifest["languages"][plan.language] = {"months": {**plan.skipped, **notes}}
     manifest["sitelink_rows"] = len(qid_rows)
     manifest["qid_count"] = len(index)
     _write_json(config.out_dir / "manifest.json", manifest)

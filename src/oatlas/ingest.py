@@ -69,7 +69,13 @@ class SqlDumpError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, so the error pickles
+        # (an ingest worker raises it in the parent process).
+        return type(self), (self.message, self.offset)
 
 
 class TsvFormatError(ValueError):
@@ -77,7 +83,11 @@ class TsvFormatError(ValueError):
 
     def __init__(self, message: str, line_number: int):
         super().__init__(f"{message} (line {line_number})")
+        self.message = message
         self.line_number = line_number
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line_number)
 
 
 class DuplicateKeyError(ValueError):
@@ -619,23 +629,55 @@ class QidIndex:
         return len(self._langs_by_qid)
 
     def add(self, qid: str, language: str, title: str, *, strict: bool = False) -> None:
-        titles = self._qid_by_title.setdefault(language, {})
-        existing_qid = titles.get(title)
-        per_lang = self._langs_by_qid.setdefault(qid, {})
-        existing_title = per_lang.get(language)
-        if (existing_qid is not None and existing_qid != qid) or (
-            existing_title is not None and existing_title != title
-        ):
-            if strict:
-                raise DuplicateKeyError(
-                    f"conflicting sitelink ({qid}, {language}, {title})"
-                )
-            self.n_conflicts += 1  # first wins
-            if not per_lang:
-                del self._langs_by_qid[qid]
-            return
-        per_lang[language] = title
-        titles[title] = qid
+        self.add_rows((qid,), (language,), (title,), strict=strict)
+
+    def add_rows(
+        self,
+        qids: Iterable[str],
+        languages: Iterable[str],
+        titles: Iterable[str],
+        page_ids: Iterable[int | None] | None = None,
+        *,
+        strict: bool = False,
+    ) -> None:
+        """Add sitelink rows, in order, and attach each row's page id.
+
+        A row conflicts when its title already names another item in its
+        language, or its item already has another title there.  Strict
+        mode raises :class:`DuplicateKeyError` on the first conflict;
+        lenient mode keeps the first sitelink and counts the row in
+        :attr:`n_conflicts`.  A page id that is not None is attached to
+        the row's item either way, as :meth:`attach_page` does.
+        """
+        qid_by_title = self._qid_by_title
+        langs_by_qid = self._langs_by_qid
+        attach_page = self.attach_page
+        if page_ids is None:
+            page_ids = itertools.repeat(None)
+        for qid, language, title, page_id in zip(qids, languages, titles, page_ids):
+            by_title = qid_by_title.get(language)
+            if by_title is None:
+                by_title = qid_by_title[language] = {}
+            per_lang = langs_by_qid.get(qid)
+            if per_lang is None:
+                per_lang = langs_by_qid[qid] = {}
+            existing_qid = by_title.get(title)
+            existing_title = per_lang.get(language)
+            if (existing_qid is not None and existing_qid != qid) or (
+                existing_title is not None and existing_title != title
+            ):
+                if strict:
+                    raise DuplicateKeyError(
+                        f"conflicting sitelink ({qid}, {language}, {title})"
+                    )
+                self.n_conflicts += 1  # first wins
+                if not per_lang:
+                    del langs_by_qid[qid]
+            else:
+                per_lang[language] = title
+                by_title[title] = qid
+            if page_id is not None:
+                attach_page(qid, language, page_id)
 
     def qid_for(self, language: str, title: str) -> str | None:
         return self._qid_by_title.get(language, {}).get(title)
@@ -790,8 +832,9 @@ def load_sitelinks(
 ) -> QidIndex:
     """Build a :class:`QidIndex`, first row winning on lenient conflicts."""
     index = QidIndex()
-    for rec in records:
-        index.add(rec.qid, rec.language, rec.title, strict=strict)
+    records = iter(records)
+    while block := list(itertools.islice(records, _TSV_BLOCK_LINES)):
+        index.add_rows(*zip(*block), strict=strict)
     if index.n_conflicts:
         logger.warning("sitelinks: %d conflicting rows ignored", index.n_conflicts)
     return index

@@ -317,3 +317,40 @@ def validate_candidates_oracle(
         if (source, target) in edges:
             return f"candidate duplicates existing edge {source}->{target}"
     return None
+
+
+class QidIndexOracle:
+    """Sitelink rows in plain dicts, added one row at a time: the first
+    sitelink wins, and a row's page id is attached whether or not its
+    sitelink conflicted."""
+
+    def __init__(self) -> None:
+        self.title_by_site: dict[tuple[str, str], str] = {}
+        self.qid_by_title: dict[tuple[str, str], str] = {}
+        self.page_by_site: dict[tuple[str, str], int] = {}
+        self.qid_by_page: dict[tuple[str, int], str] = {}
+        self.n_conflicts = 0
+        self.first_conflict: int | None = None
+
+    def add(self, qid: str, language: str, title: str) -> bool:
+        """Add one sitelink; False if it conflicts and is ignored."""
+        known_qid = self.qid_by_title.get((language, title), qid)
+        known_title = self.title_by_site.get((qid, language), title)
+        if known_qid != qid or known_title != title:
+            self.n_conflicts += 1
+            return False
+        self.title_by_site[qid, language] = title
+        self.qid_by_title[language, title] = qid
+        return True
+
+    def attach_page(self, qid: str, language: str, page_id: int) -> None:
+        self.page_by_site[qid, language] = page_id
+        self.qid_by_page[language, page_id] = qid
+
+    def add_rows(self, rows: Iterable[tuple[str, str, int | None, str]]) -> None:
+        """``(qid, language, page_id, title)`` rows, as in ``qidmap.tsv``."""
+        for number, (qid, language, page_id, title) in enumerate(rows):
+            if not self.add(qid, language, title) and self.first_conflict is None:
+                self.first_conflict = number
+            if page_id is not None:
+                self.attach_page(qid, language, page_id)

@@ -2,7 +2,12 @@
 
 import json
 import math
+import multiprocessing
+import os
+import pickle
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -21,6 +26,9 @@ from oatlas.cli import (
     build_config,
     load_config_file,
 )
+
+from .oracles import QidIndexOracle
+from .test_ingest import _qidmap_rows, assert_same_index
 
 MONTHS = "2022-11:2022-12"
 
@@ -547,3 +555,185 @@ def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
             graph.LinkSnapshot.from_edges("aa", "2022-11", [1], []).save(snapshot_path)
     assert snapshot_path.read_bytes() == saved
     assert sorted(p.name for p in tmp_path.iterdir()) == ["aa.oatl", "report.tsv"]
+
+
+# ---------------------------------------------------------------------------
+# Ingest workers: one forked process per language
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        cli.DataError("aa/2022-11: missing page.sql"),
+        cli.ModelError("no pairs"),
+        FileNotFoundError(2, "No such file or directory", "page.sql"),
+        ingest.SqlDumpError("malformed or oversized tuple", 505),
+        ingest.TsvFormatError("expected 3 columns, got 2", 7),
+        ingest.DuplicateKeyError("duplicate page id 3"),
+        ingest.InvalidRecordError("unknown referrer class 'x'"),
+        graph.SnapshotFormatError("bad magic"),
+        graph.SnapshotIntegrityError("edge out of range"),
+        causal.DegeneratePanelError("no treated rows"),
+        causal.RankDeficientError(["treated", "after"]),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_errors_that_main_maps_to_an_exit_code_pickle(error):
+    """A worker's error reaches the parent pickled, unchanged."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)
+
+
+def _random_tree(root, seed, languages=("aa", "bb", "cc", "dd")):
+    """A messy ``fixtures.random_wiki`` month per language and month."""
+    rng = np.random.default_rng(seed)
+    sitelinks = []
+    for language in languages:
+        for month in fixtures.GOLDEN_MONTHS:
+            wiki = fixtures.random_wiki(rng, n_pages=60, n_links=240)
+            month_dir = root / language / month
+            month_dir.mkdir(parents=True)
+            fixtures.write_sql_dump(month_dir / "page.sql", "page", wiki.page_rows)
+            fixtures.write_sql_dump(
+                month_dir / "redirect.sql", "redirect", wiki.redirect_rows
+            )
+            fixtures.write_sql_dump(
+                month_dir / "pagelinks.sql", "pagelinks", wiki.link_rows
+            )
+        sitelinks += [(f"Q{i}", language, f"P_{i}") for i in range(1, 41, 3)]
+    fixtures.write_sitelinks_tsv(root / "sitelinks.tsv", sitelinks)
+    return root
+
+
+def _tree_bytes(root):
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("tree", ["golden", "random"])
+def test_ingest_output_does_not_depend_on_the_worker_count(golden_root, tmp_path, tree):
+    data = golden_root if tree == "golden" else _random_tree(tmp_path / "data", 5)
+    outputs = []
+    for cpus in ({0}, {0, 1, 2}):
+        out = tmp_path / f"out{len(cpus)}"
+        with mock.patch.object(cli.os, "sched_getaffinity", return_value=cpus):
+            rc = _run("ingest", "--data", str(data), "--out", str(out), "--months", MONTHS)
+        assert rc == EXIT_OK
+        outputs.append(_tree_bytes(out))
+    assert outputs[0] == outputs[1]
+    languages = ("aa", "bb", "cc") if tree == "golden" else ("aa", "bb", "cc", "dd")
+    assert {path.parts[1] for path in outputs[0] if path.parts[0] == "snapshots"} == set(
+        languages
+    )
+
+
+def _append_corrupt_statement(path):
+    with path.open("ab") as handle:
+        handle.write(b"INSERT INTO `page` VALUES (99,0,'Unterminated;\n")
+    with path.open("rb") as handle:
+        with pytest.raises(ingest.SqlDumpError) as excinfo:
+            list(ingest.parse_sql_insert_rows(handle, strict=True))
+    return str(excinfo.value)
+
+
+def test_strict_ingest_reports_the_first_failing_language(golden_root, tmp_path, capsys):
+    """aa fails in its last dump, bb in its first and cc misses a dump:
+    aa's error is reported, as when the languages ran one by one."""
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    first = _append_corrupt_statement(data / "aa" / "2022-12" / "pagelinks.sql")
+    second = _append_corrupt_statement(data / "bb" / "2022-11" / "page.sql")
+    assert first != second
+    (data / "cc" / "2022-11" / "redirect.sql").unlink()
+    capsys.readouterr()
+    rc = _run(
+        "ingest", "--data", str(data), "--out", str(tmp_path / "out"),
+        "--months", MONTHS, "--strict",
+    )
+    assert rc == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == f"data error: {first}\n"
+
+
+def test_a_failing_dump_outranks_a_malformed_sitelink_table(golden_root, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    message = _append_corrupt_statement(data / "bb" / "2022-12" / "page.sql")
+    with (data / "sitelinks.tsv").open("a", encoding="utf-8") as handle:
+        handle.write("Q900\tonly two cells\n")
+    args = ("ingest", "--data", str(data), "--months", MONTHS, "--strict")
+    capsys.readouterr()
+    assert _run(*args, "--out", str(tmp_path / "out")) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    # With the dump mended, the sitelink table's own error is reported.
+    shutil.copy(golden_root / "bb" / "2022-12" / "page.sql", data / "bb" / "2022-12")
+    assert _run(*args, "--out", str(tmp_path / "out2")) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert "sitelinks.tsv: " in err and "expected 3 columns" in err
+
+
+def test_a_missing_month_is_logged_by_the_parent(golden_root, tmp_path, caplog):
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    (data / "bb" / "2022-11" / "page.sql").unlink()
+    (data / "aa" / "2022-12" / "redirect.sql").unlink()
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="oatlas.cli"):
+        rc = _run("ingest", "--data", str(data), "--out", str(out), "--months", MONTHS)
+    assert rc == EXIT_OK
+    # caplog sees only this process's records.
+    assert [r.getMessage() for r in caplog.records if r.name == "oatlas.cli"] == [
+        "skipping aa/2022-12: missing redirect.sql",
+        "skipping bb/2022-11: missing page.sql",
+    ]
+    months = json.loads((out / "manifest.json").read_text())["languages"]
+    assert months["aa"]["months"]["2022-12"] == {"skipped": "missing redirect.sql"}
+    assert months["bb"]["months"]["2022-11"] == {"skipped": "missing page.sql"}
+    assert months["bb"]["months"]["2022-12"]["n_articles"] > 0
+    # bb's titles come from its first ingested month.
+    assert (out / "titles" / "bb.tsv").is_file()
+
+
+def test_ingest_leaves_no_worker_running(golden_root, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    args = ("ingest", "--data", str(data), "--months", MONTHS, "--strict")
+    assert _run(*args, "--out", str(tmp_path / "out")) == EXIT_OK
+    assert multiprocessing.active_children() == []
+    _append_corrupt_statement(data / "aa" / "2022-11" / "page.sql")
+    assert _run(*args, "--out", str(tmp_path / "out2")) == EXIT_DATA_ERROR
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    code = (
+        "import sys, oatlas.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, sys.path))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+@settings(max_examples=200)
+@given(rows=_qidmap_rows, block_lines=st.integers(1, 5))
+def test_qid_map_loads_like_the_per_row_oracle(rows, block_lines):
+    """``qidmap.tsv`` read back, conflicting rows included, in blocks of any size."""
+    oracle = QidIndexOracle()
+    oracle.add_rows(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = cli.RunConfig(data_root=Path(tmp), out_dir=Path(tmp))
+        cli._write_report(
+            config.out_dir / "qidmap.tsv", ("qid", "language", "page_id", "title"), rows
+        )
+        with mock.patch.object(ingest, "_TSV_BLOCK_LINES", block_lines):
+            index = cli._load_qid_index(config)
+    assert_same_index(index, oracle)

@@ -39,7 +39,7 @@ from oatlas.ingest import (
     read_tsv,
 )
 
-from .oracles import PageviewOracle, read_tsv_oracle
+from .oracles import PageviewOracle, QidIndexOracle, read_tsv_oracle
 
 # A dump exercising every escape the format defines, plus NULL, a
 # negative integer and a float.  Expected tuples were written first.
@@ -426,6 +426,71 @@ def test_qid_index_page_attachment_round_trip():
     assert index.page_for_qid("bb", "Q1") is None
     assert index.page_for_qid("aa", "Q2") is None
     assert index.qids() == ["Q1", "Q2"]
+
+
+# Few items, titles and pages, so that rows often conflict.
+_QIDS = ("Q1", "Q2", "Q3")
+_LANGUAGES = ("aa", "bb")
+_TITLES = ("Star", "Stern", "Moon")
+_PAGES = (1, 2, 3)
+_qidmap_rows = st.lists(
+    st.tuples(
+        st.sampled_from(_QIDS),
+        st.sampled_from(_LANGUAGES),
+        st.one_of(st.none(), st.sampled_from(_PAGES)),
+        st.sampled_from(_TITLES),
+    ),
+    max_size=16,
+)
+
+
+def assert_same_index(index: QidIndex, oracle: QidIndexOracle) -> None:
+    """Every lookup of ``index`` answers as ``oracle``'s dicts do."""
+    assert index.n_conflicts == oracle.n_conflicts
+    qids = sorted({qid for qid, _ in oracle.title_by_site})
+    assert index.qids() == qids and len(index) == len(qids)
+    for qid in _QIDS:
+        assert index.sitelinks(qid) == {
+            language: title
+            for (q, language), title in oracle.title_by_site.items()
+            if q == qid
+        }
+    for language in _LANGUAGES:
+        for title in _TITLES:
+            assert index.qid_for(language, title) == oracle.qid_by_title.get(
+                (language, title)
+            )
+        for qid in _QIDS:
+            assert index.page_for_qid(language, qid) == oracle.page_by_site.get(
+                (qid, language)
+            )
+        for page_id in _PAGES:
+            assert index.qid_for_page(language, page_id) == oracle.qid_by_page.get(
+                (language, page_id)
+            )
+
+
+@settings(max_examples=300)
+@given(rows=_qidmap_rows, block_rows=st.integers(1, 5))
+def test_qid_index_rows_added_in_blocks_match_the_per_row_oracle(rows, block_rows):
+    oracle = QidIndexOracle()
+    oracle.add_rows(rows)
+    index = QidIndex()
+    for start in range(0, len(rows), block_rows):
+        qids, languages, page_ids, titles = zip(*rows[start : start + block_rows])
+        index.add_rows(qids, languages, titles, page_ids)
+    assert_same_index(index, oracle)
+
+    qids, languages, page_ids, titles = tuple(zip(*rows)) or ((),) * 4
+    strict = QidIndex()
+    if oracle.first_conflict is None:
+        strict.add_rows(qids, languages, titles, page_ids, strict=True)
+        assert_same_index(strict, oracle)
+    else:
+        with pytest.raises(DuplicateKeyError) as excinfo:
+            strict.add_rows(qids, languages, titles, page_ids, strict=True)
+        qid, language, _, title = rows[oracle.first_conflict]
+        assert str(excinfo.value) == f"conflicting sitelink ({qid}, {language}, {title})"
 
 
 def test_sitelink_tsv_rejects_short_rows():
