@@ -50,6 +50,8 @@ class AnnotatedDocument:
     existing_link_spans: tuple[tuple[int, int, int], ...] = ()
 
     def validate(self) -> None:
+        if not isinstance(self.text, str):
+            raise TypeError(f"text is {type(self.text).__name__}, not str")
         limit = len(self.text.encode("utf-8"))
         for start, end, target in self.existing_link_spans:
             if not (0 <= start < end <= limit):

@@ -39,13 +39,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import (
-    LinkSnapshot,
-    deorphanizing_events,
-    link_delta,
-    orphanizing_events,
-    orphans,
-)
+from .graph import LinkSnapshot, orphan_status
+# Unused here: bench/tracing.py wraps these names in this module.
+from .graph import deorphanizing_events, link_delta, orphanizing_events, orphans  # noqa: F401
 from .ingest import PageviewTable, QidIndex
 from .months import month_add, month_at, month_index
 
@@ -147,11 +143,11 @@ def build_pairs(
     ``snapshots`` maps language to month to snapshot and must cover the
     treatment month and the month after for every language considered.
 
-    Forward: treated articles are orphans (at month m) that gained an
-    incoming link during m; eligible controls are other languages where
-    the same item exists and stays an orphan at both m and m+1.
-    Reverse: treated articles lost their last incoming link during m;
-    controls keep a positive in-degree at both m and m+1.
+    Forward: treated articles are orphans at month m with incoming links
+    at m+1; controls are the same item's articles in other languages
+    that are orphans at both m and m+1.  Reverse: treated articles have
+    inlinks at m and none at m+1; controls have inlinks at both.  Both
+    come from one in-degree test per language (:func:`orphan_status`).
 
     With ``pageviews`` given, the control language whose article has
     the closest pre-treatment mean log view count is chosen, ties and
@@ -162,47 +158,39 @@ def build_pairs(
     if direction not in (FORWARD, REVERSE):
         raise ValueError(f"unknown direction {direction!r}")
     next_month = month_add(treatment_month, 1)
-    usable = {
-        lang: months
+    languages = sorted(
+        lang
         for lang, months in snapshots.items()
         if treatment_month in months and next_month in months
-    }
+    )
+    crossed, stable = {}, {}
+    for lang in languages:
+        shared, linked_before, linked_after = orphan_status(
+            snapshots[lang][treatment_month], snapshots[lang][next_month]
+        )
+        starts = linked_before == (direction == REVERSE)
+        stays = linked_after == linked_before
+        crossed[lang] = shared[starts & ~stays].tolist()
+        stable[lang] = set(shared[starts & stays].tolist())
     result = PairBuildResult(pairs=[])
-    for lang in sorted(usable):
-        before = usable[lang][treatment_month]
-        after = usable[lang][next_month]
-        if direction == FORWARD:
-            delta = link_delta(before, after)
-            events = deorphanizing_events(delta, orphans(before))
-        else:
-            events = orphanizing_events(before, after)
-        for event in events:
-            qid = qid_index.qid_for_page(lang, event.page_id)
+    for lang in languages:
+        for page_id in crossed[lang]:
+            qid = qid_index.qid_for_page(lang, page_id)
             if qid is None:
                 result.n_dropped_no_qid += 1
                 continue
             eligible = []
-            for other in sorted(usable):
+            for other in languages:
                 if other == lang:
                     continue
                 page = qid_index.page_for_qid(other, qid)
-                if page is None:
-                    continue
-                s0 = usable[other][treatment_month]
-                s1 = usable[other][next_month]
-                if not (s0.has_article(page) and s1.has_article(page)):
-                    continue
-                if direction == FORWARD:
-                    ok = s0.in_degree_of(page) == 0 and s1.in_degree_of(page) == 0
-                else:
-                    ok = s0.in_degree_of(page) > 0 and s1.in_degree_of(page) > 0
-                if ok:
+                if page in stable[other]:
                     eligible.append((other, page))
             if not eligible:
                 result.n_dropped_no_control += 1
                 continue
             if pageviews is not None and len(eligible) > 1:
-                articles = [(lang, event.page_id), *eligible]
+                articles = [(lang, page_id), *eligible]
                 treated_level, *levels = _mean_pre_log_views(
                     pageviews, articles, treatment_month, window
                 )

@@ -31,7 +31,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -282,6 +282,20 @@ def _tsv_lines(path: Path) -> Iterator[TextIO]:
             raise DataError(f"{path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _dump(path: Path) -> Iterator[IO[bytes]]:
+    """Open a SQL dump to read; a bad row becomes a DataError naming it."""
+    with path.open("rb") as handle:
+        try:
+            yield handle
+        except (
+            ingest.SqlDumpError,
+            ingest.InvalidRecordError,
+            ingest.DuplicateKeyError,
+        ) as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Shared loading
 # ---------------------------------------------------------------------------
@@ -414,7 +428,7 @@ def _ingest_language(
     for month in months:
         month_dir = config.data_root / language / month
         parse_stats = {name: ingest.ParseStats() for name in DUMP_FILES}
-        with (month_dir / "page.sql").open("rb") as handle:
+        with _dump(month_dir / "page.sql") as handle:
             pages = ingest.load_page_table(
                 ingest.parse_sql_insert_rows(
                     handle, strict=config.strict, stats=parse_stats["page.sql"]
@@ -422,7 +436,7 @@ def _ingest_language(
                 strict=config.strict,
                 stats=parse_stats["page.sql"],
             )
-        with (month_dir / "redirect.sql").open("rb") as handle:
+        with _dump(month_dir / "redirect.sql") as handle:
             redirects = ingest.load_redirects(
                 ingest.parse_sql_insert_rows(
                     handle, strict=config.strict, stats=parse_stats["redirect.sql"]
@@ -432,7 +446,7 @@ def _ingest_language(
                 stats=parse_stats["redirect.sql"],
             )
         build_stats = graph.BuildStats()
-        with (month_dir / "pagelinks.sql").open("rb") as handle:
+        with _dump(month_dir / "pagelinks.sql") as handle:
             links = ingest.iter_raw_links(
                 ingest.parse_sql_insert_rows(
                     handle, strict=config.strict, stats=parse_stats["pagelinks.sql"]
@@ -804,7 +818,7 @@ def _load_documents(
                     ),
                 )
                 document.validate()
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{number}: bad document: {exc}") from exc
             documents.append(document)
     return documents

@@ -7,9 +7,9 @@ chains to their final target, drops redirect cycles, red links, links
 from redirect pages and self references, and de-duplicates the rest.
 
 On top of snapshots sit set-level views: :func:`orphans` (no incoming
-links), :func:`deadends` (no outgoing links), :func:`link_delta`
-(edge-set difference between consecutive months) and the
-de-orphanization / orphanization event streams derived from it.
+links), :func:`deadends` (no outgoing links) and :func:`orphan_status`,
+which finds orphan-boundary crossings in both directions by in-degree.
+:func:`link_delta` and :func:`deorphanizing_events` are its reference.
 
 Snapshots round-trip through a small versioned binary container.  In
 format 2 a header (magic ``OATL``, a version byte, the language and the
@@ -551,10 +551,14 @@ def deorphanizing_events(
     ]
 
 
-def orphanizing_events(
+def orphan_status(
     earlier: LinkSnapshot, later: LinkSnapshot
-) -> list[OrphanEvent]:
-    """Articles present in both months that lost all incoming links."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Page ids in both months (ascending), and whether each is linked.
+
+    The masks flag incoming links in ``earlier`` and in ``later``.  An
+    orphan has no inlinks, so every inlink it has a month later is new.
+    """
     if earlier.language != later.language:
         raise SnapshotMismatchError(
             f"cannot compare {earlier.language!r} against {later.language!r}"
@@ -562,7 +566,14 @@ def orphanizing_events(
     shared, i, j = np.intersect1d(
         earlier.article_ids, later.article_ids, assume_unique=True, return_indices=True
     )
-    lost = (earlier.in_degree_array()[i] > 0) & (later.in_degree_array()[j] == 0)
+    return shared, earlier.in_degree_array()[i] > 0, later.in_degree_array()[j] > 0
+
+
+def orphanizing_events(
+    earlier: LinkSnapshot, later: LinkSnapshot
+) -> list[OrphanEvent]:
+    """Articles present in both months that lost all incoming links."""
+    shared, linked_before, linked_after = orphan_status(earlier, later)
     return [
         OrphanEvent(
             language=earlier.language,
@@ -570,5 +581,5 @@ def orphanizing_events(
             page_id=page_id,
             direction=ORPHANIZED,
         )
-        for page_id in shared[lost].tolist()
+        for page_id in shared[linked_before & ~linked_after].tolist()
     ]

@@ -821,6 +821,13 @@ def _probability(cell: str) -> float:
     return value
 
 
+def _int64(cell: str) -> int:
+    value = int(cell)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError("integer outside the int64 range")
+    return value
+
+
 def read_sitelinks_tsv(lines: Iterable[str]) -> Iterator[SitelinkRecord]:
     """Parse headerless sitelink TSV lines ``qid<TAB>language<TAB>title``."""
     for block in read_tsv(lines, (nonempty,) * 3):
@@ -1085,7 +1092,7 @@ def load_pageviews(
     return table
 
 
-_FEATURE_COLUMNS = (str, int, _flag, optional(_flag), *(_probability,) * 5, int)
+_FEATURE_COLUMNS = (str, int, _flag, optional(_flag), *(_probability,) * 5, _int64)
 
 
 def read_features_tsv(lines: Iterable[str]) -> Iterator[FeatureRecord]:

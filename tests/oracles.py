@@ -14,19 +14,34 @@ from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from oatlas.candidates import AnnotatedDocument, CandidateLink
-from oatlas.causal import CONTROL, TREATED, PairAssignment, PanelObservation
+from oatlas.causal import (
+    CONTROL,
+    FORWARD,
+    TREATED,
+    PairAssignment,
+    PairBuildResult,
+    PanelObservation,
+    _mean_pre_log_views,
+)
 from oatlas.ingest import (
     REFERRER_CLASSES,
     DuplicateKeyError,
     InvalidRecordError,
     PageTable,
     PageviewRecord,
+    PageviewTable,
     QidIndex,
     RawLink,
     RedirectTable,
     TsvFormatError,
 )
-from oatlas.graph import LinkSnapshot
+from oatlas.graph import (
+    LinkSnapshot,
+    deorphanizing_events,
+    link_delta,
+    orphanizing_events,
+    orphans,
+)
 from oatlas.months import month_add, parse_month
 
 
@@ -104,6 +119,80 @@ def orphanizing_oracle(
         if before_in[page_id] > 0 and after_in[page_id] == 0:
             out.append(page_id)
     return out
+
+
+def build_pairs_oracle(
+    snapshots: Mapping[str, Mapping[str, LinkSnapshot]],
+    qid_index: QidIndex,
+    treatment_month: str,
+    direction: str,
+    pageviews: PageviewTable | None = None,
+    window: int = 3,
+) -> PairBuildResult:
+    """Pairs from the edge-set diff, with each control checked one lookup
+    at a time: forward events from ``link_delta``, reverse events from
+    ``orphanizing_events``, then ``has_article`` and ``in_degree_of`` per
+    candidate control.  The control choice is the library's own."""
+    next_month = month_add(treatment_month, 1)
+    usable = {
+        lang: months
+        for lang, months in snapshots.items()
+        if treatment_month in months and next_month in months
+    }
+    result = PairBuildResult(pairs=[])
+    for lang in sorted(usable):
+        before = usable[lang][treatment_month]
+        after = usable[lang][next_month]
+        if direction == FORWARD:
+            events = deorphanizing_events(link_delta(before, after), orphans(before))
+        else:
+            events = orphanizing_events(before, after)
+        for event in events:
+            qid = qid_index.qid_for_page(lang, event.page_id)
+            if qid is None:
+                result.n_dropped_no_qid += 1
+                continue
+            eligible = []
+            for other in sorted(usable):
+                if other == lang:
+                    continue
+                page = qid_index.page_for_qid(other, qid)
+                if page is None:
+                    continue
+                s0 = usable[other][treatment_month]
+                s1 = usable[other][next_month]
+                if not (s0.has_article(page) and s1.has_article(page)):
+                    continue
+                if direction == FORWARD:
+                    ok = s0.in_degree_of(page) == 0 and s1.in_degree_of(page) == 0
+                else:
+                    ok = s0.in_degree_of(page) > 0 and s1.in_degree_of(page) > 0
+                if ok:
+                    eligible.append((other, page))
+            if not eligible:
+                result.n_dropped_no_control += 1
+                continue
+            if pageviews is not None and len(eligible) > 1:
+                articles = [(lang, event.page_id), *eligible]
+                treated_level, *levels = _mean_pre_log_views(
+                    pageviews, articles, treatment_month, window
+                )
+                level = dict(zip(eligible, levels))
+                eligible.sort(
+                    key=lambda item: (abs(level[item] - treated_level), item[0])
+                )
+            result.pairs.append(
+                PairAssignment(
+                    pair_id=f"{direction}:{treatment_month}:{qid}:{lang}",
+                    qid=qid,
+                    treated_language=lang,
+                    control_language=eligible[0][0],
+                    treatment_month=treatment_month,
+                    direction=direction,
+                )
+            )
+    result.pairs.sort(key=lambda p: p.pair_id)
+    return result
 
 
 def crosslingual_oracle(

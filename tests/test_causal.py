@@ -33,7 +33,7 @@ from oatlas.graph import LinkSnapshot
 from oatlas.ingest import REFERRER_CLASSES, PageviewTable, QidIndex, load_pageviews
 from oatlas.months import month_add
 
-from .oracles import assemble_panel_oracle
+from .oracles import assemble_panel_oracle, build_pairs_oracle
 
 MONTH = "2023-05"
 NEXT = "2023-06"
@@ -237,6 +237,49 @@ def test_pairs_sorted_by_pair_id_across_languages():
     ids = [p.pair_id for p in result.pairs]
     assert ids == sorted(ids)
     assert len(ids) == 2
+
+
+@st.composite
+def _pair_worlds(draw):
+    """2-4 languages.  Each keeps a core of articles in pages 1..6 in
+    both months, and each month adds a few of pages 1..8 of its own;
+    edges are drawn apart per month.  A language may lack the next
+    month.  Each language holds a random subset of items Q1..Q4 on
+    distinct pages of 1..8, which need not be articles in either month."""
+    languages = draw(
+        st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), min_size=2, unique=True)
+    )
+    snapshots, entries, rows = {}, [], []
+    for lang in languages:
+        core = draw(st.sets(st.integers(1, 6), min_size=2))
+        months = {}
+        for month in (MONTH, NEXT):
+            if month == NEXT and draw(st.integers(0, 4)) == 4:
+                continue
+            articles = sorted(core | draw(st.sets(st.integers(1, 8), max_size=2)))
+            ends = st.sampled_from(articles)
+            edges = draw(st.lists(st.tuples(ends, ends), max_size=6))
+            edges = [(u, v) for u, v in edges if u != v]
+            months[month] = _snap(lang, month, articles, edges)
+        snapshots[lang] = months
+        pages = draw(st.permutations(range(1, 9)))
+        for item, page in zip(range(1, 5), pages):
+            if draw(st.integers(0, 3)) < 3:
+                entries.append((f"Q{item}", lang, page))
+                for offset in (-3, -2, -1):
+                    when = month_add(MONTH, offset)
+                    rows.append((lang, page, when, "all", draw(st.integers(0, 3))))
+    views = _views(rows) if rows and draw(st.booleans()) else None
+    return snapshots, _index(entries), views
+
+
+@settings(max_examples=300)
+@given(world=_pair_worlds(), direction=st.sampled_from([FORWARD, REVERSE]))
+def test_build_pairs_matches_the_edge_diff_oracle(world, direction):
+    snapshots, index, views = world
+    got = build_pairs(snapshots, index, MONTH, direction, pageviews=views)
+    want = build_pairs_oracle(snapshots, index, MONTH, direction, pageviews=views)
+    assert got == want
 
 
 # -- assemble_panel ---------------------------------------------------------

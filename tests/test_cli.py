@@ -412,6 +412,44 @@ def test_document_text_may_hold_a_line_separator(golden_root, pipeline, tmp_path
         assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
 
 
+_HUGE_TIMESTAMP_ROW = "aa\t1\t0\tNA\t0.5\t0.1\t0.1\t0.1\t0.5\t1" + "0" * 400
+_BAD_DOCUMENT = "{path}:{number}: bad document: "
+
+
+@pytest.mark.parametrize(
+    "name, stage, line, message",
+    [
+        ("aa/docs.jsonl", "candidates", '{"page_id": 1, "text": 5}', _BAD_DOCUMENT),
+        ("aa/docs.jsonl", "candidates", '{"page_id": 1, "text": null}', _BAD_DOCUMENT),
+        ("aa/docs.jsonl", "candidates", '{"page_id": 1e400, "text": "x"}', _BAD_DOCUMENT),
+        (
+            "features.tsv",
+            "characterize",
+            _HUGE_TIMESTAMP_ROW,
+            "{path}: bad line {line!r}: integer outside the int64 range (line {number})",
+        ),
+    ],
+    ids=["text int", "text null", "page id 1e400", "timestamp 1e400"],
+)
+def test_a_data_line_of_the_wrong_type_names_its_line(
+    golden_root, pipeline, tmp_path, capsys, name, stage, line, message
+):
+    """A JSON value or a TSV cell that parses but has the wrong type or
+    range exits 3, naming the file and the line."""
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    path = data / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    capsys.readouterr()
+    rc = _run(stage, "--data", str(data), "--out", str(out), "--months", MONTHS)
+    assert rc == EXIT_DATA_ERROR
+    expected = message.format(path=path, number=len(lines) + 1, line=line)
+    assert expected in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, column, cell",
     [
@@ -634,12 +672,13 @@ def test_ingest_output_does_not_depend_on_the_worker_count(golden_root, tmp_path
 
 
 def _append_corrupt_statement(path):
+    """Break the dump at ``path``; returns the error ``ingest`` reports."""
     with path.open("ab") as handle:
         handle.write(b"INSERT INTO `page` VALUES (99,0,'Unterminated;\n")
     with path.open("rb") as handle:
         with pytest.raises(ingest.SqlDumpError) as excinfo:
             list(ingest.parse_sql_insert_rows(handle, strict=True))
-    return str(excinfo.value)
+    return f"{path}: {excinfo.value}"
 
 
 def test_strict_ingest_reports_the_first_failing_language(golden_root, tmp_path, capsys):
@@ -675,6 +714,30 @@ def test_a_failing_dump_outranks_a_malformed_sitelink_table(golden_root, tmp_pat
     assert _run(*args, "--out", str(tmp_path / "out2")) == EXIT_DATA_ERROR
     err = capsys.readouterr().err
     assert "sitelinks.tsv: " in err and "expected 3 columns" in err
+
+
+@pytest.mark.parametrize("damage", ["cut short", "bad row"])
+@pytest.mark.parametrize("name", cli.DUMP_FILES)
+def test_a_dump_error_names_its_file(golden_root, tmp_path, capsys, name, damage):
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    path = data / "aa" / "2022-11" / name
+    dump = path.read_bytes()
+    table = name.removesuffix(".sql")
+    if damage == "cut short":
+        path.write_bytes(dump[:-20])
+        detail = "(byte offset "
+    else:
+        path.write_bytes(dump + f"INSERT INTO `{table}` VALUES ('bad');\n".encode())
+        detail = f"bad {table} row ('bad',)"
+    capsys.readouterr()
+    rc = _run(
+        "ingest", "--data", str(data), "--out", str(tmp_path / "out"),
+        "--months", MONTHS, "--strict",
+    )
+    assert rc == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ") and detail in err
 
 
 def test_a_missing_month_is_logged_by_the_parent(golden_root, tmp_path, caplog):

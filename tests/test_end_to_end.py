@@ -10,7 +10,9 @@ precedence, redirect chains, control reuse and multi-byte mentions are
 exercised on many layouts, not on the benchmark's fixed seeds.
 
 The modules under ``bench/`` are imported through ``sys.path``; this
-file only reads them.
+file only reads them.  ``bench/tracing.py`` wraps program functions by
+their module attribute names, so one test per workload runs its traced
+pass, which no other test reaches.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oatlas import cli
+from oatlas import cli, graph
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import checks  # noqa: E402
 import expect  # noqa: E402
 import generate  # noqa: E402
+import tracing  # noqa: E402
 
 STAGES = ("ingest", "orphans", "characterize", "panel", "did", "candidates")
 MONTHS = f"{generate.MONTHS[0]}:{generate.MONTHS[1]}"
@@ -79,3 +82,16 @@ def test_rerunning_a_stage_on_a_finished_tree_changes_no_byte(
         before = _files(out)
         _run(stage, data, out)
         assert _files(out) == before
+
+
+@pytest.mark.parametrize("workload", sorted(generate.BUILDERS))
+def test_traced_pass_runs_and_builds_the_cli_snapshots(workload, tmp_path):
+    tree = generate.build(workload, 1, scale=0.0)
+    data, out, work = tmp_path / "data", tmp_path / "out", tmp_path / "trace"
+    tree.write(data)
+    _run("ingest", data, out)
+    result = tracing.traced_pass(data, work, tree.languages)
+    assert len(result.snapshot_paths) == len(tree.languages) * len(generate.MONTHS)
+    for path in result.snapshot_paths:
+        cli_path = out / path.relative_to(work)
+        assert graph.LinkSnapshot.load(path) == graph.LinkSnapshot.load(cli_path), path

@@ -24,6 +24,7 @@ from oatlas.graph import (
     deadends,
     deorphanizing_events,
     link_delta,
+    orphan_status,
     orphanizing_events,
     orphans,
 )
@@ -318,3 +319,36 @@ def test_events_match_oracle_on_random_month_pairs():
             orphanizing_oracle(before, after)
         )
 
+
+
+@st.composite
+def _month_pair(draw):
+    """Two snapshots of one language whose article sets differ, either
+    of them possibly empty or without edges."""
+    snapshots = []
+    for month in ("2022-11", "2022-12"):
+        articles = sorted(draw(st.sets(st.integers(1, 12), max_size=12)))
+        edges = []
+        if articles:
+            ends = st.sampled_from(articles)
+            edges = draw(st.lists(st.tuples(ends, ends), max_size=30))
+        edges = [(u, v) for u, v in edges if u != v]
+        snapshots.append(LinkSnapshot.from_edges("xx", month, articles, edges))
+    return snapshots
+
+
+@settings(max_examples=300)
+@given(pair=_month_pair())
+def test_orphan_status_crossings_match_the_edge_diff(pair):
+    before, after = pair
+    shared, linked_before, linked_after = orphan_status(before, after)
+    assert shared.tolist() == sorted(before.articles & after.articles)
+    forward = shared[~linked_before & linked_after].tolist()
+    events = deorphanizing_events(link_delta(before, after), orphans(before))
+    assert forward == [e.page_id for e in events]
+    gained = deorph_events_oracle(before.edge_set(), after.edge_set(), orphans(before))
+    assert forward == sorted(gained)
+    # Every inlink of a former orphan is new.
+    assert {page: after.in_degree_of(page) for page in forward} == gained
+    reverse = shared[linked_before & ~linked_after].tolist()
+    assert reverse == orphanizing_oracle(before, after)

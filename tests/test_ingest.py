@@ -678,6 +678,8 @@ def test_feature_tsv_round_trip(tmp_path):
     rows = [
         ("aa", 1, True, None, 0.9, 0.1, 0.2, 0.3, 0.7, 12345),
         ("aa", 2, False, True, 0.0, 1.0, 0.5, 0.5, 0.0, -50),
+        ("aa", 3, False, None, 0.0, 0.0, 0.0, 0.0, 0.0, 2**63 - 1),
+        ("aa", 4, False, None, 0.0, 0.0, 0.0, 0.0, 0.0, -(2**63)),
     ]
     path = tmp_path / "features.tsv"
     fixtures.write_features_tsv(path, rows)
@@ -686,10 +688,17 @@ def test_feature_tsv_round_trip(tmp_path):
     assert records[0].is_woman_biography is None
     assert records[1].is_woman_biography is True
     assert records[0].topic_probabilities["culture"] == 0.9
-    assert records[1].creation_timestamp == -50
+    assert [r.creation_timestamp for r in records] == [12345, -50, 2**63 - 1, -(2**63)]
 
 
 def test_feature_tsv_rejects_bad_probability():
     line = "aa\t1\t0\tNA\t1.5\t0.1\t0.1\t0.1\t0.5\t10"
     with pytest.raises(TsvFormatError):
         list(read_features_tsv([line]))
+
+
+@pytest.mark.parametrize("timestamp", ["1" + "0" * 400, str(2**63), str(-(2**63) - 1)])
+def test_feature_tsv_rejects_a_timestamp_outside_int64(timestamp):
+    good = "aa\t1\t0\tNA\t0.5\t0.1\t0.1\t0.1\t0.5\t10"
+    with pytest.raises(TsvFormatError, match=r"int64 range.*\(line 2\)"):
+        list(read_features_tsv([good, good.replace("\t10", "\t" + timestamp)]))
