@@ -6,10 +6,10 @@ labels, quality, creation time) and an orphan set, this module answers
 
     log_ratio = ln( P(x | orphan) / P(x) )
 
-computed over the articles where the feature is defined.  Continuous
-features (quality, age) are first binarized at the within-language
-median; topic probabilities are binarized at 0.5 when the table is
-built.
+computed over the articles where the feature is defined.  The feature
+table holds the flags as boolean arrays, a page listed twice keeping
+its last row; quality and age are split at the within-language lower
+median, and topic probabilities at 0.5.
 
 Per-wiki orphan and dead-end shares, plus a locally weighted regression
 (:func:`lowess_fit`) for plotting share against wiki size, round out
@@ -19,8 +19,9 @@ the module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .graph import LinkSnapshot, deadends, orphans
 from .ingest import FeatureRecord, TOPIC_LABELS
 
 TOPIC_THRESHOLD = 0.5
+_TOPIC_PROBABILITIES = operator.itemgetter(*TOPIC_LABELS)
 
 BINARY_FEATURES = (
     "bot_created",
@@ -41,72 +43,74 @@ BINARY_FEATURES = (
 )
 
 
-def binarize_by_median(values: Mapping[Hashable, float]) -> dict[Hashable, bool]:
+def split_at_median(values: np.ndarray) -> np.ndarray:
     """Split values at their median: True for strictly greater.
 
     For an even count the lower of the two middle order statistics is
     the median, so ties and exact-median values land in the False
     bucket.
     """
-    if not values:
-        return {}
-    ordered = sorted(values.values())
-    median = ordered[(len(ordered) - 1) // 2]
-    return {key: value > median for key, value in values.items()}
+    if not len(values):
+        return np.zeros(0, dtype=bool)
+    k = (len(values) - 1) // 2
+    return values > np.partition(values, k)[k]
 
 
 @dataclass
 class FeatureTable:
-    """Binary feature columns for one language's articles.
+    """One language's binary features as arrays.
 
-    ``columns`` maps feature name to ``{page_id: flag}``; a page absent
-    from a column has the feature undefined there (only
-    ``is_woman_biography`` is partial: it is defined for biographies).
+    ``page_ids`` holds sorted page ids; ``flags`` and ``defined`` have a
+    row per page and a column per :data:`BINARY_FEATURES` name.  Only the
+    ``is_woman_biography`` of non-biographies is undefined (and False).
     """
 
     language: str
-    columns: dict[str, dict[int, bool]]
+    page_ids: np.ndarray
+    flags: np.ndarray
+    defined: np.ndarray
 
-    @property
-    def page_ids(self) -> set[int]:
-        return set(self.columns.get("bot_created", {}))
+
+def _id_array(ids: Collection[int]) -> np.ndarray:
+    return ids if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64, len(ids))
 
 
 def build_feature_table(
     records: Iterable[FeatureRecord],
     language: str,
     *,
-    articles: set[int] | None = None,
+    articles: Collection[int] | None = None,
 ) -> FeatureTable:
     """Binarize feature records into a :class:`FeatureTable`.
 
-    Records for other languages are ignored, as are records outside
-    ``articles`` when given.  Topic probabilities are thresholded at
-    ``> 0.5``; quality and age are split at the within-language median
-    (age via creation time: older than the median is True).
+    Records for other languages, or outside ``articles`` (a set or an
+    array) when given, are ignored; a page listed twice keeps its last
+    row.  Topics are cut at ``> 0.5``; quality and age at the lower median.
     """
-    rows = [
-        rec
-        for rec in records
-        if rec.language == language and (articles is None or rec.page_id in articles)
-    ]
-    columns: dict[str, dict[int, bool]] = {name: {} for name in BINARY_FEATURES}
-    for rec in rows:
-        columns["bot_created"][rec.page_id] = rec.bot_created
-        if rec.is_woman_biography is not None:
-            columns["is_woman_biography"][rec.page_id] = rec.is_woman_biography
-        for label in TOPIC_LABELS:
-            columns[f"topic_{label}"][rec.page_id] = (
-                rec.topic_probabilities[label] > TOPIC_THRESHOLD
-            )
-    columns["high_quality"] = binarize_by_median(
-        {rec.page_id: rec.quality_score for rec in rows}
+    rows = [rec for rec in records if rec.language == language]
+    page_ids = np.fromiter((rec.page_id for rec in rows), np.int64, len(rows))
+    # None reads as NaN; age grows as creation time falls, so negate it.
+    values = np.array(
+        [
+            (rec.bot_created, rec.is_woman_biography)
+            + _TOPIC_PROBABILITIES(rec.topic_probabilities)
+            + (rec.quality_score, -float(rec.creation_timestamp))
+            for rec in rows
+        ],
+        dtype=float,
+    ).reshape(len(rows), len(BINARY_FEATURES))
+    if articles is not None:
+        keep = np.isin(page_ids, _id_array(articles))
+        page_ids, values = page_ids[keep], values[keep]
+    # np.unique indexes the first of equal ids: over reversed rows, the last.
+    page_ids, last = np.unique(page_ids[::-1], return_index=True)
+    values = values[::-1][last]
+    bot, woman, *topics, quality, age = values.T
+    flags = np.column_stack(
+        [bot > 0, woman > 0, *(p > TOPIC_THRESHOLD for p in topics)]
+        + [split_at_median(quality), split_at_median(age)]
     )
-    # Age grows as creation time falls, so negate before splitting.
-    columns["old_article"] = binarize_by_median(
-        {rec.page_id: -float(rec.creation_timestamp) for rec in rows}
-    )
-    return FeatureTable(language=language, columns=columns)
+    return FeatureTable(language, page_ids, flags, defined=~np.isnan(values))
 
 
 class RepresentationScore(NamedTuple):
@@ -131,7 +135,7 @@ class RepresentationScore(NamedTuple):
 
 
 def representation_scores(
-    orphan_ids: set[int], table: FeatureTable
+    orphan_ids: Collection[int], table: FeatureTable
 ) -> list[RepresentationScore]:
     """Score every feature column of ``table`` against the orphan set.
 
@@ -139,14 +143,11 @@ def representation_scores(
     denominators: ``p_x`` over all such articles, ``p_x_given_o`` over
     the orphans among them.
     """
+    orphan = np.isin(table.page_ids, _id_array(orphan_ids))
+    masks = (table.defined, table.flags, table.defined[orphan], table.flags[orphan])
+    counts = zip(BINARY_FEATURES, *(mask.sum(axis=0).tolist() for mask in masks))
     scores = []
-    for feature in BINARY_FEATURES:
-        column = table.columns.get(feature, {})
-        n_articles = len(column)
-        n_true = sum(1 for flag in column.values() if flag)
-        orphan_rows = [pid for pid in column if pid in orphan_ids]
-        n_orphans = len(orphan_rows)
-        n_true_orphans = sum(1 for pid in orphan_rows if column[pid])
+    for feature, n_articles, n_true, n_orphans, n_true_orphans in counts:
         assert n_true_orphans <= min(n_true, n_orphans)
         p_x = n_true / n_articles if n_articles else math.nan
         p_x_given_o = n_true_orphans / n_orphans if n_orphans else math.nan

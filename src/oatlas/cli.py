@@ -641,17 +641,16 @@ def cmd_characterize(config: RunConfig) -> None:
     with _tsv_lines(features_path) as lines:
         records = list(ingest.read_features_tsv(lines))
 
+    with_rows = {rec.language for rec in records}
     rows = []
-    for language in sorted(snapshots):
-        snapshot = snapshots[language]
-        subset = [r for r in records if r.language == language]
-        if not subset:
+    for language, snapshot in sorted(snapshots.items()):
+        if language not in with_rows:
             logger.warning("no feature rows for %s; skipping", language)
             continue
-        articles = set(snapshot.article_ids.tolist())
-        table = characterize.build_feature_table(subset, language, articles=articles)
-        orphan_ids = graph.orphans(snapshot) & set(table.page_ids)
-        rows.extend(characterize.representation_scores(orphan_ids, table))
+        table = characterize.build_feature_table(
+            records, language, articles=snapshot.article_ids
+        )
+        rows.extend(characterize.representation_scores(graph.orphans(snapshot), table))
     _write_report(
         config.out_dir / "representation_scores.tsv",
         (
@@ -739,7 +738,8 @@ def _read_panel(config: RunConfig) -> list[causal.PanelObservation]:
         raise DataError(f"{path} not found; run the panel stage first")
     observations: list[causal.PanelObservation] = []
     with _tsv_lines(path) as lines:
-        for block in ingest.read_tsv(lines, (str, str, str, str, int, float, str)):
+        columns = (str, str, str, str, ingest.int64, float, str)
+        for block in ingest.read_tsv(lines, columns):
             observations.extend(map(causal.PanelObservation._make, zip(*block)))
     return observations
 

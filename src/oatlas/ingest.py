@@ -811,7 +811,9 @@ def nonempty(cell: str) -> str:
 
 
 def _flag(cell: str) -> bool:
-    return bool(int(cell))
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag {cell!r} is not 0 or 1")
+    return cell == "1"
 
 
 def _probability(cell: str) -> float:
@@ -821,7 +823,8 @@ def _probability(cell: str) -> float:
     return value
 
 
-def _int64(cell: str) -> int:
+def int64(cell: str) -> int:
+    """A converter reading an integer that fits in int64."""
     value = int(cell)
     if not -(2**63) <= value < 2**63:
         raise ValueError("integer outside the int64 range")
@@ -1092,7 +1095,7 @@ def load_pageviews(
     return table
 
 
-_FEATURE_COLUMNS = (str, int, _flag, optional(_flag), *(_probability,) * 5, _int64)
+_FEATURE_COLUMNS = (str, int64, _flag, optional(_flag), *(_probability,) * 5, int64)
 
 
 def read_features_tsv(lines: Iterable[str]) -> Iterator[FeatureRecord]:
@@ -1100,7 +1103,8 @@ def read_features_tsv(lines: Iterable[str]) -> Iterator[FeatureRecord]:
 
     Columns: language, page_id, bot_created, is_woman_biography (``NA``
     for non-biographies), p_culture, p_geography, p_history_society,
-    p_stem, quality_score, creation_timestamp.
+    p_stem, quality_score, creation_timestamp.  Both flags are ``0`` or
+    ``1``; page ids and timestamps fit in int64.
     """
     for block in read_tsv(lines, _FEATURE_COLUMNS):
         for language, page_id, bot, woman, *topics, quality, created in zip(*block):

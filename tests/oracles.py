@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from oatlas.candidates import AnnotatedDocument, CandidateLink
 from oatlas.causal import (
@@ -23,9 +23,16 @@ from oatlas.causal import (
     PanelObservation,
     _mean_pre_log_views,
 )
+from oatlas.characterize import (
+    BINARY_FEATURES,
+    TOPIC_THRESHOLD,
+    RepresentationScore,
+)
 from oatlas.ingest import (
     REFERRER_CLASSES,
+    TOPIC_LABELS,
     DuplicateKeyError,
+    FeatureRecord,
     InvalidRecordError,
     PageTable,
     PageviewRecord,
@@ -96,6 +103,82 @@ def orphans_oracle(articles: set[int], edges: set[tuple[int, int]]) -> set[int]:
 def deadends_oracle(articles: set[int], edges: set[tuple[int, int]]) -> set[int]:
     linking = {u for u, _ in edges}
     return articles - linking
+
+
+def binarize_by_median_oracle(values: Mapping[int, float]) -> dict[int, bool]:
+    """Split values at the lower median of their sorted list: True for
+    strictly greater."""
+    if not values:
+        return {}
+    ordered = sorted(values.values())
+    median = ordered[(len(ordered) - 1) // 2]
+    return {key: value > median for key, value in values.items()}
+
+
+def feature_columns_oracle(
+    records: Iterable[FeatureRecord],
+    language: str,
+    articles: Collection[int] | None = None,
+) -> dict[str, dict[int, bool]]:
+    """The feature table as one ``{page_id: flag}`` dict per feature; a
+    page absent from a column has the feature undefined there."""
+    rows = [
+        rec
+        for rec in records
+        if rec.language == language and (articles is None or rec.page_id in articles)
+    ]
+    columns: dict[str, dict[int, bool]] = {name: {} for name in BINARY_FEATURES}
+    for rec in rows:
+        columns["bot_created"][rec.page_id] = rec.bot_created
+        if rec.is_woman_biography is not None:
+            columns["is_woman_biography"][rec.page_id] = rec.is_woman_biography
+        for label in TOPIC_LABELS:
+            columns[f"topic_{label}"][rec.page_id] = (
+                rec.topic_probabilities[label] > TOPIC_THRESHOLD
+            )
+    columns["high_quality"] = binarize_by_median_oracle(
+        {rec.page_id: rec.quality_score for rec in rows}
+    )
+    columns["old_article"] = binarize_by_median_oracle(
+        {rec.page_id: -float(rec.creation_timestamp) for rec in rows}
+    )
+    return columns
+
+
+def representation_scores_oracle(
+    orphan_ids: Collection[int], language: str, columns: Mapping[str, dict[int, bool]]
+) -> list[RepresentationScore]:
+    """Score each dict column by counting its pages one at a time."""
+    scores = []
+    for feature in BINARY_FEATURES:
+        column = columns[feature]
+        n_articles = len(column)
+        n_true = sum(1 for flag in column.values() if flag)
+        orphan_rows = [pid for pid in column if pid in orphan_ids]
+        n_orphans = len(orphan_rows)
+        n_true_orphans = sum(1 for pid in orphan_rows if column[pid])
+        p_x = n_true / n_articles if n_articles else math.nan
+        p_x_given_o = n_true_orphans / n_orphans if n_orphans else math.nan
+        undefined = n_articles == 0 or n_orphans == 0 or p_x == 0.0
+        if undefined:
+            log_ratio = math.nan
+        elif p_x_given_o == 0.0:
+            log_ratio = -math.inf
+        else:
+            log_ratio = math.log(p_x_given_o / p_x)
+        scores.append(
+            RepresentationScore(
+                language,
+                feature,
+                p_x_given_o,
+                p_x,
+                log_ratio,
+                n_orphans,
+                n_articles,
+                undefined,
+            )
+        )
+    return scores
 
 
 def deorph_events_oracle(

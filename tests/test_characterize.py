@@ -6,18 +6,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oatlas.characterize import (
     BINARY_FEATURES,
     FeatureTable,
-    binarize_by_median,
     build_feature_table,
     lowess_fit,
     orphan_fraction_by_wiki,
     representation_scores,
+    split_at_median,
 )
 from oatlas.graph import LinkSnapshot
-from oatlas.ingest import FeatureRecord
+from oatlas.ingest import TOPIC_LABELS, FeatureRecord
+
+from .oracles import feature_columns_oracle, representation_scores_oracle
 
 
 def _record(page_id, *, bot=False, woman=None, topics=None, quality=0.5, created=0):
@@ -34,24 +38,39 @@ def _record(page_id, *, bot=False, woman=None, topics=None, quality=0.5, created
     )
 
 
+def _columns(table):
+    """The table as one ``{page_id: flag}`` dict per feature, holding the
+    pages where the feature is defined."""
+    ids = table.page_ids.tolist()
+    return {
+        feature: {
+            pid: flag
+            for pid, flag, known in zip(
+                ids, table.flags[:, j].tolist(), table.defined[:, j].tolist()
+            )
+            if known
+        }
+        for j, feature in enumerate(BINARY_FEATURES)
+    }
+
+
 def test_binarize_uses_lower_middle_and_strict_greater():
     # Even length: the median is the lower of the two middle values.
-    assert binarize_by_median({1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}) == {
-        1: False,
-        2: False,
-        3: True,
-        4: True,
-    }
+    assert split_at_median(np.array([1.0, 2.0, 3.0, 4.0])).tolist() == [
+        False,
+        False,
+        True,
+        True,
+    ]
     # Ties with the median are False under the strict comparison.
-    assert binarize_by_median({1: 5.0, 2: 5.0, 3: 5.0}) == {1: False, 2: False, 3: False}
-    assert binarize_by_median({1: 1.0, 2: 2.0, 3: 9.0}) == {1: False, 2: False, 3: True}
+    assert split_at_median(np.array([5.0, 5.0, 5.0])).tolist() == [False, False, False]
+    assert split_at_median(np.array([1.0, 2.0, 9.0])).tolist() == [False, False, True]
 
 
 def test_binarize_thousand_and_one_values():
-    values = {i: float(i) for i in range(1001)}
-    out = binarize_by_median(values)
-    assert sum(out.values()) == 500
-    assert out[500] is False and out[501] is True
+    out = split_at_median(np.arange(1001, dtype=float))
+    assert out.sum() == 500
+    assert not out[500] and out[501]
 
 
 def test_build_feature_table_columns():
@@ -62,21 +81,89 @@ def test_build_feature_table_columns():
         _record(4, quality=0.7, created=400),
     ]
     table = build_feature_table(records, "aa")
-    assert set(table.columns) == set(BINARY_FEATURES)
-    assert table.columns["bot_created"] == {1: True, 2: False, 3: False, 4: False}
-    assert table.columns["topic_stem"] == {1: True, 2: False, 3: False, 4: False}
-    assert table.columns["topic_culture"] == {1: False, 2: False, 3: True, 4: False}
+    assert table.flags.shape == table.defined.shape == (4, len(BINARY_FEATURES))
+    columns = _columns(table)
+    assert columns["bot_created"] == {1: True, 2: False, 3: False, 4: False}
+    assert columns["topic_stem"] == {1: True, 2: False, 3: False, 4: False}
+    assert columns["topic_culture"] == {1: False, 2: False, 3: True, 4: False}
     # Only pages with a stated biography flag appear in that column.
-    assert table.columns["is_woman_biography"] == {2: True, 3: False}
+    assert columns["is_woman_biography"] == {2: True, 3: False}
     # Oldest articles (smallest creation timestamp) are the True half.
-    assert table.columns["old_article"] == {1: True, 2: True, 3: False, 4: False}
-    assert table.columns["high_quality"] == {1: True, 2: False, 3: False, 4: True}
+    assert columns["old_article"] == {1: True, 2: True, 3: False, 4: False}
+    assert columns["high_quality"] == {1: True, 2: False, 3: False, 4: True}
 
 
 def test_build_feature_table_respects_article_filter():
     records = [_record(1), _record(2), _record(3)]
     table = build_feature_table(records, "aa", articles={1, 3})
-    assert table.page_ids == {1, 3}
+    assert table.page_ids.tolist() == [1, 3]
+
+
+def test_a_page_listed_twice_keeps_its_last_row():
+    records = [
+        _record(1, bot=True, woman=True, topics={"stem": 0.9}, quality=0.9),
+        _record(2, quality=0.5, created=200),
+        _record(1, quality=0.1, created=300),
+    ]
+    table = build_feature_table(records, "aa")
+    assert table.page_ids.tolist() == [1, 2]
+    columns = _columns(table)
+    # The last row of page 1 has no biography flag, so the earlier True
+    # is gone with the rest of that row.
+    assert columns["is_woman_biography"] == {}
+    assert columns["bot_created"] == {1: False, 2: False}
+    assert columns["topic_stem"] == {1: False, 2: False}
+    assert columns["high_quality"] == {1: False, 2: True}
+    assert columns["old_article"] == {1: False, 2: True}
+
+
+# Small pools of qualities, timestamps and probabilities make ties at
+# the median and at the topic threshold common.
+_feature_records = st.lists(
+    st.builds(
+        FeatureRecord,
+        language=st.sampled_from(["aa", "bb"]),
+        page_id=st.integers(1, 30),
+        bot_created=st.booleans(),
+        is_woman_biography=st.none() | st.booleans(),
+        topic_probabilities=st.fixed_dictionaries(
+            {label: st.sampled_from([0.0, 0.5, 0.75]) for label in TOPIC_LABELS}
+        ),
+        quality_score=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        creation_timestamp=st.sampled_from([-(2**63), -7, 0, 3, 2**53 + 1]),
+    ),
+    max_size=40,
+    unique_by=lambda rec: (rec.language, rec.page_id),
+)
+_page_sets = st.sets(st.integers(1, 35))
+# A set of NumPy ints, as intersecting with a set of array ids gives.
+_id_sets = _page_sets | _page_sets.map(lambda ids: {np.int64(i) for i in ids})
+_article_filters = (
+    st.none()
+    | _id_sets
+    | _page_sets.map(lambda ids: np.array(sorted(ids), dtype=np.int64))
+)
+
+
+def _same(a, b):
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+@settings(max_examples=300)
+@given(records=_feature_records, articles=_article_filters, orphan_ids=_id_sets)
+def test_feature_table_and_scores_match_the_dict_oracle(records, articles, orphan_ids):
+    table = build_feature_table(records, "aa", articles=articles)
+    oracle_articles = None if articles is None else set(articles)
+    columns = feature_columns_oracle(records, "aa", oracle_articles)
+    assert table.page_ids.tolist() == sorted(columns["bot_created"])
+    assert _columns(table) == columns
+    got = representation_scores(orphan_ids, table)
+    want = representation_scores_oracle(orphan_ids, "aa", columns)
+    assert len(got) == len(want)
+    for score, expected in zip(got, want):
+        assert all(_same(g, w) for g, w in zip(score, expected)), (score, expected)
 
 
 def test_representation_scores_match_direct_counts():
@@ -84,11 +171,9 @@ def test_representation_scores_match_direct_counts():
     for _ in range(25):
         n = int(rng.integers(20, 200))
         page_ids = list(range(1, n + 1))
-        columns = {
-            feature: {pid: bool(rng.random() < 0.3) for pid in page_ids}
-            for feature in BINARY_FEATURES
-        }
-        table = FeatureTable(language="aa", columns=columns)
+        flags = (rng.random((len(BINARY_FEATURES), n)) < 0.3).T
+        table = FeatureTable("aa", np.arange(1, n + 1), flags, np.ones_like(flags))
+        columns = _columns(table)
         orphan_ids = {pid for pid in page_ids if rng.random() < 0.2}
         scores = representation_scores(orphan_ids, table)
         for score in scores:

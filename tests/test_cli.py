@@ -428,8 +428,14 @@ _BAD_DOCUMENT = "{path}:{number}: bad document: "
             _HUGE_TIMESTAMP_ROW,
             "{path}: bad line {line!r}: integer outside the int64 range (line {number})",
         ),
+        (
+            "features.tsv",
+            "characterize",
+            "aa\t1\t2\tNA\t0.5\t0.1\t0.1\t0.1\t0.5\t10",
+            "{path}: bad line {line!r}: flag '2' is not 0 or 1 (line {number})",
+        ),
     ],
-    ids=["text int", "text null", "page id 1e400", "timestamp 1e400"],
+    ids=["text int", "text null", "page id 1e400", "timestamp 1e400", "flag 2"],
 )
 def test_a_data_line_of_the_wrong_type_names_its_line(
     golden_root, pipeline, tmp_path, capsys, name, stage, line, message
@@ -460,12 +466,14 @@ def test_a_data_line_of_the_wrong_type_names_its_line(
         ("qidmap.tsv", 2, "twelve"),
         ("panel.tsv", 6, None),
         ("panel.tsv", 5, "lots"),
+        ("panel.tsv", 4, "1" + "0" * 30),
     ],
 )
 def test_malformed_stage_file_names_file_and_line(
     golden_root, pipeline, tmp_path, capsys, name, column, cell
 ):
-    """One bad row (a column short, a non-numeric cell or a blank title) exits 3."""
+    """One bad row (a column short, a non-numeric cell, a period beyond int64
+    or a blank title) exits 3."""
     out = tmp_path / "out"
     shutil.copytree(pipeline, out)
     path = out / name
@@ -516,7 +524,8 @@ _observations = st.lists(
         role=_cell,
         language=_cell,
         month=_cell,
-        period_index=st.integers(),
+        # Periods outside int64 are rejected on reading, by design.
+        period_index=st.integers(-(2**63), 2**63 - 1),
         log_views=st.floats(allow_nan=False, allow_infinity=False),
         referrer_class=_cell,
     )

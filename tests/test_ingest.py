@@ -702,3 +702,19 @@ def test_feature_tsv_rejects_a_timestamp_outside_int64(timestamp):
     good = "aa\t1\t0\tNA\t0.5\t0.1\t0.1\t0.1\t0.5\t10"
     with pytest.raises(TsvFormatError, match=r"int64 range.*\(line 2\)"):
         list(read_features_tsv([good, good.replace("\t10", "\t" + timestamp)]))
+
+
+def test_feature_tsv_rejects_a_page_id_outside_int64():
+    line = "aa\t" + str(2**63) + "\t0\tNA\t0.5\t0.1\t0.1\t0.1\t0.5\t10"
+    with pytest.raises(TsvFormatError, match=r"int64 range.*\(line 1\)"):
+        list(read_features_tsv([line]))
+
+
+@pytest.mark.parametrize("column", [2, 3])
+@pytest.mark.parametrize("cell", ["2", "-1", " 1", "1_0"])
+def test_feature_tsv_flags_are_exactly_0_or_1(column, cell):
+    cells = "aa\t1\t0\t1\t0.5\t0.1\t0.1\t0.1\t0.5\t10".split("\t")
+    assert next(read_features_tsv(["\t".join(cells)])).is_woman_biography is True
+    cells[column] = cell
+    with pytest.raises(TsvFormatError, match=r"is not 0 or 1.*\(line 1\)"):
+        list(read_features_tsv(["\t".join(cells)]))

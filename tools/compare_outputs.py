@@ -1,0 +1,108 @@
+"""Check that this checkout writes the same outputs as another checkout.
+
+    python tools/compare_outputs.py BASELINE
+
+``BASELINE`` is another checkout of the repository, such as a
+``git worktree`` of the parent commit.  The script writes the golden
+tree (``oatlas.fixtures.golden_tree``) and the seed-1 ``dumps``,
+``pairs`` and ``corpus`` benchmark trees (``bench/generate.py``, which
+it only imports) once into a temporary directory.  It runs
+``python -m oatlas.cli all`` on each tree once per side, with
+``PYTHONPATH`` set to that side's ``src/``, and prints every output file
+that differs or exists on one side only, and every run that fails.  It
+exits 1 if it printed anything and 0 otherwise.  Trees and outputs are
+written only under the temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
+
+import generate  # noqa: E402
+from oatlas import fixtures  # noqa: E402
+
+MONTHS = "2022-11:2022-12"
+SEED = 1
+
+
+def write_trees(root: Path) -> dict[str, Path]:
+    """Write the golden tree and the seed-1 benchmark trees under root."""
+    trees = {"golden": fixtures.golden_tree(root / "golden")}
+    for workload in sorted(generate.BUILDERS):
+        generate.build(workload, SEED).write(root / workload)
+        trees[workload] = root / workload
+    return trees
+
+
+def run_all(checkout: Path, data: Path, out: Path) -> subprocess.CompletedProcess:
+    """Run every stage of ``checkout``'s program on data, capturing its output."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    argv = [sys.executable, "-m", "oatlas.cli", "all"]
+    argv += ["--data", str(data), "--out", str(out), "--months", MONTHS]
+    return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+
+
+def differing_files(baseline: Path, current: Path) -> list[str]:
+    """Each file, relative to the roots, that differs or is on one side only."""
+    old, new = _files(baseline), _files(current)
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            lines.append(f"{name}: only in the baseline")
+        elif name not in old:
+            lines.append(f"{name}: only in the current checkout")
+        elif old[name] != new[name]:
+            lines.append(f"{name}: differs")
+    return lines
+
+
+def compare_tree(name: str, data: Path, baseline: Path, work: Path) -> list[str]:
+    """Run both checkouts on one tree and list what tells their outputs apart."""
+    problems = []
+    outs = {}
+    for side, checkout in (("baseline", baseline), ("current", REPO)):
+        outs[side] = work / name / side
+        run = run_all(checkout, data, outs[side])
+        if run.returncode:
+            last = run.stderr.strip().rpartition("\n")[2]
+            problems.append(f"{name}: the {side} run exited {run.returncode}: {last}")
+    diffs = differing_files(outs["baseline"], outs["current"])
+    return problems + [f"{name}/{line}" for line in diffs]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("baseline", type=Path, help="the other checkout")
+    args = parser.parse_args(argv)
+    if not (args.baseline / "src" / "oatlas").is_dir():
+        parser.error(f"{args.baseline} holds no src/oatlas")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        problems = []
+        for name, data in write_trees(root / "data").items():
+            problems += compare_tree(name, data, args.baseline.resolve(), root / "out")
+    for line in problems:
+        print(line)
+    if not problems:
+        print("no differences on", ", ".join(["golden", *sorted(generate.BUILDERS)]))
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
