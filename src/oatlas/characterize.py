@@ -70,6 +70,16 @@ class FeatureTable:
     flags: np.ndarray
     defined: np.ndarray
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FeatureTable):
+            return NotImplemented
+        return (
+            self.language == other.language
+            and np.array_equal(self.page_ids, other.page_ids)
+            and np.array_equal(self.flags, other.flags)
+            and np.array_equal(self.defined, other.defined)
+        )
+
 
 def _id_array(ids: Collection[int]) -> np.ndarray:
     return ids if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64, len(ids))

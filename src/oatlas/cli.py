@@ -425,38 +425,26 @@ def _ingest_language(
     """
     notes: dict[str, dict] = {}
     id_by_title: dict[str, int] = {}
+    titles = ingest.Titles()  # one code per title across the months
     for month in months:
         month_dir = config.data_root / language / month
         parse_stats = {name: ingest.ParseStats() for name in DUMP_FILES}
-        with _dump(month_dir / "page.sql") as handle:
-            pages = ingest.load_page_table(
-                ingest.parse_sql_insert_rows(
-                    handle, strict=config.strict, stats=parse_stats["page.sql"]
-                ),
-                strict=config.strict,
-                stats=parse_stats["page.sql"],
-            )
-        with _dump(month_dir / "redirect.sql") as handle:
-            redirects = ingest.load_redirects(
-                ingest.parse_sql_insert_rows(
-                    handle, strict=config.strict, stats=parse_stats["redirect.sql"]
-                ),
-                pages,
-                strict=config.strict,
-                stats=parse_stats["redirect.sql"],
-            )
+
+        def load(name: str, loader: Callable, *args: object) -> object:
+            stats = parse_stats[name]
+            with _dump(month_dir / name) as handle:
+                blocks = ingest.read_sql_columns(
+                    handle, titles, strict=config.strict, stats=stats
+                )
+                return loader(blocks, *args, strict=config.strict, stats=stats)
+
+        pages = load("page.sql", ingest.PageTable.from_blocks, titles)
+        redirects = load("redirect.sql", ingest.RedirectTable.from_blocks, pages)
+        links = load("pagelinks.sql", ingest.LinkTable.from_blocks, titles)
         build_stats = graph.BuildStats()
-        with _dump(month_dir / "pagelinks.sql") as handle:
-            links = ingest.iter_raw_links(
-                ingest.parse_sql_insert_rows(
-                    handle, strict=config.strict, stats=parse_stats["pagelinks.sql"]
-                ),
-                strict=config.strict,
-                stats=parse_stats["pagelinks.sql"],
-            )
-            snapshot = graph.build_snapshot(
-                pages, redirects, links, language=language, month=month, stats=build_stats
-            )
+        snapshot = graph.build_snapshot(
+            pages, redirects, links, language=language, month=month, stats=build_stats
+        )
         path = _snapshot_path(config, language, month)
         path.parent.mkdir(parents=True, exist_ok=True)
         snapshot.save(path)
@@ -477,12 +465,15 @@ def _ingest_language(
             },
         }
         if month == months[0]:
-            id_by_title = dict(pages.id_by_title)
-            rows = sorted(
-                (page_id, page.title)
-                for page_id, page in pages.by_id.items()
-                if not page.is_redirect
-            )
+            page_titles = pages.title_list()
+            id_by_title = dict(zip(page_titles, pages.page_ids.tolist()))
+            rows = [
+                (page_id, title)
+                for page_id, title, redirect in zip(
+                    pages.page_ids.tolist(), page_titles, pages.is_redirect.tolist()
+                )
+                if not redirect
+            ]
             _write_report(_titles_path(config, language), ("page_id", "title"), rows)
     return notes, id_by_title
 

@@ -2,9 +2,11 @@
 
 A :class:`LinkSnapshot` holds one language's article-to-article link
 graph for one month: namespace-0 non-redirect pages as nodes, resolved
-links as edges.  Construction (:func:`build_snapshot`) chases redirect
-chains to their final target, drops redirect cycles, red links, links
-from redirect pages and self references, and de-duplicates the rest.
+links as edges.  Construction (:func:`build_snapshot`) runs on the
+loaders' columns: a title code finds its page by one gather, redirect
+chains are followed to their final target by pointer jumping, and each
+drop (redirect cycles, red links, links from redirect pages, self
+references) is a mask.  The rest is de-duplicated into the CSR arrays.
 
 On top of snapshots sit set-level views: :func:`orphans` (no incoming
 links), :func:`deadends` (no outgoing links) and :func:`orphan_status`,
@@ -32,7 +34,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .ingest import PageTable, RawLink, RedirectTable, atomic_file
+from .ingest import LinkTable, PageTable, RawLink, RedirectTable, _take, atomic_file
 
 _MAGIC = b"OATL"
 _TRAILER = b"LTAO"
@@ -59,7 +61,13 @@ class SnapshotMismatchError(ValueError):
 
 @dataclass
 class BuildStats:
-    """Drop counters from one :func:`build_snapshot` run."""
+    """Drop counters from one :func:`build_snapshot` run.
+
+    A link is dropped for the first reason that holds, in the order of
+    the ``dropped_`` fields.  ``n_redirect_cycle_members`` counts the
+    redirect pages that lie on a cycle of redirects, whether or not a
+    link leads into it.
+    """
 
     n_raw_links: int = 0
     n_edges: int = 0
@@ -386,7 +394,7 @@ def _decode_varints(payload: bytes, count: int) -> np.ndarray:
 def build_snapshot(
     pages: PageTable,
     redirects: RedirectTable,
-    links: Iterable[RawLink],
+    links: LinkTable | Iterable[RawLink],
     *,
     language: str,
     month: str,
@@ -397,80 +405,68 @@ def build_snapshot(
     Articles are the non-redirect namespace-0 pages.  Each raw link is
     kept only if its source is an article and its target title resolves
     (through any chain of redirects) to a distinct article; everything
-    else is dropped and counted in ``stats``.
+    else is dropped and counted in ``stats``, under the first reason in
+    the order of :class:`BuildStats`.  ``links`` is a
+    :class:`~oatlas.ingest.LinkTable` whose title codes are those of
+    ``pages.titles``, or :class:`~oatlas.ingest.RawLink` values.
     """
     if stats is None:
         stats = BuildStats()
-    by_id = pages.by_id
-    id_by_title = pages.id_by_title
-    redirect_targets = redirects.targets
-    articles = pages.article_ids()
-    resolved: dict[int, int | None] = {}
+    if not isinstance(links, LinkTable):
+        links = LinkTable.from_raw_links(links, pages.titles)
+    is_article = ~pages.is_redirect
+    source = pages.rows_of(links.from_page_id)
+    target = pages.row_of_code()[links.target_code]
+    resolved = _take(_final_rows(pages, redirects, stats), target, -1)
+    from_article = _take(is_article, source, False)
+    alive = np.ones(len(source), dtype=bool)
 
-    def resolve(start: int) -> int | None:
-        chain: list[int] = []
-        seen: set[int] = set()
-        cur = start
-        while True:
-            if cur in resolved:
-                final = resolved[cur]
-                break
-            if cur in articles:
-                final = cur
-                break
-            if cur in seen:
-                final = None  # redirect cycle
-                stats.n_redirect_cycle_members += len(seen)
-                break
-            seen.add(cur)
-            chain.append(cur)
-            nxt = redirect_targets.get(cur)
-            if nxt is None:
-                final = None  # dangling redirect
-                break
-            cur = nxt
-        for node in chain:
-            resolved[node] = final
-        return final
+    def drop(mask: np.ndarray) -> int:
+        hit = alive & mask
+        alive[hit] = False
+        return int(np.count_nonzero(hit))
 
-    sources: list[int] = []
-    dests: list[int] = []
-    for link in links:
-        stats.n_raw_links += 1
-        if link.target_namespace != 0:
-            stats.dropped_foreign_namespace += 1
-            continue
-        source = link.from_page_id
-        if source not in articles:
-            rec = by_id.get(source)
-            if rec is not None and rec.is_redirect:
-                stats.dropped_redirect_source += 1
-            else:
-                stats.dropped_unknown_source += 1
-            continue
-        target = id_by_title.get(link.target_title)
-        if target is None:
-            stats.dropped_missing_target += 1
-            continue
-        if target not in articles:
-            target = resolve(target)
-            if target is None:
-                stats.dropped_unresolved_redirect += 1
-                continue
-        if target == source:
-            stats.dropped_self_loop += 1
-            continue
-        sources.append(source)
-        dests.append(target)
+    stats.n_raw_links += len(source)
+    stats.dropped_foreign_namespace += drop(links.target_namespace != 0)
+    stats.dropped_redirect_source += drop(
+        ~from_article & _take(pages.is_redirect, source, False)
+    )
+    stats.dropped_unknown_source += drop(~from_article)
+    stats.dropped_missing_target += drop(target < 0)
+    stats.dropped_unresolved_redirect += drop(resolved < 0)
+    stats.dropped_self_loop += drop(resolved == source)
 
-    ids = np.fromiter(articles, dtype=np.int64, count=len(articles))
-    ids.sort()
-    src_pos = np.searchsorted(ids, np.array(sources, dtype=np.int64))
-    dst_pos = np.searchsorted(ids, np.array(dests, dtype=np.int64))
-    snapshot = LinkSnapshot(language, month, ids, *_csr(len(ids), src_pos, dst_pos))
+    ids = pages.page_ids[is_article]
+    rank = np.cumsum(is_article) - 1  # an article's row in ids
+    edges = _csr(len(ids), rank[source[alive]], rank[resolved[alive]])
+    snapshot = LinkSnapshot(language, month, ids, *edges)
     stats.n_edges = snapshot.n_edges
-    stats.n_duplicate_links = len(sources) - snapshot.n_edges
+    stats.n_duplicate_links = int(np.count_nonzero(alive)) - snapshot.n_edges
     return snapshot
+
+
+def _final_rows(
+    pages: PageTable, redirects: RedirectTable, stats: BuildStats
+) -> np.ndarray:
+    """The row of the article each page's redirect chain ends at, or -1
+    where the chain dangles or runs into a cycle.
+
+    Pointer jumping: ``hop`` takes each row one step (an article to
+    itself, a redirect to its target, or to the sink row ``n`` if it has
+    none), and each squaring doubles the steps.  After ``2**k > n``
+    steps every chain that ends has reached its end, and every other one
+    is on its cycle, where the steps permute the cycle's members.
+    """
+    n = len(pages)
+    hop = np.arange(n + 1)
+    hop[np.flatnonzero(pages.is_redirect)] = n
+    hop[pages.rows_of(redirects.source_ids)] = pages.rows_of(redirects.target_ids)
+    for _ in range(n.bit_length()):
+        hop = hop[hop]
+    is_article = np.append(~pages.is_redirect, False)
+    cycling = hop[~is_article[hop] & (hop < n)]
+    stats.n_redirect_cycle_members += len(_sorted_unique(cycling))
+    return np.where(is_article[hop], hop, -1)[:n]
 
 
 def orphans(snapshot: LinkSnapshot) -> set[int]:

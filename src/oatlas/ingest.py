@@ -4,25 +4,32 @@ Three kinds of sources are understood:
 
 * MediaWiki SQL dump files (``page.sql``, ``redirect.sql``,
   ``pagelinks.sql``) consisting of ``INSERT INTO `tbl` VALUES
-  (...),(...);`` statements.  :func:`parse_sql_insert_rows` streams
-  typed value tuples out of such a file without ever holding more than
-  a bounded window of it in memory.  A generic tuple loop walks the
-  first row of each statement one value at a time and learns its shape
-  (the type of each value); runs of that shape are then decoded in
-  batches by regexes compiled per shape from the same value grammar,
-  and every row the batch does not take goes back to the generic loop.
+  (...),(...);`` statements.  :func:`read_sql_columns` streams blocks
+  of value columns out of such a file without ever holding more than a
+  bounded window of it in memory.  A generic tuple loop walks the first
+  row of each statement one value at a time and learns its shape (the
+  type of each value); runs of that shape are then decoded in batches
+  by regexes compiled per shape from the same value grammar, and every
+  row the batch does not take goes back to the generic loop.  Strings
+  become codes in a :class:`Titles`, which one language's dumps share,
+  so each distinct title is unescaped and decoded once.
+  :func:`parse_sql_insert_rows` is the same reader as one tuple per row.
 * Tab-separated tables, read by :func:`read_tsv` with one converter
   per column, in blocks of columns of up to ``_TSV_BLOCK_LINES`` lines:
   sitelinks (``qid, language, title``), pageviews (``language, page_id,
   month, referrer_class, views``) and per-article features.
   :class:`SitelinkRecord` and :class:`PageviewRecord` are NamedTuples
   whose fields are their file's columns.
-* The loaders (:func:`load_page_table`, :func:`load_redirects`,
-  :func:`load_sitelinks`, :func:`load_pageviews`) turn streams of rows
-  into indexed, validated tables used by the graph and analysis layers.
-  :class:`PageviewTable` is one sorted int64 key per row next to the
-  view counts; it is built from the column blocks with array masks and
-  answers lookups by binary search, one or many keys at a time.
+* The loaders turn those blocks into indexed, validated tables used by
+  the graph and analysis layers.  :class:`PageTable`,
+  :class:`RedirectTable` and :class:`LinkTable` hold int64 columns,
+  with titles as codes; each checks a block's types once per shape and
+  its values with masks (``_DUMP_COLUMNS``).  :func:`load_page_table`,
+  :func:`load_redirects` and :func:`iter_raw_links` take the same rows
+  one tuple each.  :class:`PageviewTable` is one sorted int64 key per
+  row next to the view counts; it is built from the column blocks with
+  array masks and answers lookups by binary search, one or many keys at
+  a time.  :func:`load_sitelinks` builds the :class:`QidIndex`.
 
 :func:`atomic_file` is how every output file is written: through a temp
 file that replaces the target only once it is complete.
@@ -199,17 +206,48 @@ def _unescape_bytes(raw: bytes) -> bytes:
         i = j + 2
 
 
-def _decode_sql_strings(raws: Iterable[bytes]) -> list[str]:
-    return [
-        _unescape_bytes(raw).decode("utf-8") if b"\\" in raw else raw.decode("utf-8")
-        for raw in raws
-    ]
+class Titles:
+    """The distinct strings of one language's dumps, each decoded once.
+
+    A string's code is its place in ``strings``; code 0 is the empty
+    string.  :meth:`codes` takes quoted dump values as raw bytes and
+    unescapes and decodes each distinct one once; :meth:`encode` takes
+    strings.  Two escapings of one string, such as ``\\"A\\"`` and
+    ``"A"``, get one code.
+    """
+
+    def __init__(self) -> None:
+        self.strings: list[str] = [""]
+        self._by_string: dict[str, int] = {"": 0}
+        self._by_raw: dict[bytes, int] = {b"": 0}
+
+    def __len__(self) -> int:
+        return len(self.strings)
+
+    def encode(self, strings: Sequence[str]) -> list[int]:
+        by_string = self._by_string
+        for string in sorted(set(strings).difference(by_string)):
+            by_string[string] = len(self.strings)
+            self.strings.append(string)
+        return list(map(by_string.__getitem__, strings))
+
+    def codes(self, raws: Sequence[bytes]) -> list[int]:
+        """The codes of raw quoted values; ``ValueError`` if one is not UTF-8."""
+        by_raw = self._by_raw
+        new = sorted(set(raws).difference(by_raw))
+        decoded = [
+            (_unescape_bytes(raw) if b"\\" in raw else raw).decode("utf-8")
+            for raw in new
+        ]
+        by_raw.update(zip(new, self.encode(decoded)))
+        return list(map(by_raw.__getitem__, raws))
 
 
 # The value grammar of both parser paths.  Each type maps to the quote
 # around its value, the value's pattern and the decoder of a column of
-# values.  A float needs a decimal point or an exponent, so ``1`` never
-# becomes ``1.0``; it is listed before int, so that the alternation in
+# values, which takes the :class:`Titles` that strings are coded in.  A
+# float needs a decimal point or an exponent, so ``1`` never becomes
+# ``1.0``; it is listed before int, so that the alternation in
 # ``_VALUE_RE`` tries it first.  Strings are unrolled as
 # ``[^'\\]*(?:\\.[^'\\]*)*``; the per-character alternation
 # ``(?:[^'\\]|\\.)*`` made the regex engine alone cost half the parse.
@@ -217,11 +255,11 @@ _VALUES = {
     float: (
         b"",
         rb"[-+]?[0-9]+(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)",
-        lambda column: list(map(float, column)),
+        lambda _, column: list(map(float, column)),
     ),
-    int: (b"", rb"[-+]?[0-9]+", lambda column: list(map(int, column))),
-    str: (b"'", rb"[^'\\]*(?:\\.[^'\\]*)*", _decode_sql_strings),
-    type(None): (b"", b"NULL", lambda column: [None] * len(column)),
+    int: (b"", rb"[-+]?[0-9]+", lambda _, column: list(map(int, column))),
+    str: (b"'", rb"[^'\\]*(?:\\.[^'\\]*)*", Titles.codes),
+    type(None): (b"", b"NULL", lambda _, column: [None] * len(column)),
 }
 
 
@@ -242,20 +280,23 @@ _VALUE_RE = re.compile(b"|".join(_value_pattern(kind, b"(") for kind in _KINDS))
 
 
 class _RowShape:
-    """Batch reader for rows whose values have the given types.
+    """Batch reader for rows whose values have the types ``kinds``.
 
     ``run(buf, pos)`` matches a comma-separated run of complete rows of
-    this shape; ``rows(buf, start, end)`` decodes exactly such a span.
+    this shape; ``columns(buf, start, end, titles)`` decodes exactly such
+    a span.
     """
 
     def __init__(self, kinds: tuple[type, ...]):
+        self.kinds = kinds
         row = _shape_pattern(kinds, b"(?:")
         self.run = re.compile(row + b"(?:," + row + b")*").match
         self._findall = re.compile(_shape_pattern(kinds, b"(")).findall
         self._decoders = [_VALUES[kind][2] for kind in kinds]
 
-    def rows(self, buf: bytes, start: int, end: int) -> list[tuple]:
-        """Decode the rows in ``buf[start:end]``.
+    def columns(self, buf: bytes, start: int, end: int, titles: Titles) -> list[list]:
+        """Decode the rows in ``buf[start:end]`` into one list per column,
+        strings as their codes in ``titles``.
 
         Raises ``ValueError`` on a value in the grammar that does not
         decode: bytes that are not UTF-8, or an int too long for ``int()``.
@@ -263,7 +304,7 @@ class _RowShape:
         found = self._findall(buf, start, end)
         # findall gives bare groups, not 1-tuples, for one-column rows.
         columns = zip(*found) if len(self._decoders) > 1 else (found,)
-        return list(zip(*(decode(c) for decode, c in zip(self._decoders, columns))))
+        return [decode(titles, c) for decode, c in zip(self._decoders, columns)]
 
 
 _row_shape = functools.lru_cache(maxsize=64)(_RowShape)
@@ -291,6 +332,35 @@ def parse_sql_insert_rows(
 ) -> Iterator[tuple]:
     """Yield typed value tuples from a SQL dump, one per inserted row.
 
+    The tuple view of :func:`read_sql_columns`, with the same grammar,
+    errors and counters: strings are decoded, ints are Python ints of
+    any size.
+    """
+    titles = Titles()
+    string = titles.strings.__getitem__
+    for kinds, columns in read_sql_columns(stream, titles, strict=strict, stats=stats):
+        yield from zip(
+            *(
+                list(map(string, column)) if kind is str else column
+                for kind, column in zip(kinds, columns)
+            )
+        )
+
+
+def read_sql_columns(
+    stream: BinaryIO,
+    titles: Titles,
+    *,
+    strict: bool = False,
+    stats: ParseStats | None = None,
+) -> Iterator[tuple[tuple[type, ...], list[list]]]:
+    """Yield the inserted rows of a SQL dump in blocks of columns.
+
+    A block is ``(kinds, columns)``: the type of each value, the same in
+    every row of the block, and one list per column.  Strings are their
+    codes in ``titles``, so each distinct string in the dump is decoded
+    once; ints are Python ints of any size.
+
     ``stream`` must be a binary file object.  Rows are separated by
     single commas, with whitespace allowed around them.  A row is one or
     more values separated by single commas, with no whitespace.  A value
@@ -306,13 +376,13 @@ def parse_sql_insert_rows(
     the rest of the statement line dropped.
 
     The first row of each statement goes through the generic tuple
-    loop, which walks it one value at a time and learns the row's shape:
-    the type of each value.  From then on each run of complete,
-    comma-separated rows of that shape in the buffer is decoded in one
-    batch.  A row outside the run (another shape, a malformed tuple, a
-    bad value, or a row cut by the end of the buffer) goes back to the
-    generic loop, so errors, offsets and the buffer's high-water mark
-    are the generic loop's.
+    loop, which walks it one value at a time, learns the row's shape
+    (the type of each value) and yields it as a block of one row.  From
+    then on each run of complete, comma-separated rows of that shape in
+    the buffer is decoded and yielded as one block.  A row outside the
+    run (another shape, a malformed tuple, a bad value, or a row cut by
+    the end of the buffer) goes back to the generic loop, so errors,
+    offsets and the buffer's high-water mark are the generic loop's.
     """
     if stats is None:
         stats = ParseStats()
@@ -425,15 +495,15 @@ def parse_sql_insert_rows(
                 if run is not None:
                     end = run.end()
                     try:
-                        batch = shape.rows(buf, pos, end)
+                        batch = shape.columns(buf, pos, end, titles)
                     except ValueError:
                         # The generic loop finds and reports the bad value.
                         generic_until = base + end
                     else:
-                        rows += len(batch)
+                        rows += len(batch[0])
                         pos = end
                         after_row = True
-                        yield from batch
+                        yield shape.kinds, batch
                         continue
             t = tuple_match(buf, pos)
             if t is None:
@@ -457,109 +527,330 @@ def parse_sql_insert_rows(
             else:
                 shape = _row_shape(tuple(kinds))
                 try:
-                    (values,) = shape.rows(buf, pos, t.end())
+                    values = shape.columns(buf, pos, t.end(), titles)
                 except ValueError as exc:
                     fail(base + pos, f"bad value in tuple: {exc}")
             pos = t.end()
             after_row = True
             if values is not None:
                 rows += 1
-                yield values
+                yield shape.kinds, values
 
 
 # The leading columns of each dump table that its loader reads, and the
-# check on their values.  Extra columns are ignored.
+# mask of the rows whose values are good, over those columns as int64
+# arrays with each title as its code (0 for the empty title).  Extra
+# columns are ignored.
 _DUMP_COLUMNS = {
     # (page_id, page_namespace, page_title, page_is_redirect)
-    "page": ((int, int, str, int), lambda r: r[0] > 0 and r[2] and r[3] in (0, 1)),
+    "page": (
+        (int, int, str, int),
+        lambda c: (c[0] > 0) & (c[2] != 0) & ((c[3] == 0) | (c[3] == 1)),
+    ),
     # (rd_from, rd_namespace, rd_title)
-    "redirect": ((int, int, str), lambda r: r[2]),
+    "redirect": ((int, int, str), lambda c: c[2] != 0),
     # (pl_from, pl_namespace, pl_title, pl_from_namespace)
-    "pagelinks": ((int, int, str, int), lambda r: True),
+    "pagelinks": ((int, int, str, int), lambda c: np.ones(len(c[0]), dtype=bool)),
 }
+# Rows gathered as Python lists before they become arrays.  Blocks are
+# short where a dump's row shapes alternate (a NULL in a column the
+# loader ignores starts a new shape), so arrays are made per gathering,
+# not per block: enough rows to make the per-array cost small, few
+# enough to keep the lists small.
+_GATHER_ROWS = 8192
+_INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
+
+Block = tuple[tuple[type, ...], list[list]]
 
 
-def _dump_rows(
-    table: str, rows: Iterable[tuple], strict: bool, stats: ParseStats | None
-) -> Iterator[tuple]:
-    """Yield the rows whose leading columns have ``table``'s types and values.
+def _int64_arrays(columns: list[list]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Columns of Python ints as int64 arrays, and the mask of the rows
+    whose ints all fit (the others hold 0 in the arrays)."""
+    fits = np.ones(len(columns[0]), dtype=bool)
+    arrays = []
+    for column in columns:
+        try:
+            arrays.append(np.array(column, dtype=np.int64))
+        except OverflowError:
+            inside = [_INT64_MIN <= value < _INT64_END for value in column]
+            fits &= inside
+            column = [value if ok else 0 for value, ok in zip(column, inside)]
+            arrays.append(np.array(column, dtype=np.int64))
+    return arrays, fits
 
-    Strict mode raises :class:`InvalidRecordError` naming the table and
-    any other row; lenient mode counts it in ``stats.skipped``.
+
+def _row(
+    kinds: Sequence[type], columns: Sequence[Sequence], i: int, titles: Titles
+) -> tuple:
+    """Row ``i`` of a block, its strings decoded."""
+    strings = titles.strings
+    return tuple(
+        strings[column[i]] if kind is str else column[i]
+        for kind, column in zip(kinds, columns)
+    )
+
+
+def _dump_columns(
+    table: str,
+    blocks: Iterable[Block],
+    titles: Titles,
+    strict: bool,
+    stats: ParseStats | None,
+) -> tuple[list[np.ndarray], Exception | None]:
+    """The leading columns of ``table``'s good rows, as int64 arrays.
+
+    Each block's types are checked once per shape, and its values by
+    the table's mask and the int64 range.  Lenient mode counts every
+    other row in ``stats.skipped``.  Strict mode stops at the first bad
+    row, or at the parser's first error, and returns the rows before it
+    with the :class:`InvalidRecordError` or :class:`SqlDumpError` to
+    raise once the caller has checked those rows.
     """
-    kinds, valid = _DUMP_COLUMNS[table]
+    if stats is None:
+        stats = ParseStats()
+    kinds, good_rows = _DUMP_COLUMNS[table]
     width = len(kinds)
-    for row in rows:
-        if len(row) >= width and all(map(isinstance, row, kinds)) and valid(row):
-            yield row
-        elif strict:
-            raise InvalidRecordError(f"bad {table} row {row!r}")
-        elif stats is not None:
-            stats.skipped += 1
+    fitting: dict[tuple, bool] = {}
+    gathered: list[list] = [[] for _ in kinds]
+    chunks = [[_EMPTY] * width]
+
+    def flush() -> InvalidRecordError | None:
+        arrays, good = _int64_arrays(gathered)
+        good &= good_rows(arrays)
+        (bad,) = np.nonzero(~good)
+        error = None
+        if strict and len(bad):
+            row = _row(kinds, gathered, bad[0], titles)
+            error = InvalidRecordError(f"bad {table} row {row!r}")
+            good[bad[0] :] = False
+        else:
+            stats.skipped += len(bad)
+        chunks.append([array[good] for array in arrays])
+        for column in gathered:
+            column.clear()
+        return error
+
+    error = None
+    try:
+        for shape, columns in blocks:
+            fits = fitting.get(shape)
+            if fits is None:
+                fits = fitting[shape] = shape[:width] == kinds
+            if fits:
+                for column, values in zip(gathered, columns):
+                    column += values
+                if len(gathered[0]) >= _GATHER_ROWS and (error := flush()):
+                    break
+            elif strict:
+                row = _row(shape, columns, 0, titles)
+                error = InvalidRecordError(f"bad {table} row {row!r}")
+                break
+            else:
+                stats.skipped += len(columns[0])
+    except SqlDumpError as exc:  # raised only in strict mode
+        error = exc
+    # A bad row before the error goes first.
+    error = flush() or error
+    return [np.concatenate(chunk) for chunk in zip(*chunks)], error
 
 
-@dataclass
+def _row_blocks(rows: Iterable[tuple], titles: Titles) -> Iterator[Block]:
+    """Rows as blocks of columns: one per run of rows of one length whose
+    columns each hold one type, else one per row."""
+    for _, run in itertools.groupby(rows, len):
+        columns = list(zip(*run))
+        kinds = [set(map(type, column)) for column in columns]
+        if all(len(kind) == 1 for kind in kinds):
+            yield _coded(tuple(kind.pop() for kind in kinds), columns, titles)
+        else:
+            for row in zip(*columns):
+                yield _coded(tuple(map(type, row)), [(value,) for value in row], titles)
+
+
+def _coded(kinds: tuple[type, ...], columns: list[tuple], titles: Titles) -> Block:
+    return kinds, [
+        titles.encode(column) if kind is str else list(column)
+        for kind, column in zip(kinds, columns)
+    ]
+
+
+def _take(values: np.ndarray, rows: np.ndarray, missing: object) -> np.ndarray:
+    """``values[rows]``, with ``missing`` where a row is -1."""
+    return np.append(values, missing)[rows]
+
+
+def _next_equal(keys: np.ndarray) -> np.ndarray:
+    """For each row, the next row holding the same key, or ``len(keys)``."""
+    order = np.argsort(keys, kind="stable")
+    following = np.full(len(keys), len(keys))
+    same = keys[order[1:]] == keys[order[:-1]]
+    following[order[:-1][same]] = order[1:][same]
+    return following
+
+
+@dataclass(eq=False)  # arrays have no single truth value
 class PageTable:
-    """Namespace-0 slice of a wiki's ``page`` table, indexed both ways."""
+    """Namespace-0 slice of a wiki's ``page`` table, one row per page.
 
-    by_id: dict[int, PageRecord]
-    id_by_title: dict[str, int]
+    Rows are sorted by page id, and titles are codes in ``titles``.
+    :attr:`by_id` and :attr:`id_by_title` are dict views, built on
+    first use.
+    """
+
+    titles: Titles
+    page_ids: np.ndarray
+    title_codes: np.ndarray
+    is_redirect: np.ndarray
     n_foreign_namespace: int = 0
     n_duplicates: int = 0
 
+    @classmethod
+    def from_blocks(
+        cls,
+        blocks: Iterable[Block],
+        titles: Titles,
+        *,
+        strict: bool = False,
+        stats: ParseStats | None = None,
+    ) -> PageTable:
+        """Index ``page`` rows ``(page_id, namespace, title, is_redirect, ...)``.
+
+        Only namespace-0 rows are kept.  A page id or title seen before
+        aborts in strict mode; in lenient mode the later row wins, and
+        the row that held the id or the title before is removed.
+        """
+        columns, error = _dump_columns("page", blocks, titles, strict, stats)
+        page_id, namespace, code, redirect = columns
+        main = namespace == 0
+        page_id, code, redirect = page_id[main], code[main], redirect[main]
+        # A row lives until the next row with its id or its title.  Each
+        # row that ends one or more rows counts as one duplicate.
+        n = len(page_id)
+        ended_by = np.minimum(_next_equal(page_id), _next_equal(code))
+        duplicates = np.flatnonzero(np.bincount(ended_by, minlength=n + 1)[:n])
+        if strict and len(duplicates):
+            i = duplicates[0]
+            row = (int(page_id[i]), 0, titles.strings[code[i]], int(redirect[i]))
+            raise DuplicateKeyError(f"duplicate page row {row!r}")
+        if error is not None:
+            raise error
+        live = ended_by == n
+        order = np.argsort(page_id[live])
+        return cls(
+            titles,
+            page_id[live][order],
+            code[live][order],
+            redirect[live][order] == 1,
+            n_foreign_namespace=int(np.count_nonzero(~main)),
+            n_duplicates=len(duplicates),
+        )
+
     def __len__(self) -> int:
-        return len(self.by_id)
+        return len(self.page_ids)
+
+    def title_list(self) -> list[str]:
+        """Each row's title."""
+        return list(map(self.titles.strings.__getitem__, self.title_codes.tolist()))
+
+    @functools.cached_property
+    def by_id(self) -> dict[int, PageRecord]:
+        rows = zip(self.page_ids.tolist(), self.title_list(), self.is_redirect.tolist())
+        return {page_id: PageRecord(page_id, 0, *rest) for page_id, *rest in rows}
+
+    @functools.cached_property
+    def id_by_title(self) -> dict[str, int]:
+        return dict(zip(self.title_list(), self.page_ids.tolist()))
 
     def article_ids(self) -> set[int]:
-        return {pid for pid, rec in self.by_id.items() if not rec.is_redirect}
+        return set(self.page_ids[~self.is_redirect].tolist())
+
+    def rows_of(self, page_ids: np.ndarray) -> np.ndarray:
+        """The row of each page id, -1 for an id not in the table."""
+        if not len(self.page_ids):
+            return np.full(len(page_ids), -1)
+        ids = self.page_ids
+        at = np.minimum(np.searchsorted(ids, page_ids), len(ids) - 1)
+        return np.where(ids[at] == page_ids, at, -1)
+
+    def row_of_code(self) -> np.ndarray:
+        """The row of the page holding each title code, -1 where none does."""
+        rows = np.full(len(self.titles), -1)
+        rows[self.title_codes] = np.arange(len(self.page_ids))
+        return rows
 
 
 def load_page_table(
     rows: Iterable[tuple], *, strict: bool = False, stats: ParseStats | None = None
 ) -> PageTable:
-    """Index ``page`` rows ``(page_id, namespace, title, is_redirect, ...)``.
-
-    Only namespace-0 rows are kept.  Extra columns are ignored.  A
-    duplicate page id or title aborts in strict mode; in lenient mode
-    the later row wins and the stale entry is removed.
-    """
-    table = PageTable(by_id={}, id_by_title={})
-    by_id = table.by_id
-    id_by_title = table.id_by_title
-    for row in _dump_rows("page", rows, strict, stats):
-        if row[1] != 0:
-            table.n_foreign_namespace += 1
-            continue
-        rec = PageRecord(row[0], 0, row[2], bool(row[3]))
-        old = by_id.get(rec.page_id)
-        clash = id_by_title.get(rec.title)
-        if old is not None or (clash is not None and clash != rec.page_id):
-            if strict:
-                raise DuplicateKeyError(f"duplicate page row {row!r}")
-            table.n_duplicates += 1
-            if old is not None:
-                id_by_title.pop(old.title, None)
-            if clash is not None and clash != rec.page_id:
-                by_id.pop(clash, None)
-        by_id[rec.page_id] = rec
-        id_by_title[rec.title] = rec.page_id
-    return table
+    """:meth:`PageTable.from_blocks` over rows given one tuple each."""
+    titles = Titles()
+    return PageTable.from_blocks(
+        _row_blocks(rows, titles), titles, strict=strict, stats=stats
+    )
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no single truth value
 class RedirectTable:
-    """Single-hop redirect targets, already joined against the page table."""
+    """Single-hop redirect targets, already joined against the page table.
 
-    targets: dict[int, int]
+    ``source_ids`` are the redirect pages' ids, sorted, and
+    ``target_ids`` their targets' page ids.  :attr:`targets` is the
+    dict view, built on first use.
+    """
+
+    source_ids: np.ndarray
+    target_ids: np.ndarray
     dropped_missing_target: int = 0
     dropped_bad_source: int = 0
+
+    @classmethod
+    def from_blocks(
+        cls,
+        blocks: Iterable[Block],
+        pages: PageTable,
+        *,
+        strict: bool = False,
+        stats: ParseStats | None = None,
+    ) -> RedirectTable:
+        """Join ``redirect`` rows ``(rd_from, rd_namespace, rd_title, ...)``.
+
+        The result maps redirect page id to target page id, one hop only;
+        the last row of a source wins.  Rows whose source is not a
+        namespace-0 redirect page are dropped and counted, and then so
+        are rows whose target is outside namespace 0 or names a missing
+        title.
+        """
+        columns, error = _dump_columns("redirect", blocks, pages.titles, strict, stats)
+        if error is not None:
+            raise error
+        source, namespace, code = columns
+        bad_source = ~_take(pages.is_redirect, pages.rows_of(source), False)
+        target = pages.row_of_code()[code]
+        missing = ~bad_source & ((namespace != 0) | (target < 0))
+        kept = ~bad_source & ~missing
+        # Reversed, so that a stable sort puts each source's last row first.
+        source = source[kept][::-1]
+        target = pages.page_ids[target[kept]][::-1]
+        order = np.argsort(source, kind="stable")
+        source, target = source[order], target[order]
+        first = np.diff(source, prepend=source[:1] - 1) != 0
+        return cls(
+            source[first],
+            target[first],
+            dropped_missing_target=int(np.count_nonzero(missing)),
+            dropped_bad_source=int(np.count_nonzero(bad_source)),
+        )
 
     @property
     def n_dropped(self) -> int:
         return self.dropped_missing_target + self.dropped_bad_source
 
     def __len__(self) -> int:
-        return len(self.targets)
+        return len(self.source_ids)
+
+    @functools.cached_property
+    def targets(self) -> dict[int, int]:
+        return dict(zip(self.source_ids.tolist(), self.target_ids.tolist()))
 
 
 def load_redirects(
@@ -569,43 +860,69 @@ def load_redirects(
     strict: bool = False,
     stats: ParseStats | None = None,
 ) -> RedirectTable:
-    """Join ``redirect`` rows ``(rd_from, rd_namespace, rd_title, ...)``.
+    """:meth:`RedirectTable.from_blocks` over rows given one tuple each."""
+    return RedirectTable.from_blocks(
+        _row_blocks(rows, pages.titles), pages, strict=strict, stats=stats
+    )
 
-    The result maps redirect page id to target page id, one hop only.
-    Rows whose target is outside namespace 0 or names a missing title
-    are dropped and counted, as are rows whose source is not a
-    namespace-0 redirect page.
-    """
-    table = RedirectTable(targets={})
-    for row in _dump_rows("redirect", rows, strict, stats):
-        from_id, target_ns, target_title = row[0], row[1], row[2]
-        source = pages.by_id.get(from_id)
-        if source is None or not source.is_redirect:
-            table.dropped_bad_source += 1
-            continue
-        if target_ns != 0:
-            table.dropped_missing_target += 1
-            continue
-        target_id = pages.id_by_title.get(target_title)
-        if target_id is None:
-            table.dropped_missing_target += 1
-            continue
-        table.targets[from_id] = target_id
-    return table
+
+@dataclass(eq=False)  # arrays have no single truth value
+class LinkTable:
+    """The ``pagelinks`` rows from namespace 0, as columns: the source
+    page id, the target namespace and the target title's code."""
+
+    from_page_id: np.ndarray
+    target_namespace: np.ndarray
+    target_code: np.ndarray
+
+    @classmethod
+    def from_blocks(
+        cls,
+        blocks: Iterable[Block],
+        titles: Titles,
+        *,
+        strict: bool = False,
+        stats: ParseStats | None = None,
+    ) -> LinkTable:
+        """Read ``pagelinks`` rows ``(pl_from, pl_namespace, pl_title,
+        pl_from_namespace)``.
+
+        Rows originating outside namespace 0 are dropped here; target
+        namespace filtering is left to the graph builder, which counts it.
+        """
+        columns, error = _dump_columns("pagelinks", blocks, titles, strict, stats)
+        if error is not None:
+            raise error
+        source, namespace, code, from_namespace = columns
+        main = from_namespace == 0
+        return cls(source[main], namespace[main], code[main])
+
+    @classmethod
+    def from_raw_links(cls, links: Iterable[RawLink], titles: Titles) -> LinkTable:
+        """The columns of :class:`RawLink` values, titles coded in ``titles``."""
+        source, namespace, title = list(zip(*links)) or ((), (), ())
+        return cls(
+            np.array(source, dtype=np.int64),
+            np.array(namespace, dtype=np.int64),
+            np.array(titles.encode(title), dtype=np.int64),
+        )
 
 
 def iter_raw_links(
     rows: Iterable[tuple], *, strict: bool = False, stats: ParseStats | None = None
 ) -> Iterator[RawLink]:
-    """Adapt ``pagelinks`` rows ``(pl_from, pl_namespace, pl_title,
-    pl_from_namespace)`` into :class:`RawLink` values.
-
-    Rows originating outside namespace 0 are dropped here; target
-    namespace filtering is left to the graph builder, which counts it.
-    """
-    for row in _dump_rows("pagelinks", rows, strict, stats):
-        if row[3] == 0:
-            yield RawLink(row[0], row[1], row[2])
+    """:meth:`LinkTable.from_blocks` over rows given one tuple each, as
+    :class:`RawLink` values."""
+    titles = Titles()
+    links = LinkTable.from_blocks(
+        _row_blocks(rows, titles), titles, strict=strict, stats=stats
+    )
+    yield from map(
+        RawLink,
+        links.from_page_id.tolist(),
+        links.target_namespace.tolist(),
+        map(titles.strings.__getitem__, links.target_code.tolist()),
+    )
 
 
 class QidIndex:

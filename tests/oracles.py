@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from oatlas.candidates import AnnotatedDocument, CandidateLink
@@ -34,6 +35,7 @@ from oatlas.ingest import (
     DuplicateKeyError,
     FeatureRecord,
     InvalidRecordError,
+    PageRecord,
     PageTable,
     PageviewRecord,
     PageviewTable,
@@ -93,6 +95,172 @@ def kept_links_oracle(
             continue
         edges.append((link.from_page_id, target_id))
     return edges
+
+
+# The dump loaders and the snapshot build one row and one link at a time,
+# as the program had them before it read dumps in blocks of columns.  The
+# one change is the int64 range, which the program now checks for every
+# int a loader reads.
+_DUMP_COLUMNS_ORACLE = {
+    "page": ((int, int, str, int), lambda r: r[0] > 0 and r[2] and r[3] in (0, 1)),
+    "redirect": ((int, int, str), lambda r: r[2]),
+    "pagelinks": ((int, int, str, int), lambda r: True),
+}
+
+
+def _dump_rows_oracle(table, rows, strict, stats):
+    kinds, valid = _DUMP_COLUMNS_ORACLE[table]
+    width = len(kinds)
+    for row in rows:
+        if (
+            len(row) >= width
+            and all(map(isinstance, row, kinds))
+            and all(-(2**63) <= v < 2**63 for v in row[:width] if isinstance(v, int))
+            and valid(row)
+        ):
+            yield row
+        elif strict:
+            raise InvalidRecordError(f"bad {table} row {row!r}")
+        elif stats is not None:
+            stats.skipped += 1
+
+
+@dataclass
+class PageTableOracle:
+    by_id: dict[int, PageRecord] = field(default_factory=dict)
+    id_by_title: dict[str, int] = field(default_factory=dict)
+    n_foreign_namespace: int = 0
+    n_duplicates: int = 0
+
+
+def load_page_table_oracle(rows, *, strict=False, stats=None) -> PageTableOracle:
+    """Namespace-0 pages; on a clash of id or title the later row wins
+    and the stale entry is removed."""
+    table = PageTableOracle()
+    by_id, id_by_title = table.by_id, table.id_by_title
+    for row in _dump_rows_oracle("page", rows, strict, stats):
+        if row[1] != 0:
+            table.n_foreign_namespace += 1
+            continue
+        rec = PageRecord(row[0], 0, row[2], bool(row[3]))
+        old = by_id.get(rec.page_id)
+        clash = id_by_title.get(rec.title)
+        if old is not None or (clash is not None and clash != rec.page_id):
+            if strict:
+                raise DuplicateKeyError(f"duplicate page row {row!r}")
+            table.n_duplicates += 1
+            if old is not None:
+                id_by_title.pop(old.title, None)
+            if clash is not None and clash != rec.page_id:
+                by_id.pop(clash, None)
+        by_id[rec.page_id] = rec
+        id_by_title[rec.title] = rec.page_id
+    return table
+
+
+@dataclass
+class RedirectTableOracle:
+    targets: dict[int, int] = field(default_factory=dict)
+    dropped_missing_target: int = 0
+    dropped_bad_source: int = 0
+
+
+def load_redirects_oracle(rows, pages, *, strict=False, stats=None):
+    table = RedirectTableOracle()
+    for row in _dump_rows_oracle("redirect", rows, strict, stats):
+        from_id, target_ns, target_title = row[0], row[1], row[2]
+        source = pages.by_id.get(from_id)
+        if source is None or not source.is_redirect:
+            table.dropped_bad_source += 1
+            continue
+        target_id = pages.id_by_title.get(target_title) if target_ns == 0 else None
+        if target_id is None:
+            table.dropped_missing_target += 1
+            continue
+        table.targets[from_id] = target_id
+    return table
+
+
+def iter_raw_links_oracle(rows, *, strict=False, stats=None) -> Iterator[RawLink]:
+    for row in _dump_rows_oracle("pagelinks", rows, strict, stats):
+        if row[3] == 0:
+            yield RawLink(row[0], row[1], row[2])
+
+
+def build_snapshot_oracle(pages, redirects, links, *, language, month, stats):
+    """The snapshot and its drop counters, one link at a time; redirect
+    chains are followed hop by hop and memoized per link."""
+    articles = {pid for pid, rec in pages.by_id.items() if not rec.is_redirect}
+    resolved: dict[int, int | None] = {}
+
+    def resolve(start: int) -> int | None:
+        chain, seen, cur = [], set(), start
+        while True:
+            if cur in resolved:
+                final = resolved[cur]
+                break
+            if cur in articles:
+                final = cur
+                break
+            if cur in seen:
+                final = None
+                stats.n_redirect_cycle_members += len(seen)
+                break
+            seen.add(cur)
+            chain.append(cur)
+            cur = redirects.targets.get(cur)
+            if cur is None:
+                final = None
+                break
+        for node in chain:
+            resolved[node] = final
+        return final
+
+    kept = []
+    for link in links:
+        stats.n_raw_links += 1
+        if link.target_namespace != 0:
+            stats.dropped_foreign_namespace += 1
+            continue
+        source = link.from_page_id
+        if source not in articles:
+            rec = pages.by_id.get(source)
+            if rec is not None and rec.is_redirect:
+                stats.dropped_redirect_source += 1
+            else:
+                stats.dropped_unknown_source += 1
+            continue
+        target = pages.id_by_title.get(link.target_title)
+        if target is None:
+            stats.dropped_missing_target += 1
+            continue
+        if target not in articles:
+            target = resolve(target)
+            if target is None:
+                stats.dropped_unresolved_redirect += 1
+                continue
+        if target == source:
+            stats.dropped_self_loop += 1
+            continue
+        kept.append((source, target))
+    snapshot = LinkSnapshot.from_edges(language, month, articles, kept)
+    stats.n_edges = snapshot.n_edges
+    stats.n_duplicate_links = len(kept) - snapshot.n_edges
+    return snapshot
+
+
+def redirect_cycle_members_oracle(targets: Mapping[int, int]) -> int:
+    """Redirect pages whose hops lead back to themselves."""
+    members = 0
+    for start, page in targets.items():
+        for _ in range(len(targets)):
+            if page == start:
+                members += 1
+                break
+            if page not in targets:
+                break
+            page = targets[page]
+    return members
 
 
 def orphans_oracle(articles: set[int], edges: set[tuple[int, int]]) -> set[int]:

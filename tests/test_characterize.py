@@ -93,6 +93,21 @@ def test_build_feature_table_columns():
     assert columns["high_quality"] == {1: True, 2: False, 3: False, 4: True}
 
 
+def test_feature_tables_compare_by_their_arrays():
+    records = [
+        _record(1, bot=True, topics={"stem": 0.9}, quality=0.9, created=100),
+        _record(2, woman=True, quality=0.1, created=200),
+        _record(3, quality=0.5, created=300),
+    ]
+    table = build_feature_table(records, "aa")
+    assert table == build_feature_table(records, "aa")
+    flipped = build_feature_table(records, "aa")
+    flipped.flags[0, 0] = ~flipped.flags[0, 0]
+    assert table != flipped
+    assert table != build_feature_table(records[:2], "aa")
+    assert table != build_feature_table([], "aa")
+
+
 def test_build_feature_table_respects_article_filter():
     records = [_record(1), _record(2), _record(3)]
     table = build_feature_table(records, "aa", articles={1, 3})

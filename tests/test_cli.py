@@ -749,6 +749,50 @@ def test_a_dump_error_names_its_file(golden_root, tmp_path, capsys, name, damage
     assert err.startswith(f"data error: {path}: ") and detail in err
 
 
+_BEYOND_INT64 = 99999999999999999999
+
+
+@pytest.mark.parametrize(
+    "name, row",
+    [
+        ("page.sql", f"({_BEYOND_INT64},0,'Huge',0)"),
+        ("redirect.sql", f"({_BEYOND_INT64},0,'A_Home')"),
+        ("pagelinks.sql", f"({_BEYOND_INT64},0,'A_Home',0)"),
+    ],
+)
+def test_an_id_beyond_int64_is_a_bad_row(
+    golden_root, pipeline, tmp_path, capsys, name, row
+):
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    month_dir = data / "aa" / "2022-11"
+    table = name.removesuffix(".sql")
+    with (month_dir / name).open("a", encoding="utf-8") as handle:
+        handle.write(f"INSERT INTO `{table}` VALUES {row};\n")
+    with (month_dir / "pagelinks.sql").open("a", encoding="utf-8") as handle:
+        handle.write("INSERT INTO `pagelinks` VALUES (1,0,'Huge',0);\n")
+    out = tmp_path / "out"
+    args = ("ingest", "--data", str(data), "--months", MONTHS)
+    assert _run(*args, "--out", str(out)) == EXIT_OK
+    month = json.loads((out / "manifest.json").read_text())["languages"]["aa"]
+    golden = json.loads((pipeline / "manifest.json").read_text())["languages"]["aa"]
+    month, golden = month["months"]["2022-11"], golden["months"]["2022-11"]
+    assert month["skipped_rows"] == golden["skipped_rows"] + 1
+    assert (month["n_articles"], month["n_edges"]) == (
+        golden["n_articles"],
+        golden["n_edges"],
+    )
+    # The link to the skipped page names a missing title.
+    missing = month["dropped_links"]["missing_target"]
+    assert missing == golden["dropped_links"]["missing_target"] + 1
+
+    capsys.readouterr()
+    assert _run(*args, "--out", str(tmp_path / "out2"), "--strict") == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    path = month_dir / name
+    assert err.startswith(f"data error: {path}: bad {table} row ({_BEYOND_INT64}, 0, ")
+
+
 def test_a_missing_month_is_logged_by_the_parent(golden_root, tmp_path, caplog):
     data = tmp_path / "data"
     shutil.copytree(golden_root, data)

@@ -8,7 +8,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oatlas import fixtures
@@ -28,15 +28,35 @@ from oatlas.graph import (
     orphanizing_events,
     orphans,
 )
-from oatlas.ingest import iter_raw_links, load_page_table, load_redirects
+from oatlas.ingest import (
+    DuplicateKeyError,
+    InvalidRecordError,
+    LinkTable,
+    PageTable,
+    ParseStats,
+    RedirectTable,
+    SqlDumpError,
+    Titles,
+    escape_sql_string,
+    iter_raw_links,
+    load_page_table,
+    load_redirects,
+    parse_sql_insert_rows,
+    read_sql_columns,
+)
 
 from .oracles import (
+    build_snapshot_oracle,
     deadends_oracle,
     deorph_events_oracle,
     edges_oracle,
+    iter_raw_links_oracle,
     kept_links_oracle,
+    load_page_table_oracle,
+    load_redirects_oracle,
     orphanizing_oracle,
     orphans_oracle,
+    redirect_cycle_members_oracle,
 )
 
 
@@ -141,6 +161,142 @@ def test_build_snapshot_matches_oracle_on_random_wikis():
         assert orphans(snap) == orphans_oracle(articles, edges)
         assert deadends(snap) == deadends_oracle(articles, edges)
         snap.validate()
+
+
+# Worlds for the array build: few ids and titles, so that duplicate ids
+# and titles, redirect chains, cycles, chains into cycles, dangling
+# redirects and self-loops are common.  '"A"' is written with its quotes
+# escaped or not, two spellings of one title.  Ids of 0 or below, beyond
+# int64, empty or NULL titles and redirect flags of 2 make bad rows.
+_WORLD_TITLES = ["A", "B", "C", "D", '"A"', "Ä_ö", "O'x"]
+_WORLD_ID = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8] * 4 + [0, -2, 2**70])
+_WORLD_NS = st.sampled_from([0, 0, 0, 0, 1])
+_WORLD_TITLE = st.sampled_from(_WORLD_TITLES * 4 + ["", "Missing", None])
+_WORLD_FLAG = st.sampled_from([0, 0, 1, 1, 2])
+
+
+def _world_value(value, escape_quotes):
+    if value is None:
+        return "NULL"
+    if isinstance(value, str):
+        text = escape_sql_string(value)
+        return "'" + (text if escape_quotes else text.replace('\\"', '"')) + "'"
+    return str(value)
+
+
+@st.composite
+def _world(draw):
+    """The three dump files of one language-month, as bytes."""
+    title, ns = _WORLD_TITLE, _WORLD_NS
+    rows = {
+        "page": st.lists(st.tuples(_WORLD_ID, ns, title, _WORLD_FLAG), max_size=14),
+        "redirect": st.lists(st.tuples(_WORLD_ID, ns, title), max_size=10),
+        "pagelinks": st.lists(st.tuples(_WORLD_ID, ns, title, ns), max_size=30),
+    }
+    where = st.tuples(st.sampled_from(list(rows)), st.integers(0, 30))
+    malformed = draw(st.none() | where)
+    dumps = {}
+    for table, table_rows in rows.items():
+        tuples = [
+            "(" + ",".join(_world_value(v, draw(st.booleans())) for v in row) + ")"
+            for row in draw(table_rows)
+        ]
+        if malformed is not None and malformed[0] == table:
+            tuples.insert(malformed[1], "(1,oops)")
+        n = draw(st.integers(1, 12))
+        dumps[table] = "".join(
+            f"INSERT INTO `{table}` VALUES " + ",".join(tuples[i : i + n]) + ";\n"
+            for i in range(0, len(tuples), n)
+        ).encode("utf-8")
+    return dumps
+
+
+def _array_build(dumps, strict):
+    titles = Titles()
+    parse = {table: ParseStats() for table in dumps}
+
+    def load(table, loader, *args):
+        stats = parse[table]
+        blocks = read_sql_columns(
+            io.BytesIO(dumps[table]), titles, strict=strict, stats=stats
+        )
+        return loader(blocks, *args, strict=strict, stats=stats)
+
+    pages = load("page", PageTable.from_blocks, titles)
+    redirects = load("redirect", RedirectTable.from_blocks, pages)
+    links = load("pagelinks", LinkTable.from_blocks, titles)
+    stats = BuildStats()
+    snapshot = build_snapshot(
+        pages, redirects, links, language="xx", month="2022-11", stats=stats
+    )
+    return snapshot, stats, pages, redirects, parse
+
+
+def _oracle_build(dumps, strict):
+    parse = {table: ParseStats() for table in dumps}
+
+    def load(table, loader, *args):
+        stats = parse[table]
+        dump = io.BytesIO(dumps[table])
+        rows = parse_sql_insert_rows(dump, strict=strict, stats=stats)
+        return loader(rows, *args, strict=strict, stats=stats)
+
+    pages = load("page", load_page_table_oracle)
+    redirects = load("redirect", load_redirects_oracle, pages)
+    links = load("pagelinks", iter_raw_links_oracle)
+    stats = BuildStats()
+    snapshot = build_snapshot_oracle(
+        pages, redirects, links, language="xx", month="2022-11", stats=stats
+    )
+    return snapshot, stats, pages, redirects, parse
+
+
+def _outcome(build, dumps, strict):
+    """What a build yields, or the type and message of the error it raises."""
+    try:
+        snapshot, stats, pages, redirects, parse = build(dumps, strict)
+    except (SqlDumpError, InvalidRecordError, DuplicateKeyError) as exc:
+        return type(exc).__name__, str(exc)
+    counters = vars(stats).copy()
+    counters.pop("n_redirect_cycle_members")
+    return (
+        snapshot,
+        counters,
+        (pages.by_id, pages.n_foreign_namespace, pages.n_duplicates),
+        redirects.targets,
+        (redirects.dropped_missing_target, redirects.dropped_bad_source),
+        {table: (s.rows, s.skipped, s.errors) for table, s in parse.items()},
+    )
+
+
+@settings(max_examples=300)
+@given(dumps=_world())
+@example(
+    # A two-hop chain whose first hop is a source's second row, a cycle,
+    # a chain into that cycle, a dangling redirect, a duplicate id and
+    # title, foreign namespaces, self-loops, and two spellings of '"A"'
+    # that make one link twice.
+    dumps={
+        "page": b"INSERT INTO `page` VALUES (1,0,'A',0),(2,0,'B',1),(3,0,'C',1),"
+        b"(4,0,'D',1),(5,0,'E',1),(6,0,'F',1),(7,0,'G',1),(8,0,'\\\"A\\\"',0),"
+        b"(9,0,'X',0),(9,0,'H',0),(10,4,'A',0),(11,0,'G',0),(12,0,'J',1);\n",
+        "redirect": b"INSERT INTO `redirect` VALUES (2,0,'A'),(2,0,'C'),(3,0,'A'),"
+        b"(4,0,'E'),(5,0,'D'),(6,0,'D'),(7,0,'A');\n",
+        "pagelinks": b"INSERT INTO `pagelinks` VALUES (1,0,'C',0),(1,0,'F',0),"
+        b"(1,0,'G',0),(1,0,'A',0),(1,0,'\"A\"',0),(8,0,'\\\"A\\\"',0),(9,0,'B',0),"
+        b"(9,0,'C',0),(9,0,'A',4),(9,4,'A',0),(3,0,'A',0),(13,0,'A',0),(1,0,'Z',0),"
+        b"(1,0,'\\\"A\\\"',0),(1,0,'J',0);\n",
+    }
+)
+def test_the_array_build_matches_the_per_row_oracle(dumps):
+    for strict in (False, True):
+        built = _outcome(_array_build, dumps, strict)
+        assert built == _outcome(_oracle_build, dumps, strict)
+    # The oracle counts cycle members in link order; the rule is another.
+    _, stats, _, redirects, _ = _array_build(dumps, strict=False)
+    assert stats.n_redirect_cycle_members == redirect_cycle_members_oracle(
+        redirects.targets
+    )
 
 
 def test_container_round_trip(tmp_path):

@@ -25,6 +25,7 @@ from oatlas.ingest import (
     ParseStats,
     QidIndex,
     SqlDumpError,
+    Titles,
     TsvFormatError,
     escape_sql_string,
     iter_raw_links,
@@ -268,6 +269,74 @@ def test_malformed_tuple_mid_statement_is_reported_at_its_offset(rows, bad, data
     with pytest.raises(SqlDumpError) as info:
         _parse(dump, strict=True)
     assert info.value.offset == offset
+
+
+def _until_error(items):
+    """The items an iterator yields, and the offset of the SqlDumpError
+    that ends it, or None."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except SqlDumpError as exc:
+        return out, exc.offset
+    return out, None
+
+
+def _column_view(data, titles, **kwargs):
+    """The rows of ``read_sql_columns``, each block checked for one shape
+    of equal columns, strings decoded through ``titles``."""
+    blocks, offset = _until_error(
+        ingest.read_sql_columns(io.BytesIO(data), titles, **kwargs)
+    )
+    rows = []
+    for kinds, columns in blocks:
+        assert len(kinds) == len(columns)
+        assert len({len(column) for column in columns}) == 1
+        for kind, column in zip(kinds, columns):
+            assert {type(v) for v in column} == {int if kind is str else kind}
+        rows += zip(
+            *(
+                [titles.strings[code] for code in column] if kind is str else column
+                for kind, column in zip(kinds, columns)
+            )
+        )
+    return rows, offset
+
+
+@settings(max_examples=200)
+@given(
+    rows=_sql_rows(),
+    earlier=_sql_rows(),
+    bad=st.sampled_from(_BAD_TUPLES),
+    per_statement=st.integers(1, 80),
+    chunk=st.integers(1, 64),
+    data=st.data(),
+)
+def test_the_column_view_yields_the_tuple_views_values(
+    rows, earlier, bad, per_statement, chunk, data
+):
+    at = data.draw(st.integers(0, len(rows)), label="at")
+    dump = _dump_bytes(rows[:at] + [("@bad@",)] + rows[at:], per_statement)
+    dump = dump.replace(b"('@bad@')", bad)
+    assume(dump.count(bad) == 1)
+    # The titles already hold an earlier dump's strings, as when one
+    # cache serves a language's three dumps.
+    titles = Titles()
+    _column_view(_dump_bytes(earlier, 7), titles)
+    with mock.patch.object(ingest, "_CHUNK_SIZE", chunk):
+        for strict in (False, True):
+            tuple_stats, column_stats = ParseStats(), ParseStats()
+            expected = _until_error(
+                parse_sql_insert_rows(io.BytesIO(dump), strict=strict, stats=tuple_stats)
+            )
+            got = _column_view(dump, titles, strict=strict, stats=column_stats)
+            assert _exact(got[0]) == _exact(expected[0])
+            assert got[1] == expected[1]
+            assert column_stats == tuple_stats
+            if not strict:  # every written row but the bad tuple
+                assert _exact(got[0]) == _exact(rows)
+    assert len(set(titles.strings)) == len(titles.strings)
 
 
 def _statement(rows):

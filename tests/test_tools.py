@@ -1,13 +1,16 @@
-"""The output comparison script ``tools/compare_outputs.py``."""
+"""The scripts ``tools/compare_outputs.py`` and ``tools/time_stage.py``."""
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import compare_outputs  # noqa: E402
+import time_stage  # noqa: E402
 
 
 def test_one_checkout_on_both_sides_writes_the_same_golden_outputs(
@@ -32,3 +35,29 @@ def test_an_edited_file_and_a_file_on_one_side_are_reported(tmp_path):
         "new.json: only in the current checkout",
         "titles/aa.tsv: differs",
     ]
+
+
+def test_a_stage_is_timed_on_both_sides_after_the_stages_before_it(
+    golden_root, tmp_path
+):
+    checkout = compare_outputs.REPO
+    times = time_stage.time_stage(checkout, golden_root, "orphans", 2, tmp_path)
+    assert {side: len(runs) for side, runs in times.items()} == {
+        "baseline": 2,
+        "current": 2,
+    }
+    # ingest ran once per side, untimed, before the timed orphans runs.
+    for side in time_stage.SIDES:
+        assert (tmp_path / side / "snapshots").is_dir()
+        assert (tmp_path / side / "wiki_summary.tsv").is_file()
+    lines = time_stage.summary(times)
+    assert [line.split(":")[0] for line in lines] == ["baseline", "current"]
+    wins = [int(line.split("faster in ")[1].split(" of")[0]) for line in lines]
+    assert sum(wins) == 2 and all(line.endswith("of 2 runs") for line in lines)
+
+
+def test_a_failing_run_stops_the_timing(tmp_path):
+    with pytest.raises(time_stage.StageFailed, match="ingest in .* exited 3"):
+        time_stage.time_stage(
+            compare_outputs.REPO, tmp_path / "no tree", "ingest", 2, tmp_path
+        )

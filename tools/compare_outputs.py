@@ -42,10 +42,12 @@ def write_trees(root: Path) -> dict[str, Path]:
     return trees
 
 
-def run_all(checkout: Path, data: Path, out: Path) -> subprocess.CompletedProcess:
-    """Run every stage of ``checkout``'s program on data, capturing its output."""
+def run_cli(
+    checkout: Path, data: Path, out: Path, command: str = "all"
+) -> subprocess.CompletedProcess:
+    """Run one command of ``checkout``'s program on data, capturing its output."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    argv = [sys.executable, "-m", "oatlas.cli", "all"]
+    argv = [sys.executable, "-m", "oatlas.cli", command]
     argv += ["--data", str(data), "--out", str(out), "--months", MONTHS]
     return subprocess.run(argv, env=env, capture_output=True, text=True)
 
@@ -78,7 +80,7 @@ def compare_tree(name: str, data: Path, baseline: Path, work: Path) -> list[str]
     outs = {}
     for side, checkout in (("baseline", baseline), ("current", REPO)):
         outs[side] = work / name / side
-        run = run_all(checkout, data, outs[side])
+        run = run_cli(checkout, data, outs[side])
         if run.returncode:
             last = run.stderr.strip().rpartition("\n")[2]
             problems.append(f"{name}: the {side} run exited {run.returncode}: {last}")

@@ -1,0 +1,113 @@
+"""Time one stage of this checkout against another checkout.
+
+    python tools/time_stage.py BASELINE STAGE [--tree dumps] [--runs 10]
+
+``BASELINE`` is another checkout of the repository, such as a clone of
+the parent commit, and ``STAGE`` one of the program's stages.  The script
+writes the golden tree and the seed-1 benchmark trees into a temporary
+directory, as ``tools/compare_outputs.py`` does, and times STAGE on the
+``--tree`` one.  It first compiles both ``src/`` trees with ``python -m
+compileall``: where ``PYTHONDONTWRITEBYTECODE`` is set, a side whose
+bytecode is missing or stale would compile its modules again in every
+run.  For each side it runs the stages before STAGE once, untimed; then
+it runs STAGE ``--runs`` times per side, alternating which side goes
+first.  It prints each side's median wall time, its quartiles and the
+number of runs in which that side was the faster one.  A failing run
+ends the script with exit 1 and its last line of stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from compare_outputs import REPO, generate, run_cli, write_trees
+
+from oatlas.cli import STAGES
+
+SIDES = ("baseline", "current")
+
+
+class StageFailed(RuntimeError):
+    """A run of the program that exited with an error."""
+
+
+def _run(checkout: Path, data: Path, out: Path, command: str) -> None:
+    run = run_cli(checkout, data, out, command)
+    if run.returncode:
+        last = run.stderr.strip().rpartition("\n")[2]
+        raise StageFailed(f"{command} in {checkout} exited {run.returncode}: {last}")
+
+
+def time_stage(
+    baseline: Path, data: Path, stage: str, runs: int, work: Path
+) -> dict[str, list[float]]:
+    """Wall seconds of each run of ``stage`` on ``data``, per side."""
+    checkouts = dict(zip(SIDES, (baseline, REPO)))
+    for checkout in checkouts.values():
+        subprocess.run(
+            [sys.executable, "-m", "compileall", "-q", str(checkout / "src")],
+            check=True,
+        )
+    for side, checkout in checkouts.items():
+        for command in STAGES[: STAGES.index(stage)]:
+            _run(checkout, data, work / side, command)
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    for i in range(runs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            started = time.perf_counter()
+            _run(checkouts[side], data, work / side, stage)
+            times[side].append(time.perf_counter() - started)
+    return times
+
+
+def summary(times: dict[str, list[float]]) -> list[str]:
+    """One line per side: median, quartiles and runs won."""
+    wins = dict.fromkeys(SIDES, 0)
+    for pair in zip(*(times[side] for side in SIDES)):
+        wins[SIDES[pair.index(min(pair))]] += 1
+    lines = []
+    for side in SIDES:
+        values = times[side]
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        lines.append(
+            f"{side}: median {median:.3f} s, quartiles {q1:.3f}-{q3:.3f} s, "
+            f"faster in {wins[side]} of {len(values)} runs"
+        )
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("baseline", type=Path, help="the other checkout")
+    parser.add_argument("stage", choices=STAGES)
+    parser.add_argument("--tree", default="dumps", choices=("golden", *generate.BUILDERS))
+    parser.add_argument("--runs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if not (args.baseline / "src" / "oatlas").is_dir():
+        parser.error(f"{args.baseline} holds no src/oatlas")
+    if args.runs < 2:
+        parser.error("--runs must be at least 2")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        trees = write_trees(root / "data")
+        try:
+            times = time_stage(
+                args.baseline.resolve(), trees[args.tree], args.stage, args.runs, root
+            )
+        except StageFailed as exc:
+            print(exc)
+            return 1
+    print(f"{args.stage} on {args.tree}, {args.runs} runs per side:")
+    for line in summary(times):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
