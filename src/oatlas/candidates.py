@@ -295,6 +295,17 @@ def crosslingual_candidates(
     return out
 
 
+def _in_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
+    """Whether each value is in ``sorted_values``, which ascend.
+
+    ``np.isin`` would do, but on some inputs it imports ``numpy.ma``.
+    """
+    if not len(sorted_values):
+        return np.zeros(len(values), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_values, values), len(sorted_values) - 1)
+    return sorted_values[at] == values
+
+
 def validate_candidates(
     proposals: Iterable[CandidateLink],
     snapshot: LinkSnapshot,
@@ -309,14 +320,15 @@ def validate_candidates(
     n = len(proposals)
     source = np.fromiter((c.source_page_id for c in proposals), np.int64, n)
     target = np.fromiter((c.target_page_id for c in proposals), np.int64, n)
+    orphan_array = np.sort(np.fromiter(orphan_ids, np.int64, len(orphan_ids)))
     checks = (
         (
-            ~np.isin(target, np.fromiter(orphan_ids, np.int64, len(orphan_ids))),
+            ~_in_sorted(target, orphan_array),
             lambda c: f"candidate targets non-orphan {c.target_page_id}",
         ),
         (source == target, lambda c: f"self candidate on {c.source_page_id}"),
         (
-            ~np.isin(source, snapshot.article_ids),
+            ~_in_sorted(source, snapshot.article_ids),
             lambda c: f"candidate from unknown page {c.source_page_id}",
         ),
         (

@@ -7,8 +7,8 @@ control (the still-orphaned version of the same article elsewhere).
 :func:`build_pairs` finds such pairs around a treatment month;
 :func:`assemble_panel` attaches log pageview outcomes over a symmetric
 window excluding the treatment month itself, looking up the views of
-all its rows in one gather from the pageview table; :func:`fit_did`
-estimates
+all its rows in one gather from the pageview table, and returns them as
+the columns of a :class:`Panel`; :func:`fit_did` estimates
 
     log_views = b0 + b1*treated + b2*after + b3*treated*after + e
 
@@ -30,16 +30,14 @@ is months m-3..m-1 and the post window m+1..m+3.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import LinkSnapshot, orphan_status
+from .graph import LinkSnapshot, _sorted_unique, orphan_status
 # Unused here: bench/tracing.py wraps these names in this module.
 from .graph import deorphanizing_events, link_delta, orphanizing_events, orphans  # noqa: F401
 from .ingest import PageviewTable, QidIndex
@@ -92,7 +90,11 @@ class PairBuildResult:
 
 
 class PanelObservation(NamedTuple):
-    """One row of ``panel.tsv``; the fields are its columns."""
+    """One row of ``panel.tsv``; the fields are its columns.
+
+    The pipeline holds a panel as a :class:`Panel`; this row form is what
+    iterating over one yields, and what :func:`fit_did` also accepts.
+    """
 
     pair_id: str
     role: str
@@ -101,6 +103,167 @@ class PanelObservation(NamedTuple):
     period_index: int
     log_views: float
     referrer_class: str
+
+
+def _codes(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values, and each value's place among them."""
+    names = tuple(sorted(set(values)))
+    place = {name: code for code, name in enumerate(names)}
+    return names, np.fromiter(map(place.__getitem__, values), np.int32, len(values))
+
+
+def _merged_codes(
+    names: Sequence[tuple[str, ...]], codes: Sequence[np.ndarray]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """One set of sorted names for several (names, codes) columns, concatenated."""
+    merged = tuple(sorted(set().union(*names)))
+    place = {name: code for code, name in enumerate(merged)}
+    recoded = [
+        np.array([place[name] for name in part], dtype=np.int32)[column]
+        for part, column in zip(names, codes)
+    ]
+    return merged, np.concatenate(recoded)
+
+
+# Rows turned into text at a time when a panel is iterated over.
+_ROWS_PER_BLOCK = 1024
+
+
+@dataclass(eq=False)
+class Panel:
+    """The rows of a panel as columns, one array entry per row.
+
+    ``pair``, ``language`` and ``referrer`` are int32 codes into the
+    sorted names ``pair_ids``, ``languages`` and ``referrers``.
+    ``treated`` is the role as a flag, ``month`` holds int32
+    :func:`~oatlas.months.month_index` values, ``period`` the int64
+    offset from the treatment month and ``log_views`` the float64
+    outcome.  Iterating yields :class:`PanelObservation` rows.
+    """
+
+    pair_ids: tuple[str, ...]
+    languages: tuple[str, ...]
+    referrers: tuple[str, ...]
+    pair: np.ndarray
+    treated: np.ndarray
+    language: np.ndarray
+    month: np.ndarray
+    period: np.ndarray
+    log_views: np.ndarray
+    referrer: np.ndarray
+
+    # The fields with one entry per row.
+    _ROW_COLUMNS = (
+        "pair",
+        "treated",
+        "language",
+        "month",
+        "period",
+        "log_views",
+        "referrer",
+    )
+
+    @classmethod
+    def from_columns(
+        cls,
+        pair_id: Sequence[str],
+        treated: Sequence[bool],
+        language: Sequence[str],
+        month: Sequence[int],
+        period: Sequence[int],
+        log_views: Sequence[float],
+        referrer_class: Sequence[str],
+    ) -> Panel:
+        """A panel from the columns of ``panel.tsv``, with roles as flags
+        and months as month indices."""
+        pair_ids, pair = _codes(pair_id)
+        languages, language_code = _codes(language)
+        referrers, referrer = _codes(referrer_class)
+        return cls(
+            pair_ids,
+            languages,
+            referrers,
+            pair,
+            np.array(treated, dtype=bool),
+            language_code,
+            np.array(month, dtype=np.int32),
+            np.array(period, dtype=np.int64),
+            np.array(log_views, dtype=float),
+            referrer,
+        )
+
+    @classmethod
+    def from_observations(cls, observations: Sequence[PanelObservation]) -> Panel:
+        """The panel of a list of rows, in their order."""
+        columns = list(zip(*observations)) or [()] * len(PanelObservation._fields)
+        pair_id, role, language, month, period, log_views, referrer_class = columns
+        treated = [r == TREATED for r in role]
+        index = {name: month_index(name) for name in set(month)}
+        months = list(map(index.__getitem__, month))
+        return cls.from_columns(
+            pair_id, treated, language, months, period, log_views, referrer_class
+        )
+
+    @classmethod
+    def concat(cls, panels: Sequence[Panel]) -> Panel:
+        """The rows of ``panels`` in order, coded over all their names."""
+        # An empty part gives the columns their types if ``panels`` is empty.
+        parts = [cls.from_columns((), (), (), (), (), (), ()), *panels]
+        pair_ids, pair = _merged_codes(
+            [p.pair_ids for p in parts], [p.pair for p in parts]
+        )
+        languages, language = _merged_codes(
+            [p.languages for p in parts], [p.language for p in parts]
+        )
+        referrers, referrer = _merged_codes(
+            [p.referrers for p in parts], [p.referrer for p in parts]
+        )
+        return cls(
+            pair_ids,
+            languages,
+            referrers,
+            pair,
+            np.concatenate([p.treated for p in parts]),
+            language,
+            np.concatenate([p.month for p in parts]),
+            np.concatenate([p.period for p in parts]),
+            np.concatenate([p.log_views for p in parts]),
+            referrer,
+        )
+
+    def __len__(self) -> int:
+        return len(self.pair)
+
+    def sorted_rows(self) -> Panel:
+        """The rows in ``panel.tsv`` order: by pair id, referrer class,
+        role (control first) and period.  Rows that tie keep their order."""
+        keys = (self.period, self.treated, self.referrer, self.pair)
+        return self.take(np.lexsort(keys))
+
+    def take(self, rows: np.ndarray | slice) -> Panel:
+        """The panel of the selected rows (a mask, indices or a slice)."""
+        columns = {name: getattr(self, name)[rows] for name in self._ROW_COLUMNS}
+        return Panel(self.pair_ids, self.languages, self.referrers, **columns)
+
+    def text_blocks(self, size: int) -> Iterator[list[list]]:
+        """The rows as the cells of ``panel.tsv``, ``size`` rows at a time:
+        one list per column, text as str and numbers as int and float."""
+        month_name = {index: month_at(index) for index in set(self.month.tolist())}
+        for start in range(0, len(self), size):
+            rows = slice(start, start + size)
+            yield [
+                list(map(self.pair_ids.__getitem__, self.pair[rows].tolist())),
+                [TREATED if t else CONTROL for t in self.treated[rows].tolist()],
+                list(map(self.languages.__getitem__, self.language[rows].tolist())),
+                list(map(month_name.__getitem__, self.month[rows].tolist())),
+                self.period[rows].tolist(),
+                self.log_views[rows].tolist(),
+                list(map(self.referrers.__getitem__, self.referrer[rows].tolist())),
+            ]
+
+    def __iter__(self) -> Iterator[PanelObservation]:
+        for block in self.text_blocks(_ROWS_PER_BLOCK):
+            yield from map(PanelObservation._make, zip(*block))
 
 
 def _mean_pre_log_views(
@@ -213,6 +376,17 @@ def build_pairs(
     return result
 
 
+def _log1p(counts: np.ndarray) -> np.ndarray:
+    """``math.log1p`` of each count, computed once per distinct count.
+
+    Not ``np.log1p``: it differs from ``math.log1p`` in the last bit for
+    some counts (2 is one), and the reports would change.
+    """
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    logs = np.array([math.log1p(count) for count in distinct.tolist()], dtype=float)
+    return logs[inverse]
+
+
 def assemble_panel(
     pairs: Iterable[PairAssignment],
     pageviews: PageviewTable,
@@ -220,8 +394,8 @@ def assemble_panel(
     *,
     window: int = DEFAULT_WINDOW,
     referrer_class: str = "all",
-) -> list[PanelObservation]:
-    """Attach outcomes: one observation per pair, role and window month.
+) -> Panel:
+    """Attach outcomes: one row per pair, role and window month.
 
     Months run from -window to +window around the treatment month,
     which is itself excluded.  The outcome is ln(1 + views); months
@@ -231,7 +405,7 @@ def assemble_panel(
     """
     offsets = [k for k in range(-window, window + 1) if k != 0]
     # One member per pair and role, in input order, treated before control.
-    pair_ids, roles, languages, pages, starts = [], [], [], [], []
+    pair_ids, treated, languages, pages, starts = [], [], [], [], []
     start_of: dict[str, int] = {}
     for pair in pairs:
         for role, language in (
@@ -247,7 +421,7 @@ def assemble_panel(
             if treatment not in start_of:
                 start_of[treatment] = month_index(treatment)
             pair_ids.append(pair.pair_id)
-            roles.append(role)
+            treated.append(role == TREATED)
             languages.append(language)
             pages.append(page)
             starts.append(start_of[treatment])
@@ -260,33 +434,21 @@ def assemble_panel(
         month,
         referrer_class,
     )
-    rank = {pair_id: r for r, pair_id in enumerate(sorted(set(pair_ids)))}
-    order = np.lexsort(
-        (
-            period,
-            np.repeat(np.array(roles) == TREATED, width),
-            np.repeat(np.array([rank[pair_id] for pair_id in pair_ids]), width),
-        )
+    pair_names, pair = _codes(pair_ids)
+    language_names, language = _codes(languages)
+    panel = Panel(
+        pair_ids=pair_names,
+        languages=language_names,
+        referrers=(referrer_class,),
+        pair=np.repeat(pair, width),
+        treated=np.repeat(np.array(treated, dtype=bool), width),
+        language=np.repeat(language, width),
+        month=month.astype(np.int32),
+        period=period,
+        log_views=_log1p(views),
+        referrer=np.zeros(len(period), dtype=np.int32),
     )
-    member = (order // width).tolist()
-    month = month[order].tolist()
-    month_name = {index: month_at(index) for index in set(month)}
-    return list(
-        map(
-            PanelObservation._make,
-            zip(
-                map(pair_ids.__getitem__, member),
-                map(roles.__getitem__, member),
-                map(languages.__getitem__, member),
-                map(month_name.__getitem__, month),
-                period[order].tolist(),
-                # Not np.log1p: it differs from math.log1p in the last bit
-                # for some counts (2 is one), and the reports would change.
-                map(math.log1p, views[order].tolist()),
-                itertools.repeat(referrer_class),
-            ),
-        )
-    )
+    return panel.sorted_rows()
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -416,7 +578,7 @@ def _fit(
     """OLS of the one design (see the module docstring) on ``rows``."""
     treated, period, y, pair = (column[rows] for column in columns)
     if by_month:
-        levels = np.unique(period)
+        levels = _sorted_unique(period)
         if -1 not in levels:
             raise DegeneratePanelError("reference period -1 missing from panel")
         levels = levels[levels != -1]
@@ -436,8 +598,16 @@ def _fit(
     return _ols(X, y, pair, ["intercept", "treated", *labels, *interactions])
 
 
+def _first_seen_codes(codes: np.ndarray) -> np.ndarray:
+    """Renumber ``codes`` 0, 1, ... in the order each first occurs."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(len(distinct))
+    return rank[inverse]
+
+
 def fit_did(
-    panel: Sequence[PanelObservation],
+    panel: Panel | Sequence[PanelObservation],
     spec: str = "pooled",
     *,
     min_pairs: int = DEFAULT_MIN_PAIRS,
@@ -456,36 +626,43 @@ def fit_did(
 
     Every spec fits the same design on a subset of the panel's rows.
     When no group qualifies the result is empty and a warning is logged.
+    A list of :class:`PanelObservation` is converted to a :class:`Panel`
+    first.
     """
-    if not panel:
+    if not isinstance(panel, Panel):
+        panel = Panel.from_observations(panel)
+    if not len(panel):
         raise DegeneratePanelError("empty panel")
     if spec in ("pooled", "by_month"):
         key, groups = None, [None]
     elif spec == "by_language":
         # A pair belongs to the language of its treated article.
-        language_of = {o.pair_id: o.language for o in panel if o.role == TREATED}
-        key = np.array([language_of.get(o.pair_id) for o in panel], dtype=object)
-        n_pairs = Counter(language_of.values())
-        groups = sorted(g for g, count in n_pairs.items() if count >= min_pairs)
+        language_of = np.full(len(panel.pair_ids), -1, dtype=np.int64)
+        language_of[panel.pair[panel.treated]] = panel.language[panel.treated]
+        key = language_of[panel.pair]
+        n_pairs = np.bincount(language_of + 1, minlength=len(panel.languages) + 1)[1:]
+        groups = np.flatnonzero(n_pairs >= min_pairs).tolist()
+        names = panel.languages
         empty = f"by_language: no language reaches min_pairs={min_pairs}"
     elif spec == "by_referrer":
-        key = np.array([o.referrer_class for o in panel], dtype=object)
-        groups = sorted(set(key) - {"all"})
+        key = panel.referrer
+        present = np.bincount(key, minlength=len(panel.referrers)).tolist()
+        groups = [g for g, n in enumerate(present) if n and panel.referrers[g] != "all"]
+        names = panel.referrers
         empty = "by_referrer: no referrer classes beyond 'all' in panel"
     else:
         raise ValueError(f"unknown spec {spec!r}")
     if not groups:
         logger.warning(empty)
         return {}
-    n = len(panel)
-    pair_code: dict[str, int] = {}
-    pairs = (pair_code.setdefault(o.pair_id, len(pair_code)) for o in panel)
+    # Clusters are numbered in the order they first occur, as the rows
+    # of the cluster score matrix, so the sums run in one fixed order.
     columns = (
-        np.fromiter((o.role == TREATED for o in panel), dtype=bool, count=n),
-        np.fromiter((o.period_index for o in panel), dtype=np.int64, count=n),
-        np.fromiter((o.log_views for o in panel), dtype=float, count=n),
-        np.fromiter(pairs, dtype=np.int64, count=n),
+        panel.treated,
+        panel.period,
+        panel.log_views,
+        _first_seen_codes(panel.pair),
     )
     if key is None:
         return _fit(columns, slice(None), by_month=spec == "by_month")
-    return {group: _fit(columns, key == group, by_month=False) for group in groups}
+    return {names[g]: _fit(columns, key == g, by_month=False) for g in groups}

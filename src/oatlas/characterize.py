@@ -211,6 +211,23 @@ def orphan_fraction_by_wiki(
     return summaries
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a float array, bit for bit.
+
+    ``np.median`` imports ``numpy.ma`` into the process, for 15 ms and
+    1.3 MB.  Like it, this returns NaN if any value is NaN, and else the
+    mean of the middle value or values: their sum, which starts from 0.0
+    and so turns -0.0 into 0.0, divided by their count.
+    """
+    n = len(values)
+    if np.isnan(values).any():
+        return math.nan
+    middle = np.partition(values, [(n - 1) // 2, n // 2])
+    if n % 2:
+        return float(middle[n // 2]) + 0.0
+    return (float(middle[n // 2 - 1]) + float(middle[n // 2]) + 0.0) / 2
+
+
 def lowess_fit(
     x: Sequence[float],
     y: Sequence[float],
@@ -266,7 +283,7 @@ def lowess_fit(
             slope = (w * (xn - mx) * (yn - my)).sum() / varx
             fitted[i] = my + slope * (xs[i] - mx)
         residuals = ys - fitted
-        s = np.median(np.abs(residuals))
+        s = _median(np.abs(residuals))
         # A zero residual scale means the surviving points are fitted
         # exactly; keep the current weights instead of recomputing them,
         # which would re-admit any excluded outlier and oscillate.

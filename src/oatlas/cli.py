@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import candidates as candidates_mod
 from . import causal, characterize, graph, ingest
-from .months import MonthFormatError, month_add, month_range
+from .months import MonthFormatError, month_add, month_index, month_range
 
 logger = logging.getLogger(__name__)
 
@@ -254,13 +255,28 @@ def _write_report(
 
     The rows are formatted a block at a time, column by column.
     """
+
+    def blocks() -> Iterator[list[Sequence[object]]]:
+        rest = iter(rows)
+        while block := list(itertools.islice(rest, _REPORT_BLOCK_ROWS)):
+            yield list(zip(*block))
+
+    _write_columns(path, header, blocks(), notes)
+
+
+def _write_columns(
+    path: Path,
+    header: Sequence[str],
+    blocks: Iterable[Sequence[Sequence[object]]],
+    notes: Iterable[str] = (),
+) -> None:
+    """:func:`_write_report` of rows given as blocks of columns."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = iter(rows)
     with ingest.atomic_file(path) as handle:
         lines = ["# " + "\t".join(header), *(f"# {note}" for note in notes)]
         handle.write(("\n".join(lines) + "\n").encode("utf-8"))
-        while block := list(itertools.islice(rows, _REPORT_BLOCK_ROWS)):
-            columns = [_format_column(column) for column in zip(*block)]
+        for block in blocks:
+            columns = [_format_column(column) for column in block]
             lines = map("\t".join, zip(*columns))
             handle.write(("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -698,10 +714,9 @@ def cmd_panel(config: RunConfig) -> None:
         config.out_dir / "pairs.tsv", causal.PairAssignment._fields, pairs, drop_notes
     )
 
-    observations: list[causal.PanelObservation] = []
     classes = ["all"] + sorted(views.referrer_classes() - {"all"})
-    for referrer_class in classes:
-        observations.extend(
+    panel = causal.Panel.concat(
+        [
             causal.assemble_panel(
                 pairs,
                 views,
@@ -709,12 +724,13 @@ def cmd_panel(config: RunConfig) -> None:
                 window=config.window,
                 referrer_class=referrer_class,
             )
-        )
-    observations.sort(
-        key=lambda o: (o.pair_id, o.referrer_class, o.role, o.period_index)
-    )
-    _write_report(
-        config.out_dir / "panel.tsv", causal.PanelObservation._fields, observations
+            for referrer_class in classes
+        ]
+    ).sorted_rows()
+    _write_columns(
+        config.out_dir / "panel.tsv",
+        causal.PanelObservation._fields,
+        panel.text_blocks(_REPORT_BLOCK_ROWS),
     )
 
 
@@ -723,28 +739,56 @@ def cmd_panel(config: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_panel(config: RunConfig) -> list[causal.PanelObservation]:
+_DIRECTION_PREFIXES = (f"{causal.FORWARD}:", f"{causal.REVERSE}:")
+
+
+def _pair_id(cell: str) -> str:
+    if not cell.startswith(_DIRECTION_PREFIXES):
+        raise ValueError(f"pair id {cell!r} names no direction")
+    return cell
+
+
+def _treated(cell: str) -> bool:
+    if cell not in (causal.TREATED, causal.CONTROL):
+        raise ValueError(f"unknown role {cell!r}")
+    return cell == causal.TREATED
+
+
+def _referrer_class(cell: str) -> str:
+    if cell not in ingest.REFERRER_CLASSES:
+        raise ValueError(f"unknown referrer class {cell!r}")
+    return cell
+
+
+def _read_panel(config: RunConfig) -> causal.Panel:
     path = config.out_dir / "panel.tsv"
     if not path.is_file():
         raise DataError(f"{path} not found; run the panel stage first")
-    observations: list[causal.PanelObservation] = []
+    # Text columns repeat few distinct cells: check each distinct one once.
+    once = functools.lru_cache(maxsize=None)
+    converters = (
+        once(_pair_id),
+        once(_treated),
+        str,
+        once(month_index),
+        ingest.int64,
+        float,
+        once(_referrer_class),
+    )
     with _tsv_lines(path) as lines:
-        columns = (str, str, str, str, ingest.int64, float, str)
-        for block in ingest.read_tsv(lines, columns):
-            observations.extend(map(causal.PanelObservation._make, zip(*block)))
-    return observations
+        blocks = ingest.read_tsv(lines, converters)
+        return causal.Panel.concat([causal.Panel.from_columns(*b) for b in blocks])
 
 
-def _estimates_for_direction(
-    config: RunConfig, observations: list[causal.PanelObservation]
-) -> dict:
-    pooled_rows = [o for o in observations if o.referrer_class == "all"]
+def _estimates_for_direction(config: RunConfig, panel: causal.Panel) -> dict:
+    is_all = np.array([name == "all" for name in panel.referrers], dtype=bool)
+    pooled_rows = panel.take(is_all[panel.referrer])
     pooled = causal.fit_did(pooled_rows, spec="pooled")
     by_language = causal.fit_did(
         pooled_rows, spec="by_language", min_pairs=config.min_pairs
     )
     by_month = causal.fit_did(pooled_rows, spec="by_month")
-    by_referrer = causal.fit_did(observations, spec="by_referrer")
+    by_referrer = causal.fit_did(panel, spec="by_referrer")
     return {
         "pooled": pooled.to_dict(),
         "by_language": {lang: est.to_dict() for lang, est in by_language.items()},
@@ -754,9 +798,9 @@ def _estimates_for_direction(
 
 
 def cmd_did(config: RunConfig) -> None:
-    observations = _read_panel(config)
+    panel = _read_panel(config)
     estimates_path = config.out_dir / "estimates.json"
-    if not observations:
+    if not len(panel):
         _write_json(
             estimates_path,
             {
@@ -767,15 +811,15 @@ def cmd_did(config: RunConfig) -> None:
         )
         raise DataError("panel is empty: no matched pairs to estimate from")
 
+    direction_of = np.array([p.partition(":")[0] for p in panel.pair_ids])
     payload: dict = {}
     for direction in (causal.FORWARD, causal.REVERSE):
-        prefix = f"{direction}:"
-        subset = [o for o in observations if o.pair_id.startswith(prefix)]
-        if not subset:
+        rows = np.flatnonzero((direction_of == direction)[panel.pair])
+        if not len(rows):
             payload[direction] = {"note": f"no {direction} pairs"}
             continue
         try:
-            payload[direction] = _estimates_for_direction(config, subset)
+            payload[direction] = _estimates_for_direction(config, panel.take(rows))
         except (causal.DegeneratePanelError, causal.RankDeficientError) as exc:
             raise ModelError(f"{direction} estimation failed: {exc}") from exc
     _write_json(estimates_path, payload)

@@ -1289,46 +1289,78 @@ class PageviewTable:
         rows = np.bincount(self._keys % _N_REFERRERS, minlength=_N_REFERRERS)
         return {name for name, n in zip(REFERRER_CLASSES, rows.tolist()) if n}
 
-    def _fill(self, codes: dict[str, int], rows: list[tuple], strict: bool) -> None:
+    def _unpack(self, key: int) -> tuple[str, int, str, str]:
+        """The (language, page id, month, referrer class) of a packed key."""
+        (first_page, n_pages), (first_month, n_months) = self._pages, self._months
+        rest, referrer = divmod(key, _N_REFERRERS)
+        rest, month = divmod(rest, n_months)
+        language, page = divmod(rest, n_pages)
+        return (
+            list(self._codes)[language],
+            page + first_page,
+            month_at(month + first_month),
+            REFERRER_CLASSES[referrer],
+        )
+
+    def _fill(
+        self, codes: dict[str, int], blocks: list[tuple[np.ndarray, ...]], strict: bool
+    ) -> None:
         """Index the valid rows, the first of each key winning.
 
-        ``rows`` are blocks of (language code, page id, month index,
-        referrer code, views) arrays in input order.  A duplicate key
-        raises :class:`DuplicateKeyError` in strict mode, naming the
-        first duplicate row; otherwise it is counted.
+        ``blocks`` hold (language code, page id, month index, referrer
+        code, views) arrays of rows in input order.  Each block is
+        dropped from the list once its keys are packed, so beyond the
+        blocks not yet packed the build holds four int64 arrays at most:
+        the keys, the views, the sort order and the sorted keys.  A
+        duplicate key raises :class:`DuplicateKeyError` in strict mode,
+        naming the first duplicate row; otherwise it is counted.
         """
-        language, page, month, referrer, views = (
-            np.concatenate(column) for column in zip(*rows)
-        )
         self._codes = codes
-        self._n_languages = int(language.max(initial=-1)) + 1
-        if len(page):
-            self._pages = (int(page.min()), int(page.max() - page.min()) + 1)
-            self._months = (int(month.min()), int(month.max() - month.min()) + 1)
+        blocks.reverse()  # popped from the end, in input order
+        if n := sum(len(block[0]) for block in blocks):
+            language, page, month = (
+                [block[j] for block in blocks if len(block[j])] for j in range(3)
+            )
+            self._n_languages = max(int(code.max()) for code in language) + 1
+            first_page = min(int(ids.min()) for ids in page)
+            first_month = min(int(index.min()) for index in month)
+            last_page = max(int(ids.max()) for ids in page)
+            last_month = max(int(index.max()) for index in month)
+            self._pages = (first_page, last_page - first_page + 1)
+            self._months = (first_month, last_month - first_month + 1)
+            del language, page, month
         # Every key stays below the product of the radices.
         span = self._n_languages * self._pages[1] * self._months[1] * _N_REFERRERS
         if span > 1 << 63:
             raise InvalidRecordError(
                 f"pageview keys span {span:,} values, more than an int64 holds"
             )
-        keys = self._pack(language, page, month, referrer)
+        keys = np.empty(n, dtype=np.int64)
+        views = np.empty(n, dtype=np.int64)
+        at = 0
+        while blocks:
+            language, page, month, referrer, count = blocks.pop()
+            rows = slice(at, at + len(page))
+            keys[rows] = self._pack(
+                language.astype(np.int64), page, month.astype(np.int64), referrer
+            )
+            views[rows] = count
+            at = rows.stop
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)
+        first = np.ones(n, dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
-        if strict and not first.all():
-            i = int(order[~first].min())
-            key = (
-                list(codes)[language[i]],
-                int(page[i]),
-                month_at(int(month[i])),
-                REFERRER_CLASSES[referrer[i]],
-            )
-            raise DuplicateKeyError(f"duplicate pageview row for {key}")
-        self._keys = keys[first]
-        self._views = views[order[first]]
+        if first.all():
+            self._keys, self._views = keys, views[order]
+        else:
+            if strict:
+                duplicates = np.flatnonzero(~first)
+                earliest = duplicates[np.argmin(order[duplicates])]
+                key = self._unpack(int(keys[earliest]))
+                raise DuplicateKeyError(f"duplicate pageview row for {key}")
+            self._keys, self._views = keys[first], views[order[first]]
         self.n_rows = len(self._keys)
-        self.n_duplicates = len(keys) - self.n_rows
+        self.n_duplicates = n - self.n_rows
 
 
 def read_pageviews_tsv(lines: Iterable[str]) -> Iterator[list[list]]:
@@ -1375,7 +1407,7 @@ def load_pageviews(
     table = PageviewTable()
     codes: dict[str, int] = {}
     month_codes: dict[str, int] = {}
-    kept: list[tuple] = [(_EMPTY,) * 5]
+    kept: list[tuple[np.ndarray, ...]] = []
     unknown = itertools.repeat(-1)
     try:
         for block in blocks:
@@ -1385,11 +1417,13 @@ def load_pageviews(
                 codes[name] = len(codes)
             for name in set(month).difference(month_codes):
                 month_codes[name] = _month_code(name)
+            # Codes in the narrowest types that hold them: the columns
+            # are kept until the table is built.
             columns = (
-                np.fromiter(map(codes.__getitem__, language), np.int64, n),
+                np.fromiter(map(codes.__getitem__, language), np.int32, n),
                 _int64_column(page_id, "page id"),
-                np.fromiter(map(month_codes.__getitem__, month), np.int64, n),
-                np.fromiter(map(_REFERRER_CODES.get, referrer, unknown), np.int64, n),
+                np.fromiter(map(month_codes.__getitem__, month), np.int32, n),
+                np.fromiter(map(_REFERRER_CODES.get, referrer, unknown), np.int8, n),
                 _int64_column(views, "view count"),
             )
             code, page, mon, ref, count = columns

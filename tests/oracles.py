@@ -14,14 +14,20 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from oatlas.candidates import AnnotatedDocument, CandidateLink
 from oatlas.causal import (
     CONTROL,
+    DEFAULT_MIN_PAIRS,
     FORWARD,
     TREATED,
+    DegeneratePanelError,
+    DidEstimate,
     PairAssignment,
     PairBuildResult,
     PanelObservation,
+    _fit,
     _mean_pre_log_views,
 )
 from oatlas.characterize import (
@@ -639,6 +645,43 @@ def assemble_panel_oracle(
                 )
     panel.sort(key=lambda o: (o.pair_id, o.referrer_class, o.role, o.period_index))
     return panel
+
+
+def fit_did_oracle(
+    panel: Sequence[PanelObservation],
+    spec: str = "pooled",
+    *,
+    min_pairs: int = DEFAULT_MIN_PAIRS,
+) -> DidEstimate | dict[str, DidEstimate]:
+    """``fit_did`` on a list of rows: the group keys and the pair codes
+    (numbered in first-seen order) built row by row, then the same design
+    builder."""
+    if not panel:
+        raise DegeneratePanelError("empty panel")
+    if spec in ("pooled", "by_month"):
+        key, groups = None, [None]
+    elif spec == "by_language":
+        language_of = {o.pair_id: o.language for o in panel if o.role == TREATED}
+        key = np.array([language_of.get(o.pair_id) for o in panel], dtype=object)
+        n_pairs = Counter(language_of.values())
+        groups = sorted(g for g, count in n_pairs.items() if count >= min_pairs)
+    elif spec == "by_referrer":
+        key = np.array([o.referrer_class for o in panel], dtype=object)
+        groups = sorted(set(key) - {"all"})
+    else:
+        raise ValueError(f"unknown spec {spec!r}")
+    if not groups:
+        return {}
+    pair_code: dict[str, int] = {}
+    columns = (
+        np.array([o.role == TREATED for o in panel], dtype=bool),
+        np.array([o.period_index for o in panel], dtype=np.int64),
+        np.array([o.log_views for o in panel], dtype=float),
+        np.array([pair_code.setdefault(o.pair_id, len(pair_code)) for o in panel]),
+    )
+    if key is None:
+        return _fit(columns, slice(None), by_month=spec == "by_month")
+    return {group: _fit(columns, key == group, by_month=False) for group in groups}
 
 
 def validate_candidates_oracle(

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 from oatlas import fixtures
 from oatlas.causal import (
     CONTROL,
+    DEFAULT_WINDOW,
     FORWARD,
     REVERSE,
     TREATED,
     DegeneratePanelError,
     PairAssignment,
+    Panel,
     PanelObservation,
     RankDeficientError,
     assemble_panel,
@@ -33,7 +35,7 @@ from oatlas.graph import LinkSnapshot
 from oatlas.ingest import REFERRER_CLASSES, PageviewTable, QidIndex, load_pageviews
 from oatlas.months import month_add
 
-from .oracles import assemble_panel_oracle, build_pairs_oracle
+from .oracles import assemble_panel_oracle, build_pairs_oracle, fit_did_oracle
 
 MONTH = "2023-05"
 NEXT = "2023-06"
@@ -381,7 +383,9 @@ def test_assemble_panel_matches_the_row_by_row_oracle(data):
     window = data.draw(st.integers(1, 3), label="window")
     referrer = data.draw(st.sampled_from(REFERRER_CLASSES), label="referrer")
     panel = assemble_panel(pairs, views, index, window=window, referrer_class=referrer)
-    assert panel == assemble_panel_oracle(pairs, views.views, index, window, referrer)
+    assert list(panel) == assemble_panel_oracle(
+        pairs, views.views, index, window, referrer
+    )
     assert all(type(o.period_index) is int for o in panel)
 
 
@@ -389,10 +393,79 @@ def test_panel_sorted_and_control_page_required():
     index = _index([("Q9", "ww", 5), ("Q9", "pa", 61)])
     panel = assemble_panel([_one_pair()], PageviewTable(), index, window=2)
     key = lambda o: (o.pair_id, o.referrer_class, o.role, o.period_index)
-    assert panel == sorted(panel, key=key)
+    assert list(panel) == sorted(panel, key=key)
     orphan_index = _index([("Q9", "ww", 5)])
     with pytest.raises(KeyError, match="no page for"):
         assemble_panel([_one_pair()], PageviewTable(), orphan_index, window=2)
+
+
+_QIDS = [f"Q{q}" for q in range(4)]
+_PANEL_LANGUAGES = ["a", "b", "c"]
+
+
+@st.composite
+def _panel_inputs(draw):
+    """Pairs of both directions, with their qid index and pageviews.
+
+    Several pairs may share a qid and a control language, so one control
+    article serves them all, and view counts come from a small range, so
+    many outcomes tie.
+    """
+    index = _index(
+        [(q, lang, 10 * i + k) for i, q in enumerate(_QIDS) for k, lang in enumerate("abc")]
+    )
+    draws = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([FORWARD, REVERSE]),
+                st.sampled_from(_QIDS),
+                st.sampled_from(_PANEL_LANGUAGES),
+                st.sampled_from(_PANEL_LANGUAGES),
+            ),
+            min_size=1,
+            max_size=12,
+            unique_by=lambda t: t[:3],
+        ),
+        label="pairs",
+    )
+    pairs = [
+        PairAssignment(f"{d}:{MONTH}:{q}:{t}", q, t, c, MONTH, d)
+        for d, q, t, c in draws
+    ]
+    view_months = [month_add(MONTH, k) for k in range(-3, 4) if k]
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_PANEL_LANGUAGES),
+                st.integers(0, 33),
+                st.sampled_from(view_months),
+                st.sampled_from(REFERRER_CLASSES),
+                st.integers(0, 3),
+            ),
+            max_size=120,
+            unique_by=lambda r: r[:4],
+        ),
+        label="rows",
+    )
+    return pairs, load_pageviews([list(map(list, zip(*rows)))] if rows else []), index
+
+
+@settings(max_examples=150)
+@given(inputs=_panel_inputs(), classes=st.sets(st.sampled_from(REFERRER_CLASSES)))
+def test_referrer_panels_join_in_the_order_of_the_rows_oracle(inputs, classes):
+    pairs, views, index = inputs
+    classes = sorted(classes)
+    panel = Panel.concat(
+        [assemble_panel(pairs, views, index, referrer_class=c) for c in classes]
+    ).sorted_rows()
+    rows = [
+        o
+        for c in classes
+        for o in assemble_panel_oracle(pairs, views.views, index, DEFAULT_WINDOW, c)
+    ]
+    rows.sort(key=lambda o: (o.pair_id, o.referrer_class, o.role, o.period_index))
+    assert list(panel) == rows
+    assert list(Panel.from_observations(rows)) == rows
 
 
 # -- fit_did ----------------------------------------------------------------
@@ -755,6 +828,39 @@ def test_by_month_effects_are_cell_mean_double_differences(data):
             mean(CONTROL, k) - mean(CONTROL, -1)
         )
         assert abs(fit.terms[f"treated:period[{k:+d}]"].coef - expected) < 1e-9
+
+
+def _fit_or_error(fit, panel, spec):
+    try:
+        result = fit(panel, spec, min_pairs=2)
+    except (DegeneratePanelError, RankDeficientError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, dict):
+        return {group: est.to_dict() for group, est in result.items()}
+    return result.to_dict()
+
+
+@settings(max_examples=150)
+@given(inputs=_panel_inputs(), seed=st.integers(0, 2**32 - 1), shuffle=st.booleans())
+def test_fit_did_on_columns_matches_the_per_row_fit_bit_for_bit(inputs, seed, shuffle):
+    """Each fit of the did stage: per direction, every spec, on all
+    referrer classes and on the ``all`` rows, in file order or shuffled."""
+    pairs, views, index = inputs
+    panel = Panel.concat(
+        [assemble_panel(pairs, views, index, referrer_class=c) for c in REFERRER_CLASSES]
+    ).sorted_rows()
+    if shuffle:
+        panel = panel.take(np.random.default_rng(seed).permutation(len(panel)))
+    for direction in (FORWARD, REVERSE):
+        in_direction = np.array([p.startswith(direction) for p in panel.pair_ids])
+        subset = panel.take(in_direction[panel.pair])
+        pooled = subset.take(subset.referrer == subset.referrers.index("all"))
+        for rows in (subset, pooled):
+            observations = list(rows)
+            for spec in ("pooled", "by_language", "by_month", "by_referrer"):
+                want = _fit_or_error(fit_did_oracle, observations, spec)
+                assert _fit_or_error(fit_did, rows, spec) == want
+                assert _fit_or_error(fit_did, observations, spec) == want
 
 
 def test_unknown_spec_rejected():

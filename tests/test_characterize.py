@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oatlas.characterize import (
     BINARY_FEATURES,
     FeatureTable,
+    _median,
     build_feature_table,
     lowess_fit,
     orphan_fraction_by_wiki,
@@ -269,6 +270,17 @@ def _lowess_oracle(x, y, f=0.67, iterations=2):
             u = np.clip(residuals / (6.0 * scale), -1.0, 1.0)
             robustness = (1.0 - u * u) ** 2
     return fitted
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.floats(), min_size=1, max_size=9))
+def test_median_is_numpy_median_bit_for_bit(values):
+    values = np.array(values)
+    got, want = _median(values), np.median(values)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_lowess_matches_polyfit_oracle():

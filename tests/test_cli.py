@@ -26,6 +26,7 @@ from oatlas.cli import (
     build_config,
     load_config_file,
 )
+from oatlas.months import month_at
 
 from .oracles import QidIndexOracle
 from .test_ingest import _qidmap_rows, assert_same_index
@@ -374,6 +375,33 @@ def test_orphans_keeps_a_wiki_without_articles_off_the_curve(golden_root, tmp_pa
     assert all(r[3] != "NA" for r in curve)
 
 
+class _NoRows(tuple):
+    """A stand-in for ``PanelObservation`` that fails when a row is made."""
+
+    _fields = causal.PanelObservation._fields
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a PanelObservation was built")
+
+    @classmethod
+    def _make(cls, iterable):
+        raise AssertionError("a PanelObservation was built")
+
+
+def test_panel_and_did_stages_build_no_row_objects(
+    golden_root, pipeline, tmp_path, monkeypatch
+):
+    """The panel goes from the pageviews to the estimates as columns."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    monkeypatch.setattr(causal, "PanelObservation", _NoRows)
+    args = ("--data", str(golden_root), "--out", str(out), "--months", MONTHS)
+    for stage in ("panel", "did"):
+        assert _run(stage, *args, "--languages", "aa,bb,cc") == EXIT_OK
+        for name in ("pairs.tsv", "panel.tsv", "estimates.json"):
+            assert (out / name).read_bytes() == (pipeline / name).read_bytes()
+
+
 def test_did_on_an_empty_panel_reports_then_fails(golden_root, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -467,13 +495,18 @@ def test_a_data_line_of_the_wrong_type_names_its_line(
         ("panel.tsv", 6, None),
         ("panel.tsv", 5, "lots"),
         ("panel.tsv", 4, "1" + "0" * 30),
+        ("panel.tsv", 1, "contorl"),
+        ("panel.tsv", 0, "fwd:2022-11:Q1:aa"),
+        ("panel.tsv", 6, "mobile"),
+        ("panel.tsv", 3, "2022-13"),
     ],
 )
 def test_malformed_stage_file_names_file_and_line(
     golden_root, pipeline, tmp_path, capsys, name, column, cell
 ):
-    """One bad row (a column short, a non-numeric cell, a period beyond int64
-    or a blank title) exits 3."""
+    """One bad row (a column short, a non-numeric cell, a period beyond int64,
+    a blank title, or a panel row of an unknown role, direction, referrer
+    class or month) exits 3."""
     out = tmp_path / "out"
     shutil.copytree(pipeline, out)
     path = out / name
@@ -513,21 +546,22 @@ def test_titles_file_without_an_orphan_row_is_a_data_error(
     assert f"{path}: " in err and "orphan page 2" in err
 
 
-# Text cells hold anything but tabs and line ends.  A row whose first
-# cell starts with '#' reads as a comment; pair ids start with their
-# direction.
+# Text cells hold anything but tabs and line ends.  Pair ids start with
+# their direction, and roles and referrer classes come from fixed lists.
 _cell = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"))
 _observations = st.lists(
     st.builds(
         causal.PanelObservation,
-        pair_id=_cell.filter(lambda text: not text.startswith("#")),
-        role=_cell,
+        pair_id=st.builds(
+            "".join, st.tuples(st.sampled_from(["forward:", "reverse:"]), _cell)
+        ),
+        role=st.sampled_from([causal.TREATED, causal.CONTROL]),
         language=_cell,
-        month=_cell,
+        month=st.integers(0, 12 * 10_000 - 1).map(month_at),
         # Periods outside int64 are rejected on reading, by design.
         period_index=st.integers(-(2**63), 2**63 - 1),
-        log_views=st.floats(allow_nan=False, allow_infinity=False),
-        referrer_class=_cell,
+        log_views=st.floats(allow_nan=False),
+        referrer_class=st.sampled_from(ingest.REFERRER_CLASSES),
     )
 )
 
@@ -535,12 +569,19 @@ _observations = st.lists(
 @settings(max_examples=200)
 @given(observations=_observations)
 def test_panel_rows_round_trip_through_the_report_writer(observations):
+    """Rows written by the report writer read back as the same rows, and
+    the columns read back write the same bytes again."""
     with tempfile.TemporaryDirectory() as tmp:
         config = cli.RunConfig(data_root=Path(tmp), out_dir=Path(tmp))
-        cli._write_report(
-            config.out_dir / "panel.tsv", causal.PanelObservation._fields, observations
+        path = config.out_dir / "panel.tsv"
+        cli._write_report(path, causal.PanelObservation._fields, observations)
+        written = path.read_bytes()
+        panel = cli._read_panel(config)
+        assert list(panel) == observations
+        cli._write_columns(
+            path, causal.PanelObservation._fields, panel.text_blocks(cli._REPORT_BLOCK_ROWS)
         )
-        assert cli._read_panel(config) == observations
+        assert path.read_bytes() == written
 
 
 _REPORT_CELLS = [

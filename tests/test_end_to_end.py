@@ -17,6 +17,8 @@ pass, which no other test reaches.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -95,3 +97,38 @@ def test_traced_pass_runs_and_builds_the_cli_snapshots(workload, tmp_path):
     for path in result.snapshot_paths:
         cli_path = out / path.relative_to(work)
         assert graph.LinkSnapshot.load(path) == graph.LinkSnapshot.load(cli_path), path
+
+
+# Exits 1 naming the stage if running it imported numpy.ma.
+_STAGE_SCRIPT = """
+import sys
+from oatlas import cli
+rc = cli.main(sys.argv[1:])
+sys.exit(rc or ("numpy.ma" in sys.modules and sys.argv[1] + " imported numpy.ma"))
+"""
+
+
+@pytest.mark.parametrize("tree", ["golden", "dumps"])
+def test_no_analysis_stage_imports_numpy_masked_arrays(golden_root, tmp_path, tree):
+    """``np.median``, ``np.isin`` and ``np.unique`` import ``numpy.ma`` on
+    some inputs, which costs a stage about 15 ms and 1.3 MB.  On the golden
+    tree the ``orphans`` and ``did`` stages reached it, and on ``dumps``
+    the ``candidates`` stage."""
+    if tree == "golden":
+        data = golden_root
+    else:
+        data = tmp_path / "data"
+        generate.build(tree, 1, scale=0.0).write(data)
+    out = tmp_path / "out"
+    _run("ingest", data, out)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, sys.path))}
+    for stage in STAGES[1:]:
+        argv = [stage, "--data", str(data), "--out", str(out), "--months", MONTHS]
+        run = subprocess.run(
+            [sys.executable, "-c", _STAGE_SCRIPT, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import resource
 import sys
 from pathlib import Path
 
@@ -50,10 +51,28 @@ def test_a_stage_is_timed_on_both_sides_after_the_stages_before_it(
     for side in time_stage.SIDES:
         assert (tmp_path / side / "snapshots").is_dir()
         assert (tmp_path / side / "wiki_summary.tsv").is_file()
+    # Each run's peak RSS is that of its own process, which is smaller
+    # than this one with numpy, hypothesis and the test modules loaded.
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    assert all(0 < run.rss_mb < own for runs in times.values() for run in runs)
     lines = time_stage.summary(times)
     assert [line.split(":")[0] for line in lines] == ["baseline", "current"]
     wins = [int(line.split("faster in ")[1].split(" of")[0]) for line in lines]
     assert sum(wins) == 2 and all(line.endswith("of 2 runs") for line in lines)
+
+
+def test_the_summary_reports_each_sides_median_peak_rss():
+    run = time_stage.StageRun
+    times = {
+        "baseline": [run(1.0, 50.0), run(3.0, 56.0), run(2.0, 52.0)],
+        "current": [run(0.5, 47.0), run(4.0, 45.0), run(1.0, 46.0)],
+    }
+    assert time_stage.summary(times) == [
+        "baseline: median 2.000 s, quartiles 1.500-2.500 s, "
+        "peak RSS median 52.0 MB, faster in 1 of 3 runs",
+        "current: median 1.000 s, quartiles 0.750-2.500 s, "
+        "peak RSS median 46.0 MB, faster in 2 of 3 runs",
+    ]
 
 
 def test_a_failing_run_stops_the_timing(tmp_path):

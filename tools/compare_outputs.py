@@ -42,13 +42,21 @@ def write_trees(root: Path) -> dict[str, Path]:
     return trees
 
 
+def cli_command(
+    checkout: Path, data: Path, out: Path, command: str = "all"
+) -> tuple[list[str], dict[str, str]]:
+    """The argv and environment of one command of ``checkout``'s program."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    argv = [sys.executable, "-m", "oatlas.cli", command]
+    argv += ["--data", str(data), "--out", str(out), "--months", MONTHS]
+    return argv, env
+
+
 def run_cli(
     checkout: Path, data: Path, out: Path, command: str = "all"
 ) -> subprocess.CompletedProcess:
     """Run one command of ``checkout``'s program on data, capturing its output."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    argv = [sys.executable, "-m", "oatlas.cli", command]
-    argv += ["--data", str(data), "--out", str(out), "--months", MONTHS]
+    argv, env = cli_command(checkout, data, out, command)
     return subprocess.run(argv, env=env, capture_output=True, text=True)
 
 

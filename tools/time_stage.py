@@ -11,43 +11,64 @@ compileall``: where ``PYTHONDONTWRITEBYTECODE`` is set, a side whose
 bytecode is missing or stale would compile its modules again in every
 run.  For each side it runs the stages before STAGE once, untimed; then
 it runs STAGE ``--runs`` times per side, alternating which side goes
-first.  It prints each side's median wall time, its quartiles and the
-number of runs in which that side was the faster one.  A failing run
-ends the script with exit 1 and its last line of stderr.
+first, each run through the benchmark's ``bench/launch.py``.  It prints
+each side's median wall time, its quartiles, its median peak RSS (the
+``ru_maxrss`` of each run's process, in MB of 10^6 bytes, as the
+benchmark counts them) and the number of runs in which that side was
+the faster one.  A failing run ends the script with exit 1 and its
+last line of stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
+from typing import NamedTuple
 
-from compare_outputs import REPO, generate, run_cli, write_trees
+from compare_outputs import REPO, cli_command, generate, write_trees
 
 from oatlas.cli import STAGES
 
 SIDES = ("baseline", "current")
+LAUNCHER = REPO / "bench" / "launch.py"
 
 
 class StageFailed(RuntimeError):
     """A run of the program that exited with an error."""
 
 
-def _run(checkout: Path, data: Path, out: Path, command: str) -> None:
-    run = run_cli(checkout, data, out, command)
-    if run.returncode:
+class StageRun(NamedTuple):
+    seconds: float
+    rss_mb: float
+
+
+def _run(checkout: Path, data: Path, out: Path, command: str) -> StageRun:
+    """Run one command; its wall time and the peak RSS of its process.
+
+    The command runs under the benchmark's ``bench/launch.py``: a child
+    forked from this process would count this process's memory in its
+    ``ru_maxrss``.
+    """
+    argv, env = cli_command(checkout, data, out, command)
+    run = subprocess.run(
+        [sys.executable, str(LAUNCHER), *argv], env=env, capture_output=True, text=True
+    )
+    report = json.loads(run.stdout)
+    if report["returncode"]:
         last = run.stderr.strip().rpartition("\n")[2]
-        raise StageFailed(f"{command} in {checkout} exited {run.returncode}: {last}")
+        raise StageFailed(f"{command} in {checkout} exited {report['returncode']}: {last}")
+    return StageRun(report["seconds"], report["maxrss_kb"] * 1024 / 1e6)
 
 
 def time_stage(
     baseline: Path, data: Path, stage: str, runs: int, work: Path
-) -> dict[str, list[float]]:
-    """Wall seconds of each run of ``stage`` on ``data``, per side."""
+) -> dict[str, list[StageRun]]:
+    """Wall seconds and peak RSS of each run of ``stage`` on ``data``, per side."""
     checkouts = dict(zip(SIDES, (baseline, REPO)))
     for checkout in checkouts.values():
         subprocess.run(
@@ -57,26 +78,26 @@ def time_stage(
     for side, checkout in checkouts.items():
         for command in STAGES[: STAGES.index(stage)]:
             _run(checkout, data, work / side, command)
-    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    times: dict[str, list[StageRun]] = {side: [] for side in SIDES}
     for i in range(runs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            started = time.perf_counter()
-            _run(checkouts[side], data, work / side, stage)
-            times[side].append(time.perf_counter() - started)
+            times[side].append(_run(checkouts[side], data, work / side, stage))
     return times
 
 
-def summary(times: dict[str, list[float]]) -> list[str]:
-    """One line per side: median, quartiles and runs won."""
+def summary(times: dict[str, list[StageRun]]) -> list[str]:
+    """One line per side: median, quartiles, median peak RSS and runs won."""
     wins = dict.fromkeys(SIDES, 0)
-    for pair in zip(*(times[side] for side in SIDES)):
+    for pair in zip(*([run.seconds for run in times[side]] for side in SIDES)):
         wins[SIDES[pair.index(min(pair))]] += 1
     lines = []
     for side in SIDES:
-        values = times[side]
+        values = [run.seconds for run in times[side]]
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        rss = statistics.median(run.rss_mb for run in times[side])
         lines.append(
             f"{side}: median {median:.3f} s, quartiles {q1:.3f}-{q3:.3f} s, "
+            f"peak RSS median {rss:.1f} MB, "
             f"faster in {wins[side]} of {len(values)} runs"
         )
     return lines
