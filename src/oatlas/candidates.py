@@ -11,10 +11,13 @@ Two generators propose source articles for a given orphan:
   looked up in an index of the titles' leading characters, so the cost
   is the text length plus the hits.  :func:`findlink_candidates` is the
   same for one orphan.
-* :func:`crosslingual_candidates` translates incoming links from other
+* :func:`crosslingual_by_orphan` translates incoming links from other
   language versions of the same article: if s' links to a' in another
   wiki and both map to articles s, a here, then s -> a is proposed,
-  with the set of supporting languages as evidence.
+  with the set of supporting languages as evidence.  Each other
+  language is one join of all the orphans' counterparts, their
+  in-edges and the item index.  :func:`crosslingual_candidates` is the
+  same for one orphan.
 
 Both return :class:`CandidateLink` lists proposing only edges absent
 from the snapshot; :func:`coverage_report` aggregates how many orphans
@@ -24,13 +27,14 @@ get any candidate at all.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graph import LinkSnapshot, orphans
-from .ingest import QidIndex
+from .graph import LinkSnapshot, _sorted_unique, orphans
+from .ingest import QidIndex, _positions, _take
 
 FINDLINK = "findlink"
 CROSSLINGUAL = "crosslingual"
@@ -52,6 +56,8 @@ class AnnotatedDocument:
     def validate(self) -> None:
         if not isinstance(self.text, str):
             raise TypeError(f"text is {type(self.text).__name__}, not str")
+        if self.page_id < 1:
+            raise ValueError(f"bad page id {self.page_id}")
         limit = len(self.text.encode("utf-8"))
         for start, end, target in self.existing_link_spans:
             if not (0 <= start < end <= limit):
@@ -177,12 +183,9 @@ def findlink_by_orphan(
     yet, so every proposal is a new edge.  Each orphan's candidates are
     ordered by mention count, ties by source page id.
     """
+    _orphan_rows(snapshot, list(titles))
     index: dict[str, list[int]] = {}
     for orphan, title in titles.items():
-        if not snapshot.has_article(orphan):
-            raise ValueError(f"page {orphan} is not an article in the snapshot")
-        if snapshot.in_degree_of(orphan) != 0:
-            raise ValueError(f"page {orphan} is not an orphan")
         name = title.replace("_", " ")
         for head in _mention_heads(name):
             index.setdefault(head + name[1:_KEY_CHARS], []).append(orphan)
@@ -234,6 +237,77 @@ def findlink_candidates(
     ]
 
 
+def _orphan_rows(snapshot: LinkSnapshot, page_ids: Sequence[int]) -> np.ndarray:
+    """The rows of ``page_ids``; ``ValueError`` at the first non-orphan."""
+    rows = snapshot.rows_of(page_ids)
+    bad = np.flatnonzero((rows < 0) | (_take(snapshot.in_degree_array(), rows, 0) > 0))
+    if len(bad):
+        what = "an article in the snapshot" if rows[bad[0]] < 0 else "an orphan"
+        raise ValueError(f"page {page_ids[bad[0]]} is not {what}")
+    return rows
+
+
+def crosslingual_by_orphan(
+    orphans: Iterable[int],
+    language: str,
+    snapshots: Mapping[str, LinkSnapshot],
+    qid_index: QidIndex,
+    *,
+    stats: CandidateStats | None = None,
+) -> dict[int, list[CandidateLink]]:
+    """Translate the orphans' incoming links from other languages.
+
+    Per other language, one join maps the orphans' counterparts' inlink
+    sources back through their items; sources that are other articles
+    here become candidates.  Evidence is the sorted tuple of supporting
+    languages; each orphan's candidates are ordered by evidence size
+    (descending), ties by source page id.  Orphans with no item id count
+    in ``stats.n_no_qid``.  ``ValueError`` unless each is an orphan.
+    """
+    snapshot = snapshots[language]
+    orphans = list(orphans)
+    orphan_rows = _orphan_rows(snapshot, orphans)
+    items = qid_index.items_of(language, orphans)
+    if stats is not None:
+        stats.n_no_qid += int(np.count_nonzero(items < 0))
+    others = [other for other in sorted(snapshots) if other != language]
+    n, width = max(1, snapshot.n_articles), max(1, len(others))
+    # One key per (orphan, source row, supporting language) found.
+    keys = [np.zeros(0, dtype=np.int64)]
+    for code, other in enumerate(others):
+        there = snapshots[other]
+        rows = there.rows_of(qid_index.pages_of(other, items))
+        counterparts = np.flatnonzero(rows >= 0)
+        place, sources = there.in_edges(rows[counterparts])
+        place = counterparts[place]
+        local = qid_index.pages_of(language, qid_index.items_of(other, sources))
+        local = snapshot.rows_of(local)
+        keep = (local >= 0) & (local != orphan_rows[place])
+        keys.append((place[keep] * n + local[keep]) * width + code)
+    pair, supporter = np.divmod(_sorted_unique(np.concatenate(keys)), width)
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    votes = np.diff(starts, append=len(pair))
+    pair = pair[starts]
+    order = np.lexsort((pair, -votes, pair // n))
+    place, source = np.divmod(pair[order], n)
+    names = [others[code] for code in supporter.tolist()]
+    found: dict[int, list[CandidateLink]] = {orphan: [] for orphan in orphans}
+    for at, source_id, first, count, is_orphan in zip(
+        place.tolist(),
+        snapshot.article_ids[source].tolist(),
+        starts[order].tolist(),
+        votes[order].tolist(),
+        (snapshot.in_degree_array()[source] == 0).tolist(),
+    ):
+        evidence = tuple(names[first : first + count])
+        found[orphans[at]].append(
+            CandidateLink(
+                language, source_id, orphans[at], CROSSLINGUAL, evidence, is_orphan
+            )
+        )
+    return found
+
+
 def crosslingual_candidates(
     orphan_page_id: int,
     language: str,
@@ -242,68 +316,10 @@ def crosslingual_candidates(
     *,
     stats: CandidateStats | None = None,
 ) -> list[CandidateLink]:
-    """Translate the orphan's incoming links from other languages.
-
-    For every other language where the same item exists, each inlink
-    source is mapped back through its item id; sources that exist here
-    become candidates (none links to the orphan yet, as it has no
-    inlinks).  Evidence is the sorted tuple of supporting languages, and
-    candidates are ordered by evidence size (descending), ties by source
-    page id.
-    An orphan with no item id yields an empty list and, when ``stats``
-    is given, counts in ``stats.n_no_qid``.
-    """
-    snapshot = snapshots[language]
-    if not snapshot.has_article(orphan_page_id):
-        raise ValueError(f"page {orphan_page_id} is not an article in the snapshot")
-    if snapshot.in_degree_of(orphan_page_id) != 0:
-        raise ValueError(f"page {orphan_page_id} is not an orphan")
-    qid = qid_index.qid_for_page(language, orphan_page_id)
-    if qid is None:
-        if stats is not None:
-            stats.n_no_qid += 1
-        return []
-    votes: dict[int, set[str]] = {}
-    for other in sorted(snapshots):
-        if other == language:
-            continue
-        counterpart = qid_index.page_for_qid(other, qid)
-        if counterpart is None or not snapshots[other].has_article(counterpart):
-            continue
-        for foreign_source in snapshots[other].in_neighbors(counterpart).tolist():
-            source_qid = qid_index.qid_for_page(other, foreign_source)
-            if source_qid is None:
-                continue
-            source = qid_index.page_for_qid(language, source_qid)
-            if source is None or not snapshot.has_article(source):
-                continue
-            if source == orphan_page_id:
-                continue
-            votes.setdefault(source, set()).add(other)
-    out = [
-        CandidateLink(
-            language=language,
-            source_page_id=source,
-            target_page_id=orphan_page_id,
-            method=CROSSLINGUAL,
-            evidence=tuple(sorted(languages)),
-            source_is_orphan=snapshot.in_degree_of(source) == 0,
-        )
-        for source, languages in votes.items()
-    ]
-    out.sort(key=lambda c: (-len(c.evidence), c.source_page_id))
-    return out
-
-
-def _in_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
-    """Whether each value is in ``sorted_values``, which ascend.
-
-    ``np.isin`` would do, but on some inputs it imports ``numpy.ma``.
-    """
-    if not len(sorted_values):
-        return np.zeros(len(values), dtype=bool)
-    at = np.minimum(np.searchsorted(sorted_values, values), len(sorted_values) - 1)
-    return sorted_values[at] == values
+    """:func:`crosslingual_by_orphan` for one orphan."""
+    return crosslingual_by_orphan(
+        [orphan_page_id], language, snapshots, qid_index, stats=stats
+    )[orphan_page_id]
 
 
 def validate_candidates(
@@ -323,12 +339,12 @@ def validate_candidates(
     orphan_array = np.sort(np.fromiter(orphan_ids, np.int64, len(orphan_ids)))
     checks = (
         (
-            ~_in_sorted(target, orphan_array),
+            _positions(orphan_array, target) < 0,
             lambda c: f"candidate targets non-orphan {c.target_page_id}",
         ),
         (source == target, lambda c: f"self candidate on {c.source_page_id}"),
         (
-            ~_in_sorted(source, snapshot.article_ids),
+            snapshot.rows_of(source) < 0,
             lambda c: f"candidate from unknown page {c.source_page_id}",
         ),
         (
@@ -374,32 +390,20 @@ def coverage_report(
     missing = orphan_ids - set(per_orphan)
     if missing:
         raise ValueError(f"candidates missing for {len(missing)} orphans")
-    n_ge1 = 0
-    n_ge10 = 0
-    methods: dict[str, list[int]] = {}
-    for page_id in orphan_ids:
-        proposals = per_orphan[page_id]
-        distinct_sources = {c.source_page_id for c in proposals}
-        if len(distinct_sources) >= 1:
-            n_ge1 += 1
-        if len(distinct_sources) >= 10:
-            n_ge10 += 1
-        counts: dict[str, int] = {}
-        for cand in proposals:
-            counts[cand.method] = counts.get(cand.method, 0) + 1
-        for method, count in counts.items():
-            methods.setdefault(method, []).append(count)
+    found = [per_orphan[p] for p in orphan_ids if per_orphan[p]]  # the rest count 0
+    sources = [len({c.source_page_id for c in proposals}) for proposals in found]
+    methods = [Counter(c.method for c in proposals) for proposals in found]
     per_method = {
         method: MethodCoverage(
-            n_with_ge1=sum(1 for c in counts if c >= 1),
-            n_with_ge10=sum(1 for c in counts if c >= 10),
+            n_with_ge1=sum(counts[method] >= 1 for counts in methods),
+            n_with_ge10=sum(counts[method] >= 10 for counts in methods),
         )
-        for method, counts in sorted(methods.items())
+        for method in sorted(set().union(*methods))
     }
     return CoverageReport(
         language=snapshot.language,
         n_orphans=len(orphan_ids),
-        n_with_ge1=n_ge1,
-        n_with_ge10=n_ge10,
+        n_with_ge1=sum(n >= 1 for n in sources),
+        n_with_ge10=sum(n >= 10 for n in sources),
         per_method=per_method,
     )

@@ -30,6 +30,7 @@ is months m-3..m-1 and the post window m+1..m+3.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ import numpy as np
 from .graph import LinkSnapshot, _sorted_unique, orphan_status
 # Unused here: bench/tracing.py wraps these names in this module.
 from .graph import deorphanizing_events, link_delta, orphanizing_events, orphans  # noqa: F401
-from .ingest import PageviewTable, QidIndex
+from .ingest import PageviewTable, QidIndex, _positions
 from .months import month_add, month_at, month_index
 
 logger = logging.getLogger(__name__)
@@ -266,32 +267,6 @@ class Panel:
             yield from map(PanelObservation._make, zip(*block))
 
 
-def _mean_pre_log_views(
-    pageviews: PageviewTable,
-    articles: Sequence[tuple[str, int]],
-    treatment_month: str,
-    window: int,
-) -> list[float]:
-    """Mean ln(1 + views) of each (language, page id) over the pre window.
-
-    The terms are added from month -window to -1.  That order fixes the
-    rounding, and the closest level to the last bit picks the control.
-    """
-    start = month_index(treatment_month)
-    views = pageviews.gather(
-        [language for language, _ in articles for _ in range(window)],
-        np.repeat([page for _, page in articles], window),
-        np.tile(np.arange(start - window, start), len(articles)),
-    )
-    levels = []
-    for row in views.reshape(len(articles), window).tolist():
-        total = 0.0
-        for count in row:
-            total += math.log1p(count)
-        levels.append(total / window)
-    return levels
-
-
 def build_pairs(
     snapshots: Mapping[str, Mapping[str, LinkSnapshot]],
     qid_index: QidIndex,
@@ -311,6 +286,8 @@ def build_pairs(
     that are orphans at both m and m+1.  Reverse: treated articles have
     inlinks at m and none at m+1; controls have inlinks at both.  Both
     come from one in-degree test per language (:func:`orphan_status`).
+    Per treated language, one item lookup covers its events, and one
+    page lookup and one pageview gather per other language the controls.
 
     With ``pageviews`` given, the control language whose article has
     the closest pre-treatment mean log view count is chosen, ties and
@@ -333,43 +310,50 @@ def build_pairs(
         )
         starts = linked_before == (direction == REVERSE)
         stays = linked_after == linked_before
-        crossed[lang] = shared[starts & ~stays].tolist()
-        stable[lang] = set(shared[starts & stays].tolist())
+        crossed[lang] = shared[starts & ~stays]
+        stable[lang] = shared[starts & stays]
+    if pageviews is None:
+        pageviews = PageviewTable()  # every level 0: the first language wins
+    start = month_index(treatment_month)
+    months = np.arange(start - window, start)
+
+    def pre_level(language: str, pages: np.ndarray) -> np.ndarray:
+        """Mean ln(1 + views) of each page over the pre window.  The terms
+        are added from month -window to -1; that order fixes the bits."""
+        views = pageviews.gather(
+            itertools.repeat(language, len(pages) * window),
+            np.repeat(pages, window),
+            np.tile(months, len(pages)),
+        )
+        total = np.zeros(len(pages))
+        for logs in _log1p(views).reshape(len(pages), window).T:
+            total += logs
+        return total / window
+
     result = PairBuildResult(pairs=[])
     for lang in languages:
-        for page_id in crossed[lang]:
-            qid = qid_index.qid_for_page(lang, page_id)
-            if qid is None:
-                result.n_dropped_no_qid += 1
+        items = qid_index.items_of(lang, crossed[lang])
+        known = items >= 0
+        result.n_dropped_no_qid += int(np.count_nonzero(~known))
+        items = items[known]
+        treated_level = pre_level(lang, crossed[lang][known])
+        best = np.full(len(items), -1)  # the control language's place
+        closest = np.full(len(items), np.inf)
+        for code, other in enumerate(languages):
+            if other == lang:
                 continue
-            eligible = []
-            for other in languages:
-                if other == lang:
-                    continue
-                page = qid_index.page_for_qid(other, qid)
-                if page in stable[other]:
-                    eligible.append((other, page))
-            if not eligible:
-                result.n_dropped_no_control += 1
-                continue
-            if pageviews is not None and len(eligible) > 1:
-                articles = [(lang, page_id), *eligible]
-                treated_level, *levels = _mean_pre_log_views(
-                    pageviews, articles, treatment_month, window
-                )
-                level = dict(zip(eligible, levels))
-                eligible.sort(
-                    key=lambda item: (abs(level[item] - treated_level), item[0])
-                )
-            control_language = eligible[0][0]
+            pages = qid_index.pages_of(other, items)
+            gap = np.abs(pre_level(other, pages) - treated_level)
+            # Strictly closer only: a tie keeps the earlier language.
+            better = (_positions(stable[other], pages) >= 0) & (gap < closest)
+            best[better], closest[better] = code, gap[better]
+        chosen = best >= 0
+        result.n_dropped_no_control += int(np.count_nonzero(~chosen))
+        for qid, code in zip(qid_index.qids_of(items[chosen]), best[chosen].tolist()):
+            pair_id = f"{direction}:{treatment_month}:{qid}:{lang}"
             result.pairs.append(
                 PairAssignment(
-                    pair_id=f"{direction}:{treatment_month}:{qid}:{lang}",
-                    qid=qid,
-                    treated_language=lang,
-                    control_language=control_language,
-                    treatment_month=treatment_month,
-                    direction=direction,
+                    pair_id, qid, lang, languages[code], treatment_month, direction
                 )
             )
     result.pairs.sort(key=lambda p: p.pair_id)
@@ -405,43 +389,41 @@ def assemble_panel(
     """
     offsets = [k for k in range(-window, window + 1) if k != 0]
     # One member per pair and role, in input order, treated before control.
-    pair_ids, treated, languages, pages, starts = [], [], [], [], []
-    start_of: dict[str, int] = {}
-    for pair in pairs:
-        for role, language in (
-            (TREATED, pair.treated_language),
-            (CONTROL, pair.control_language),
-        ):
-            page = qid_index.page_for_qid(language, pair.qid)
-            if page is None:
-                raise KeyError(
-                    f"pair {pair.pair_id}: no page for {pair.qid} in {language}"
-                )
-            treatment = pair.treatment_month
-            if treatment not in start_of:
-                start_of[treatment] = month_index(treatment)
-            pair_ids.append(pair.pair_id)
-            treated.append(role == TREATED)
-            languages.append(language)
-            pages.append(page)
-            starts.append(start_of[treatment])
+    pairs = list(pairs)
+    pair_ids = [pair.pair_id for pair in pairs for _ in (TREATED, CONTROL)]
+    qids = [pair.qid for pair in pairs for _ in (TREATED, CONTROL)]
+    languages = [
+        lang for p in pairs for lang in (p.treated_language, p.control_language)
+    ]
+    treated = np.tile([True, False], len(pairs))
+    language_names, language = _codes(languages)
+    items = qid_index.codes_of(qids)
+    pages = np.full(len(items), -1)
+    for code, name in enumerate(language_names):
+        rows = language == code
+        pages[rows] = qid_index.pages_of(name, items[rows])
+    missing = np.flatnonzero(pages < 0)
+    if len(missing):
+        i = missing[0]
+        raise KeyError(f"pair {pair_ids[i]}: no page for {qids[i]} in {languages[i]}")
+    start_of = {m: month_index(m) for m in {p.treatment_month for p in pairs}}
+    starts = [start_of[p.treatment_month] for p in pairs for _ in (TREATED, CONTROL)]
     width = len(offsets)
     period = np.tile(np.array(offsets, dtype=np.int64), len(pages))
     month = np.repeat(np.array(starts, dtype=np.int64), width) + period
     views = pageviews.gather(
         np.repeat(np.array(languages, dtype=object), width),
-        np.repeat(np.array(pages, dtype=np.int64), width),
+        np.repeat(pages, width),
         month,
         referrer_class,
     )
     pair_names, pair = _codes(pair_ids)
-    language_names, language = _codes(languages)
     panel = Panel(
         pair_ids=pair_names,
         languages=language_names,
         referrers=(referrer_class,),
         pair=np.repeat(pair, width),
-        treated=np.repeat(np.array(treated, dtype=bool), width),
+        treated=np.repeat(treated, width),
         language=np.repeat(language, width),
         month=month.astype(np.int32),
         period=period,

@@ -354,7 +354,7 @@ def _load_qid_index(config: RunConfig) -> ingest.QidIndex:
         raise DataError(f"{path} not found; run the ingest stage first")
     index = ingest.QidIndex()
     with _tsv_lines(path) as lines:
-        columns = (str, str, ingest.optional(int), str)
+        columns = (str, str, ingest.optional(ingest.positive_id), str)
         for qids, languages, page_ids, titles in ingest.read_tsv(lines, columns):
             index.add_rows(qids, languages, titles, page_ids)
     return index
@@ -582,10 +582,7 @@ def cmd_ingest(config: RunConfig) -> None:
     for plan, (_, id_by_title) in zip(plans, results):
         index.attach_page_ids(plan.language, id_by_title)
 
-    qid_rows = []
-    for qid in index.qids():
-        for language, title in sorted(index.sitelinks(qid).items()):
-            qid_rows.append((qid, language, index.page_for_qid(language, qid), title))
+    qid_rows = index.rows()
     _write_report(
         config.out_dir / "qidmap.tsv", ("qid", "language", "page_id", "title"), qid_rows
     )
@@ -830,6 +827,12 @@ def cmd_did(config: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _json_int(value: object) -> int:
+    if type(value) is not int:  # bool is an int too
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _load_documents(
     config: RunConfig, language: str
 ) -> list[candidates_mod.AnnotatedDocument]:
@@ -846,10 +849,10 @@ def _load_documents(
                 raw = json.loads(line)
                 document = candidates_mod.AnnotatedDocument(
                     language=language,
-                    page_id=int(raw["page_id"]),
+                    page_id=_json_int(raw["page_id"]),
                     text=raw["text"],
                     existing_link_spans=tuple(
-                        (int(a), int(b), int(t)) for a, b, t in raw.get("links", ())
+                        tuple(map(_json_int, span)) for span in raw.get("links", ())
                     ),
                 )
                 document.validate()
@@ -885,12 +888,11 @@ def cmd_candidates(config: RunConfig) -> None:
                 {orphan: titles[orphan] for orphan in per_orphan}, documents, snapshot
             )
         stats = candidates_mod.CandidateStats()
+        translated = candidates_mod.crosslingual_by_orphan(
+            per_orphan, language, snapshots, index, stats=stats
+        )
         for orphan, found in per_orphan.items():
-            found.extend(
-                candidates_mod.crosslingual_candidates(
-                    orphan, language, snapshots, index, stats=stats
-                )
-            )
+            found.extend(translated[orphan])
         flat = [cand for found in per_orphan.values() for cand in found]
         candidates_mod.validate_candidates(flat, snapshot, orphan_ids)
 

@@ -30,11 +30,12 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .ingest import LinkTable, PageTable, RawLink, RedirectTable, _take, atomic_file
+from .ingest import _positions
 
 _MAGIC = b"OATL"
 _TRAILER = b"LTAO"
@@ -103,7 +104,6 @@ class LinkSnapshot:
         self._ids = ids
         self._indptr = indptr
         self._targets = targets
-        self._index: dict[int, int] = dict(zip(ids.tolist(), range(len(ids))))
         self._in_degree = _in_degrees(targets, len(ids))
         self._rev: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -151,43 +151,53 @@ class LinkSnapshot:
     def articles(self) -> set[int]:
         return set(self._ids.tolist())
 
+    def rows_of(self, page_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The row of each page id in :attr:`article_ids`, -1 for a non-article."""
+        return _positions(self._ids, page_ids)
+
+    def _row(self, page_id: int) -> int:
+        row = int(self.rows_of([page_id])[0])
+        if row < 0:
+            raise KeyError(page_id)
+        return row
+
     def has_article(self, page_id: int) -> bool:
-        return page_id in self._index
+        return bool(self.rows_of([page_id])[0] >= 0)
 
     # -- adjacency ----------------------------------------------------------
 
     def out_neighbors(self, page_id: int) -> np.ndarray:
         """Page ids linked from ``page_id``, sorted ascending."""
-        i = self._index[page_id]
+        i = self._row(page_id)
         return self._ids[self._targets[self._indptr[i] : self._indptr[i + 1]]]
 
     def in_neighbors(self, page_id: int) -> np.ndarray:
         """Page ids linking to ``page_id``, sorted ascending."""
-        rev_indptr, rev_sources = self._reverse()
-        i = self._index[page_id]
-        return self._ids[rev_sources[rev_indptr[i] : rev_indptr[i + 1]]]
+        return self.in_edges(np.array([self._row(page_id)]))[1]
 
-    def out_degree_of(self, page_id: int) -> int:
-        i = self._index[page_id]
-        return int(self._indptr[i + 1] - self._indptr[i])
+    def in_edges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every in-edge of the articles at ``rows``: the place in ``rows``
+        of its target and its source's page id, grouped by target."""
+        rev_indptr, rev_sources = self._reverse()
+        starts = rev_indptr[rows]
+        counts = rev_indptr[rows + 1] - starts
+        place = np.repeat(np.arange(len(rows)), counts)
+        first = np.cumsum(counts) - counts  # each row's first edge in the output
+        edge = np.arange(len(place)) + np.repeat(starts - first, counts)
+        return place, self._ids[rev_sources[edge]]
 
     def in_degree_of(self, page_id: int) -> int:
-        return int(self._in_degree[self._index[page_id]])
+        return int(self._in_degree[self._row(page_id)])
 
     def has_edges(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Whether each (source, target) pair of page ids is an edge."""
-        ids, n = self._ids, len(self._ids)
-        if not self.n_edges:
-            return np.zeros(len(sources), dtype=bool)
-        s = np.minimum(np.searchsorted(ids, sources), n - 1)
-        t = np.minimum(np.searchsorted(ids, targets), n - 1)
+        n = len(self._ids)
+        s, t = self.rows_of(sources), self.rows_of(targets)
         # Rows are in source order and sorted within, so these keys are sorted.
         keys = self._sources()
         keys *= n
         keys += self._targets
-        wanted = s * n + t
-        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        return (ids[s] == sources) & (ids[t] == targets) & (keys[at] == wanted)
+        return (s >= 0) & (t >= 0) & (_positions(keys, s * n + t) >= 0)
 
     def in_degree_array(self) -> np.ndarray:
         """In-degrees aligned with :attr:`article_ids` (do not mutate)."""

@@ -42,12 +42,14 @@ keeps the rows after it, unless the tuple's end cannot be found.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import functools
 import itertools
 import logging
 import os
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -679,6 +681,24 @@ def _take(values: np.ndarray, rows: np.ndarray, missing: object) -> np.ndarray:
     return np.append(values, missing)[rows]
 
 
+def _positions(sorted_keys: np.ndarray, keys: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The place of each key in ``sorted_keys``, which ascend, or -1."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if not len(sorted_keys):
+        return np.full(len(keys), -1)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return np.where(sorted_keys[at] == keys, at, -1)
+
+
+def _last_per_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct keys, ascending, each with the value of its last row."""
+    # Reversed, so that a stable sort puts each key's last row first.
+    order = np.argsort(keys[::-1], kind="stable")
+    keys, values = keys[::-1][order], values[::-1][order]
+    first = np.diff(keys, prepend=keys[:1] - 1) != 0
+    return keys[first], values[first]
+
+
 def _next_equal(keys: np.ndarray) -> np.ndarray:
     """For each row, the next row holding the same key, or ``len(keys)``."""
     order = np.argsort(keys, kind="stable")
@@ -761,16 +781,9 @@ class PageTable:
     def id_by_title(self) -> dict[str, int]:
         return dict(zip(self.title_list(), self.page_ids.tolist()))
 
-    def article_ids(self) -> set[int]:
-        return set(self.page_ids[~self.is_redirect].tolist())
-
     def rows_of(self, page_ids: np.ndarray) -> np.ndarray:
         """The row of each page id, -1 for an id not in the table."""
-        if not len(self.page_ids):
-            return np.full(len(page_ids), -1)
-        ids = self.page_ids
-        at = np.minimum(np.searchsorted(ids, page_ids), len(ids) - 1)
-        return np.where(ids[at] == page_ids, at, -1)
+        return _positions(self.page_ids, page_ids)
 
     def row_of_code(self) -> np.ndarray:
         """The row of the page holding each title code, -1 where none does."""
@@ -828,15 +841,8 @@ class RedirectTable:
         target = pages.row_of_code()[code]
         missing = ~bad_source & ((namespace != 0) | (target < 0))
         kept = ~bad_source & ~missing
-        # Reversed, so that a stable sort puts each source's last row first.
-        source = source[kept][::-1]
-        target = pages.page_ids[target[kept]][::-1]
-        order = np.argsort(source, kind="stable")
-        source, target = source[order], target[order]
-        first = np.diff(source, prepend=source[:1] - 1) != 0
         return cls(
-            source[first],
-            target[first],
+            *_last_per_key(source[kept], pages.page_ids[target[kept]]),
             dropped_missing_target=int(np.count_nonzero(missing)),
             dropped_bad_source=int(np.count_nonzero(bad_source)),
         )
@@ -926,24 +932,27 @@ def iter_raw_links(
 
 
 class QidIndex:
-    """Bidirectional mapping between language-agnostic item ids and
-    per-language article titles, with optional page-id attachment.
+    """Sitelinks from item ids to per-language titles, and attached pages.
 
-    The title side comes from the sitelinks table.  Page ids become
-    available per language once :meth:`attach_page_ids` has been called
-    with that language's title index.
+    Items are int codes, in the order first seen.  A dict per language
+    checks each sitelink title against the ones before it.  A language's
+    (item, page) rows become sorted tables, page to item and item to
+    page, on the next lookup; the last row of a key wins.  Lookups take
+    and give arrays, -1 for none.
     """
 
     def __init__(self) -> None:
-        self._langs_by_qid: dict[str, dict[str, str]] = {}
-        # language -> title -> qid
-        self._qid_by_title: dict[str, dict[str, str]] = {}
-        self._page_by_qid: dict[str, dict[str, int]] = {}
-        self._qid_by_page: dict[tuple[str, int], str] = {}
+        self._codes: dict[str, int] = {}
+        self._qids: list[str] = []
+        # language -> title -> item, and language -> the items with a title
+        self._sites: defaultdict[str, dict[str, int]] = defaultdict(dict)
+        self._titled: defaultdict[str, set[int]] = defaultdict(set)
+        self._attached: dict[str, array.array] = {}  # language -> item, page, ...
+        self._tables: dict[str, tuple[np.ndarray, ...]] = {}
         self.n_conflicts = 0
 
-    def __len__(self) -> int:
-        return len(self._langs_by_qid)
+    def __len__(self) -> int:  # the items with a sitelink
+        return len(set().union(*self._titled.values()))
 
     def add(self, qid: str, language: str, title: str, *, strict: bool = False) -> None:
         self.add_rows((qid,), (language,), (title,), strict=strict)
@@ -966,45 +975,47 @@ class QidIndex:
         :attr:`n_conflicts`.  A page id that is not None is attached to
         the row's item either way, as :meth:`attach_page` does.
         """
-        qid_by_title = self._qid_by_title
-        langs_by_qid = self._langs_by_qid
-        attach_page = self.attach_page
+        codes = self._codes
         if page_ids is None:
             page_ids = itertools.repeat(None)
         for qid, language, title, page_id in zip(qids, languages, titles, page_ids):
-            by_title = qid_by_title.get(language)
-            if by_title is None:
-                by_title = qid_by_title[language] = {}
-            per_lang = langs_by_qid.get(qid)
-            if per_lang is None:
-                per_lang = langs_by_qid[qid] = {}
-            existing_qid = by_title.get(title)
-            existing_title = per_lang.get(language)
-            if (existing_qid is not None and existing_qid != qid) or (
-                existing_title is not None and existing_title != title
-            ):
+            code = codes.setdefault(qid, len(codes))
+            sites, titled = self._sites[language], self._titled[language]
+            known = sites.get(title)
+            if known is None and code not in titled:
+                sites[title] = code
+                titled.add(code)
+            elif known != code:
                 if strict:
                     raise DuplicateKeyError(
                         f"conflicting sitelink ({qid}, {language}, {title})"
                     )
                 self.n_conflicts += 1  # first wins
-                if not per_lang:
-                    del langs_by_qid[qid]
-            else:
-                per_lang[language] = title
-                by_title[title] = qid
             if page_id is not None:
-                attach_page(qid, language, page_id)
+                self._attach(language, (code, page_id))
 
     def qid_for(self, language: str, title: str) -> str | None:
-        return self._qid_by_title.get(language, {}).get(title)
+        code = self._sites.get(language, {}).get(title)
+        return None if code is None else self.qids_of(np.array([code]))[0]
 
-    def qids(self) -> list[str]:
-        """All known item ids, sorted."""
-        return sorted(self._langs_by_qid)
+    def rows(self) -> list[tuple[str, str, int | None, str]]:
+        """Every sitelink as ``(qid, language, page_id, title)``, sorted by
+        item id and language; the page id is None where none is attached."""
+        out: list[tuple[str, str, int | None, str]] = []
+        for language, sites in self._sites.items():
+            items = np.fromiter(sites.values(), np.int64, len(sites))
+            pages = self.pages_of(language, items).tolist()
+            pages = [None if page < 0 else page for page in pages]
+            out += zip(self.qids_of(items), itertools.repeat(language), pages, sites)
+        out.sort()  # (qid, language) is unique, so no two rows tie
+        return out
 
-    def sitelinks(self, qid: str) -> dict[str, str]:
-        return dict(self._langs_by_qid.get(qid, {}))
+    def _attach(self, language: str, rows: Iterable[int]) -> None:
+        """Append (item, page) rows, flattened, to ``language``'s."""
+        if language not in self._attached:
+            self._attached[language] = array.array("q")
+        self._attached[language].extend(rows)
+        self._tables.pop(language, None)
 
     def attach_page_ids(self, language: str, id_by_title: dict[str, int]) -> int:
         """Resolve this language's sitelink titles to page ids.
@@ -1012,26 +1023,51 @@ class QidIndex:
         Returns the number of attached pages; titles absent from the
         index are skipped.
         """
-        attached = 0
-        for title, qid in self._qid_by_title.get(language, {}).items():
-            page_id = id_by_title.get(title)
-            if page_id is None:
-                continue
-            self._page_by_qid.setdefault(qid, {})[language] = page_id
-            self._qid_by_page[(language, page_id)] = qid
-            attached += 1
-        return attached
+        sites = self._sites.get(language, {}).items()
+        rows = [(code, id_by_title[t]) for t, code in sites if t in id_by_title]
+        self._attach(language, itertools.chain.from_iterable(rows))
+        return len(rows)
 
     def attach_page(self, qid: str, language: str, page_id: int) -> None:
         """Directly register a qid/page pairing (fixture convenience)."""
-        self._page_by_qid.setdefault(qid, {})[language] = page_id
-        self._qid_by_page[(language, page_id)] = qid
+        self._attach(language, (self._codes.setdefault(qid, len(self._codes)), page_id))
+
+    def _table(self, language: str) -> tuple[np.ndarray, ...]:
+        """Sorted page ids with their items, and sorted items with their pages."""
+        table = self._tables.get(language)
+        if table is None:
+            rows = np.frombuffer(self._attached.get(language, b""), dtype=np.int64)
+            codes, pages = rows.reshape(-1, 2).T
+            table = *_last_per_key(pages, codes), *_last_per_key(codes, pages)
+            self._tables[language] = table
+        return table
+
+    def items_of(self, language: str, page_ids: Sequence[int]) -> np.ndarray:
+        """The item code of each page, -1 for none."""
+        pages, items, _, _ = self._table(language)
+        return _take(items, _positions(pages, page_ids), -1)
+
+    def pages_of(self, language: str, items: Sequence[int]) -> np.ndarray:
+        """The page id of each item code, -1 for none."""
+        _, _, codes, pages = self._table(language)
+        return _take(pages, _positions(codes, items), -1)
+
+    def codes_of(self, qids: Iterable[str]) -> np.ndarray:
+        """The code of each item id, -1 for an unknown one."""
+        return np.fromiter(map(self._codes.get, qids, itertools.repeat(-1)), np.int64)
+
+    def qids_of(self, items: np.ndarray) -> list[str]:
+        if len(self._qids) < len(self._codes):  # codes number the ids as first seen
+            self._qids = list(self._codes)
+        return list(map(self._qids.__getitem__, items.tolist()))
 
     def qid_for_page(self, language: str, page_id: int) -> str | None:
-        return self._qid_by_page.get((language, page_id))
+        items = self.items_of(language, [page_id])
+        return None if items[0] < 0 else self.qids_of(items)[0]
 
     def page_for_qid(self, language: str, qid: str) -> int | None:
-        return self._page_by_qid.get(qid, {}).get(language)
+        page = int(self.pages_of(language, self.codes_of([qid]))[0])
+        return None if page < 0 else page
 
 
 def _tsv_rows(
@@ -1148,6 +1184,14 @@ def int64(cell: str) -> int:
     return value
 
 
+def positive_id(cell: str) -> int:
+    """A converter reading a page id: an int64 of at least 1."""
+    value = int64(cell)
+    if value < 1:
+        raise ValueError("page id below 1")
+    return value
+
+
 def read_sitelinks_tsv(lines: Iterable[str]) -> Iterator[SitelinkRecord]:
     """Parse headerless sitelink TSV lines ``qid<TAB>language<TAB>title``."""
     for block in read_tsv(lines, (nonempty,) * 3):
@@ -1243,9 +1287,7 @@ class PageviewTable:
         if referrer < 0 or not known.any():
             return rows
         keys = self._pack(language[known], page[known], month[known], referrer)
-        at = np.searchsorted(self._keys, keys)
-        at[at == len(self._keys)] = 0
-        rows[known] = np.where(self._keys[at] == keys, at, -1)
+        rows[known] = _positions(self._keys, keys)
         return rows
 
     def gather(

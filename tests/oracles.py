@@ -28,7 +28,6 @@ from oatlas.causal import (
     PairBuildResult,
     PanelObservation,
     _fit,
-    _mean_pre_log_views,
 )
 from oatlas.characterize import (
     BINARY_FEATURES,
@@ -378,6 +377,22 @@ def orphanizing_oracle(
     return out
 
 
+def pre_level_oracle(
+    pageviews: PageviewTable,
+    language: str,
+    page_id: int,
+    treatment_month: str,
+    window: int,
+) -> float:
+    """Mean ln(1 + views) of one article over the pre window: one
+    ``math.log1p`` per month, added from month -window to -1."""
+    total = 0.0
+    for offset in range(-window, 0):
+        month = month_add(treatment_month, offset)
+        total += math.log1p(pageviews.views(language, page_id, month))
+    return total / window
+
+
 def build_pairs_oracle(
     snapshots: Mapping[str, Mapping[str, LinkSnapshot]],
     qid_index: QidIndex,
@@ -389,7 +404,8 @@ def build_pairs_oracle(
     """Pairs from the edge-set diff, with each control checked one lookup
     at a time: forward events from ``link_delta``, reverse events from
     ``orphanizing_events``, then ``has_article`` and ``in_degree_of`` per
-    candidate control.  The control choice is the library's own."""
+    candidate control.  With pageviews, the control is the closest pre
+    level (:func:`pre_level_oracle`), ties to the first language."""
     next_month = month_add(treatment_month, 1)
     usable = {
         lang: months
@@ -430,13 +446,17 @@ def build_pairs_oracle(
                 result.n_dropped_no_control += 1
                 continue
             if pageviews is not None and len(eligible) > 1:
-                articles = [(lang, event.page_id), *eligible]
-                treated_level, *levels = _mean_pre_log_views(
-                    pageviews, articles, treatment_month, window
+                treated_level = pre_level_oracle(
+                    pageviews, lang, event.page_id, treatment_month, window
                 )
-                level = dict(zip(eligible, levels))
                 eligible.sort(
-                    key=lambda item: (abs(level[item] - treated_level), item[0])
+                    key=lambda item: (
+                        abs(
+                            pre_level_oracle(pageviews, *item, treatment_month, window)
+                            - treated_level
+                        ),
+                        item[0],
+                    )
                 )
             result.pairs.append(
                 PairAssignment(
@@ -456,7 +476,7 @@ def crosslingual_oracle(
     orphan_page_id: int,
     language: str,
     snapshots: dict[str, LinkSnapshot],
-    index: QidIndex,
+    index: QidIndex | QidIndexOracle,
 ) -> list[tuple[int, tuple[str, ...]]]:
     """Triple loop over languages, counterpart inlinks and back-mapping.
 
@@ -729,6 +749,12 @@ class QidIndexOracle:
     def attach_page(self, qid: str, language: str, page_id: int) -> None:
         self.page_by_site[qid, language] = page_id
         self.qid_by_page[language, page_id] = qid
+
+    def qid_for_page(self, language: str, page_id: int) -> str | None:
+        return self.qid_by_page.get((language, page_id))
+
+    def page_for_qid(self, language: str, qid: str) -> int | None:
+        return self.page_by_site.get((qid, language))
 
     def add_rows(self, rows: Iterable[tuple[str, str, int | None, str]]) -> None:
         """``(qid, language, page_id, title)`` rows, as in ``qidmap.tsv``."""

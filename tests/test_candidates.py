@@ -16,6 +16,7 @@ from oatlas.candidates import (
     CandidateLink,
     CandidateStats,
     coverage_report,
+    crosslingual_by_orphan,
     crosslingual_candidates,
     findlink_by_orphan,
     findlink_candidates,
@@ -26,6 +27,7 @@ from oatlas.graph import LinkSnapshot, orphans
 from oatlas.ingest import QidIndex
 
 from .oracles import (
+    QidIndexOracle,
     crosslingual_oracle,
     findlink_oracle,
     unlinked_mentions_oracle,
@@ -415,6 +417,68 @@ def test_crosslingual_matches_triple_loop_oracle():
                 assert [(c.source_page_id, c.evidence) for c in got] == expected
                 checked += 1
     assert checked > 50
+
+
+_LANGUAGES = ("aa", "bb", "cc", "dd", "ee", "ff")
+
+
+@st.composite
+def _crosslingual_worlds(draw):
+    """3-6 languages with articles among pages 1..10, so that some pages
+    with an item are not articles.  Each language gives most of items
+    Q1..Q6 a page of its own, so that sources are shared, and pages
+    without an item remain.  A few extra rows give a page a second item
+    or an item a second page; the rows are attached in a drawn order,
+    and the last row of a page or an item wins."""
+    languages = _LANGUAGES[: draw(st.integers(3, 6))]
+    items = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]
+    snapshots, rows = {}, []
+    for lang in languages:
+        articles = sorted(draw(st.sets(st.integers(1, 10), min_size=4, max_size=9)))
+        ends = st.sampled_from(articles)
+        edges = draw(st.lists(st.tuples(ends, ends), min_size=4, max_size=30))
+        edges = [(u, v) for u, v in edges if u != v]
+        snapshots[lang] = LinkSnapshot.from_edges(lang, "2023-05", articles, edges)
+        pages = draw(st.permutations(range(1, 11)))
+        rows += [
+            (item, lang, page)
+            for item, page in zip(items, pages)
+            if draw(st.integers(0, 5)) > 0
+        ]
+    extra = st.tuples(
+        st.sampled_from(items), st.sampled_from(languages), st.integers(1, 10)
+    )
+    rows = draw(st.permutations(rows + draw(st.lists(extra, max_size=4))))
+    index, oracle = QidIndex(), QidIndexOracle()
+    for qid, lang, page in rows:
+        index.attach_page(qid, lang, page)
+        oracle.attach_page(qid, lang, page)
+    return snapshots, index, oracle
+
+
+@settings(max_examples=300)
+@given(world=_crosslingual_worlds())
+def test_crosslingual_join_matches_the_triple_loop_oracle(world):
+    """One join per language gives each orphan the oracle's candidates,
+    as the one-orphan wrapper does, and counts the orphans without an item."""
+    snapshots, index, oracle = world
+    for lang, snapshot in snapshots.items():
+        orphan_ids = sorted(orphans(snapshot))
+        stats = CandidateStats()
+        found = crosslingual_by_orphan(orphan_ids, lang, snapshots, index, stats=stats)
+        assert list(found) == orphan_ids
+        for orphan in orphan_ids:
+            got = found[orphan]
+            want = crosslingual_oracle(orphan, lang, snapshots, oracle)
+            assert [(c.source_page_id, c.evidence) for c in got] == want
+            assert all(
+                (c.language, c.target_page_id, c.method) == (lang, orphan, CROSSLINGUAL)
+                and c.source_is_orphan == (c.source_page_id in orphan_ids)
+                for c in got
+            )
+            assert crosslingual_candidates(orphan, lang, snapshots, index) == got
+        no_qid = [o for o in orphan_ids if oracle.qid_for_page(lang, o) is None]
+        assert stats.n_no_qid == len(no_qid)
 
 
 # -- validate_candidates and coverage ----------------------------------------

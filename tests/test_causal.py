@@ -241,13 +241,19 @@ def test_pairs_sorted_by_pair_id_across_languages():
     assert len(ids) == 2
 
 
+# Mostly 0 or 1 views, so that controls often tie on the pre level.
+_view_counts = st.one_of(st.integers(0, 1), st.integers(0, 1), st.integers(0, 4))
+
+
 @st.composite
 def _pair_worlds(draw):
     """2-4 languages.  Each keeps a core of articles in pages 1..6 in
     both months, and each month adds a few of pages 1..8 of its own;
     edges are drawn apart per month.  A language may lack the next
     month.  Each language holds a random subset of items Q1..Q4 on
-    distinct pages of 1..8, which need not be articles in either month."""
+    distinct pages of 1..8, which need not be articles in either month.
+    Views are drawn for the pre window and the months on either side of
+    it, mostly 0 or 1, so that levels often tie."""
     languages = draw(
         st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), min_size=2, unique=True)
     )
@@ -268,9 +274,9 @@ def _pair_worlds(draw):
         for item, page in zip(range(1, 5), pages):
             if draw(st.integers(0, 3)) < 3:
                 entries.append((f"Q{item}", lang, page))
-                for offset in (-3, -2, -1):
+                for offset in (-4, -3, -2, -1, 0):
                     when = month_add(MONTH, offset)
-                    rows.append((lang, page, when, "all", draw(st.integers(0, 3))))
+                    rows.append((lang, page, when, "all", draw(_view_counts)))
     views = _views(rows) if rows and draw(st.booleans()) else None
     return snapshots, _index(entries), views
 
@@ -282,6 +288,34 @@ def test_build_pairs_matches_the_edge_diff_oracle(world, direction):
     got = build_pairs(snapshots, index, MONTH, direction, pageviews=views)
     want = build_pairs_oracle(snapshots, index, MONTH, direction, pageviews=views)
     assert got == want
+
+
+@settings(max_examples=200)
+@given(
+    n_languages=st.integers(3, 5),
+    counts=st.lists(_view_counts, min_size=25, max_size=25),
+    direction=st.sampled_from([FORWARD, REVERSE]),
+)
+def test_the_closest_pre_level_picks_the_control(n_languages, counts, direction):
+    """Item Q1 is page 1 everywhere and crosses the orphan boundary in the
+    first language only, so every other language offers a control and
+    the views around the pre window decide between them."""
+    languages = ["aa", "bb", "cc", "dd", "ee"][:n_languages]
+    linked, snapshots, rows = [(2, 1)], {}, []
+    for i, lang in enumerate(languages):
+        before = [] if direction == FORWARD else linked
+        after = linked if (i == 0) == (direction == FORWARD) else []
+        snapshots[lang] = {
+            MONTH: _snap(lang, MONTH, [1, 2], before),
+            NEXT: _snap(lang, NEXT, [1, 2], after),
+        }
+        for k, offset in enumerate((-4, -3, -2, -1, 0)):
+            rows.append((lang, 1, month_add(MONTH, offset), "all", counts[5 * i + k]))
+    index = _index([("Q1", lang, 1) for lang in languages])
+    views = _views(rows)
+    got = build_pairs(snapshots, index, MONTH, direction, pageviews=views)
+    want = build_pairs_oracle(snapshots, index, MONTH, direction, pageviews=views)
+    assert got == want and len(got.pairs) == 1
 
 
 # -- assemble_panel ---------------------------------------------------------

@@ -450,6 +450,28 @@ _BAD_DOCUMENT = "{path}:{number}: bad document: "
         ("aa/docs.jsonl", "candidates", '{"page_id": 1, "text": 5}', _BAD_DOCUMENT),
         ("aa/docs.jsonl", "candidates", '{"page_id": 1, "text": null}', _BAD_DOCUMENT),
         ("aa/docs.jsonl", "candidates", '{"page_id": 1e400, "text": "x"}', _BAD_DOCUMENT),
+        ("aa/docs.jsonl", "candidates", '{"page_id": 3.9, "text": "x"}', _BAD_DOCUMENT),
+        ("aa/docs.jsonl", "candidates", '{"page_id": true, "text": "x"}', _BAD_DOCUMENT),
+        ("aa/docs.jsonl", "candidates", '{"page_id": "3", "text": "x"}', _BAD_DOCUMENT),
+        ("aa/docs.jsonl", "candidates", '{"page_id": 0, "text": "x"}', _BAD_DOCUMENT),
+        (
+            "aa/docs.jsonl",
+            "candidates",
+            '{"page_id": 1, "text": "xyz", "links": [[0, 1.5, 2]]}',
+            _BAD_DOCUMENT,
+        ),
+        (
+            "aa/docs.jsonl",
+            "candidates",
+            '{"page_id": 1, "text": "xyz", "links": [[false, 1, 2]]}',
+            _BAD_DOCUMENT,
+        ),
+        (
+            "aa/docs.jsonl",
+            "candidates",
+            '{"page_id": 1, "text": "xyz", "links": [[0, 1, "2"]]}',
+            _BAD_DOCUMENT,
+        ),
         (
             "features.tsv",
             "characterize",
@@ -463,7 +485,20 @@ _BAD_DOCUMENT = "{path}:{number}: bad document: "
             "{path}: bad line {line!r}: flag '2' is not 0 or 1 (line {number})",
         ),
     ],
-    ids=["text int", "text null", "page id 1e400", "timestamp 1e400", "flag 2"],
+    ids=[
+        "text int",
+        "text null",
+        "page id 1e400",
+        "page id float",
+        "page id bool",
+        "page id string",
+        "page id 0",
+        "span float",
+        "span bool",
+        "span string",
+        "timestamp 1e400",
+        "flag 2",
+    ],
 )
 def test_a_data_line_of_the_wrong_type_names_its_line(
     golden_root, pipeline, tmp_path, capsys, name, stage, line, message
@@ -492,6 +527,8 @@ def test_a_data_line_of_the_wrong_type_names_its_line(
         ("titles/aa.tsv", 1, ""),
         ("qidmap.tsv", 3, None),
         ("qidmap.tsv", 2, "twelve"),
+        ("qidmap.tsv", 2, "99999999999999999999"),
+        ("qidmap.tsv", 2, "-4"),
         ("panel.tsv", 6, None),
         ("panel.tsv", 5, "lots"),
         ("panel.tsv", 4, "1" + "0" * 30),
@@ -504,9 +541,9 @@ def test_a_data_line_of_the_wrong_type_names_its_line(
 def test_malformed_stage_file_names_file_and_line(
     golden_root, pipeline, tmp_path, capsys, name, column, cell
 ):
-    """One bad row (a column short, a non-numeric cell, a period beyond int64,
-    a blank title, or a panel row of an unknown role, direction, referrer
-    class or month) exits 3."""
+    """One bad row (a column short, a non-numeric cell, a page id below 1, a
+    page id or period beyond int64, a blank title, or a panel row of an
+    unknown role, direction, referrer class or month) exits 3."""
     out = tmp_path / "out"
     shutil.copytree(pipeline, out)
     path = out / name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -81,11 +82,36 @@ def test_from_edges_basic_accessors():
     assert snap.out_neighbors(1).tolist() == [2]
     assert sorted(snap.in_neighbors(2).tolist()) == [1, 4]
     assert snap.in_degree_of(5) == 0
-    assert snap.out_degree_of(5) == 0
+    assert snap.out_neighbors(5).tolist() == []
     assert snap.has_article(5) and not snap.has_article(6)
     assert orphans(snap) == {4, 5}
     assert deadends(snap) == {5}
     snap.validate()
+
+
+def test_a_loaded_snapshot_holds_its_arrays_and_no_page_index():
+    """After loading, a snapshot holds 8 B per article for each of its ids,
+    row pointers and in-degrees, and 8 B per edge: no dict from page id
+    to row, and no other Python object per article."""
+    n = 50_000
+    rng = np.random.default_rng(7)
+    ids = np.arange(1, 2 * n, 2)
+    sources, targets = rng.integers(0, n, (2, 150_000))
+    keep = sources != targets
+    edges = zip(ids[sources[keep]].tolist(), ids[targets[keep]].tolist())
+    buffer = io.BytesIO()
+    LinkSnapshot.from_edges("aa", "2022-11", ids, edges).save(buffer)
+    buffer.seek(0)
+    tracemalloc.start()
+    try:
+        loaded = LinkSnapshot.load(buffer)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.n_articles == n and loaded.n_edges > 100_000
+    assert held <= 24 * n + 8 * loaded.n_edges + 64 * 1024
+    assert not any(isinstance(value, dict) for value in vars(loaded).values())
+    assert loaded.rows_of([1, 2, 2 * n - 1]).tolist() == [0, -1, n - 1]
 
 
 def test_from_edges_rejects_bad_input():

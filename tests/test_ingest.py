@@ -439,7 +439,7 @@ def test_load_page_table_filters_and_deduplicates():
     # Later row wins, and the stale id is dropped entirely.
     assert table.id_by_title["Alpha"] == 4
     assert 1 not in table.by_id
-    assert sorted(table.article_ids()) == [4]
+    assert table.page_ids[~table.is_redirect].tolist() == [4]
     with pytest.raises(DuplicateKeyError):
         load_page_table(rows, strict=True)
 
@@ -478,7 +478,7 @@ def test_qid_index_first_sitelink_wins():
     index.add("Q1", "aa", "Other")
     assert index.n_conflicts == 2
     assert index.qid_for("aa", "Star") == "Q1"
-    assert index.sitelinks("Q1") == {"aa": "Star"}
+    assert index.rows() == [("Q1", "aa", None, "Star")]
     with pytest.raises(DuplicateKeyError):
         index.add("Q3", "aa", "Star", strict=True)
 
@@ -494,7 +494,17 @@ def test_qid_index_page_attachment_round_trip():
     assert index.qid_for_page("aa", 11) == "Q1"
     assert index.page_for_qid("bb", "Q1") is None
     assert index.page_for_qid("aa", "Q2") is None
-    assert index.qids() == ["Q1", "Q2"]
+    assert index.rows() == [
+        ("Q1", "aa", 11, "Star"),
+        ("Q1", "bb", None, "Stern"),
+        ("Q2", "bb", None, "Star"),
+    ]
+    assert len(index) == 2
+    # Pages live in arrays: every dict is keyed by an item id, a language
+    # or a title.
+    dicts = [value for value in vars(index).values() if isinstance(value, dict)]
+    dicts += [value for d in dicts for value in d.values() if isinstance(value, dict)]
+    assert all(isinstance(key, str) for d in dicts for key in d)
 
 
 # Few items, titles and pages, so that rows often conflict.
@@ -516,15 +526,18 @@ _qidmap_rows = st.lists(
 def assert_same_index(index: QidIndex, oracle: QidIndexOracle) -> None:
     """Every lookup of ``index`` answers as ``oracle``'s dicts do."""
     assert index.n_conflicts == oracle.n_conflicts
-    qids = sorted({qid for qid, _ in oracle.title_by_site})
-    assert index.qids() == qids and len(index) == len(qids)
-    for qid in _QIDS:
-        assert index.sitelinks(qid) == {
-            language: title
-            for (q, language), title in oracle.title_by_site.items()
-            if q == qid
-        }
+    assert index.rows() == [
+        (qid, language, oracle.page_by_site.get((qid, language)), title)
+        for (qid, language), title in sorted(oracle.title_by_site.items())
+    ]
+    assert len(index) == len({qid for qid, _ in oracle.title_by_site})
+    codes = index.codes_of(_QIDS)
     for language in _LANGUAGES:
+        pages = index.pages_of(language, codes).tolist()
+        assert pages == [oracle.page_by_site.get((qid, language), -1) for qid in _QIDS]
+        qids = [oracle.qid_by_page.get((language, page_id)) for page_id in _PAGES]
+        items = index.items_of(language, _PAGES)
+        assert items.tolist() == index.codes_of(qids).tolist()
         for title in _TITLES:
             assert index.qid_for(language, title) == oracle.qid_by_title.get(
                 (language, title)

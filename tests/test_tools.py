@@ -1,4 +1,5 @@
-"""The scripts ``tools/compare_outputs.py`` and ``tools/time_stage.py``."""
+"""The scripts ``tools/compare_outputs.py``, ``tools/time_stage.py`` and
+``tools/line_count.py``."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import compare_outputs  # noqa: E402
+import line_count  # noqa: E402
 import time_stage  # noqa: E402
 
 
@@ -80,3 +82,52 @@ def test_a_failing_run_stops_the_timing(tmp_path):
         time_stage.time_stage(
             compare_outputs.REPO, tmp_path / "no tree", "ingest", 2, tmp_path
         )
+
+
+_MODULE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code counts as code
+
+# A comment line.
+
+
+class Thing:
+    """One line."""
+
+    def method(self):
+        """Two
+        lines."""
+        text = """not a docstring:
+        a string in code"""
+        return text
+'''
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings():
+    assert line_count.count_lines(_MODULE) == (17, 6)
+
+
+def test_line_counts_of_two_checkouts_and_their_difference(tmp_path):
+    for side, text in (("base", "x = 1\n"), ("new", "x = 1\n\ny = 2\n")):
+        package = tmp_path / side / line_count.PACKAGE
+        package.mkdir(parents=True)
+        (package / "a.py").write_text(text)
+    (package / "b.py").write_text("# only here\n")
+    current = line_count.module_counts(tmp_path / "new")
+    baseline = line_count.module_counts(tmp_path / "base")
+    assert current == {"a.py": (3, 2), "b.py": (1, 0)}
+    rows = [line.split() for line in line_count.table(current, baseline)]
+    assert rows[1:] == [
+        ["a.py", "3", "2", "1", "1", "+2", "+1"],
+        ["b.py", "1", "0", "0", "0", "+1", "+0"],
+        ["total", "4", "2", "1", "1", "+3", "+1"],
+    ]
+    assert [row.split()[0] for row in line_count.table(current)] == [
+        "module",
+        "a.py",
+        "b.py",
+        "total",
+    ]
+    same = line_count.module_counts(line_count.REPO)
+    assert line_count.table(same, same)[-1].split()[-2:] == ["+0", "+0"]
