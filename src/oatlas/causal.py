@@ -249,7 +249,9 @@ class Panel:
     def text_blocks(self, size: int) -> Iterator[list[list]]:
         """The rows as the cells of ``panel.tsv``, ``size`` rows at a time:
         one list per column, text as str and numbers as int and float."""
-        month_name = {index: month_at(index) for index in set(self.month.tolist())}
+        # From the array: a set of the Python ints would hold 36 B per row.
+        months = _sorted_unique(self.month).tolist()
+        month_name = {index: month_at(index) for index in months}
         for start in range(0, len(self), size):
             rows = slice(start, start + size)
             yield [

@@ -26,7 +26,7 @@ from typing import Collection, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .graph import LinkSnapshot, deadends, orphans
-from .ingest import FeatureRecord, TOPIC_LABELS
+from .ingest import TOPIC_LABELS, FeatureRecord, feature_values
 
 TOPIC_THRESHOLD = 0.5
 _TOPIC_PROBABILITIES = operator.itemgetter(*TOPIC_LABELS)
@@ -80,6 +80,35 @@ class FeatureTable:
             and np.array_equal(self.defined, other.defined)
         )
 
+    @classmethod
+    def from_columns(
+        cls,
+        language: str,
+        page_ids: np.ndarray,
+        values: np.ndarray,
+        articles: Collection[int] | None = None,
+    ) -> FeatureTable:
+        """Binarize one language's feature columns.
+
+        ``page_ids`` and ``values`` are an :class:`~oatlas.ingest.FeatureColumns`
+        pair, rows in line order.  Rows outside ``articles`` (a set or an
+        array) when given are ignored; a page listed twice keeps its last
+        row.  Topics are cut at ``> 0.5``; quality and age at the lower
+        median.
+        """
+        rows = np.arange(len(page_ids) - 1, -1, -1)
+        if articles is not None:
+            rows = rows[np.isin(page_ids[rows], _id_array(articles))]
+        # np.unique indexes the first of equal ids: over reversed rows, the last.
+        page_ids, last = np.unique(page_ids[rows], return_index=True)
+        values = values[rows[last]]
+        bot, woman, *topics, quality, age = values.T
+        flags = np.column_stack(
+            [bot > 0, woman > 0, *(p > TOPIC_THRESHOLD for p in topics)]
+            + [split_at_median(quality), split_at_median(age)]
+        )
+        return cls(language, page_ids, flags, defined=~np.isnan(values))
+
 
 def _id_array(ids: Collection[int]) -> np.ndarray:
     return ids if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64, len(ids))
@@ -91,36 +120,18 @@ def build_feature_table(
     *,
     articles: Collection[int] | None = None,
 ) -> FeatureTable:
-    """Binarize feature records into a :class:`FeatureTable`.
-
-    Records for other languages, or outside ``articles`` (a set or an
-    array) when given, are ignored; a page listed twice keeps its last
-    row.  Topics are cut at ``> 0.5``; quality and age at the lower median.
-    """
-    rows = [rec for rec in records if rec.language == language]
-    page_ids = np.fromiter((rec.page_id for rec in rows), np.int64, len(rows))
-    # None reads as NaN; age grows as creation time falls, so negate it.
-    values = np.array(
-        [
-            (rec.bot_created, rec.is_woman_biography)
-            + _TOPIC_PROBABILITIES(rec.topic_probabilities)
-            + (rec.quality_score, -float(rec.creation_timestamp))
-            for rec in rows
-        ],
-        dtype=float,
-    ).reshape(len(rows), len(BINARY_FEATURES))
-    if articles is not None:
-        keep = np.isin(page_ids, _id_array(articles))
-        page_ids, values = page_ids[keep], values[keep]
-    # np.unique indexes the first of equal ids: over reversed rows, the last.
-    page_ids, last = np.unique(page_ids[::-1], return_index=True)
-    values = values[::-1][last]
-    bot, woman, *topics, quality, age = values.T
-    flags = np.column_stack(
-        [bot > 0, woman > 0, *(p > TOPIC_THRESHOLD for p in topics)]
-        + [split_at_median(quality), split_at_median(age)]
+    """:meth:`FeatureTable.from_columns` of the records of ``language``."""
+    rows = [
+        (rec.page_id, rec.bot_created, rec.is_woman_biography)
+        + _TOPIC_PROBABILITIES(rec.topic_probabilities)
+        + (rec.quality_score, rec.creation_timestamp)
+        for rec in records
+        if rec.language == language
+    ]
+    page_ids, *columns = zip(*rows) if rows else [()] * 9
+    return FeatureTable.from_columns(
+        language, np.array(page_ids, dtype=np.int64), feature_values(columns), articles
     )
-    return FeatureTable(language, page_ids, flags, defined=~np.isnan(values))
 
 
 class RepresentationScore(NamedTuple):

@@ -64,6 +64,15 @@ class ModelError(Exception):
     """Estimation failed on otherwise well-formed data."""
 
 
+@contextlib.contextmanager
+def _decoding(path: Path, error: type[Exception] = DataError) -> Iterator[None]:
+    """Turn text of ``path`` that is not UTF-8 into ``error``, naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -157,8 +166,10 @@ def load_config_file(path: Path) -> dict[str, str]:
     """
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    with _decoding(path, ConfigError):
+        text = path.read_text(encoding="utf-8")
     values: dict[str, str] = {}
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
             continue
@@ -290,8 +301,9 @@ def _write_json(path: Path, payload: object) -> None:
 
 @contextlib.contextmanager
 def _tsv_lines(path: Path) -> Iterator[TextIO]:
-    """Open a TSV to read; a malformed row becomes a DataError naming it."""
-    with path.open(encoding="utf-8") as handle:
+    """Open a TSV to read; a malformed row or text that is not UTF-8
+    becomes a DataError naming it."""
+    with path.open(encoding="utf-8") as handle, _decoding(path):
         try:
             yield handle
         except ingest.TsvFormatError as exc:
@@ -643,18 +655,18 @@ def cmd_characterize(config: RunConfig) -> None:
     if not features_path.is_file():
         raise DataError(f"feature table not found: {features_path}")
     with _tsv_lines(features_path) as lines:
-        records = list(ingest.read_features_tsv(lines))
+        features = ingest.read_feature_columns(lines, snapshots.keys())
 
-    with_rows = {rec.language for rec in records}
     rows = []
     for language, snapshot in sorted(snapshots.items()):
-        if language not in with_rows:
+        if language not in features:
             logger.warning("no feature rows for %s; skipping", language)
             continue
-        table = characterize.build_feature_table(
-            records, language, articles=snapshot.article_ids
+        table = characterize.FeatureTable.from_columns(
+            language, *features.pop(language), snapshot.article_ids
         )
-        rows.extend(characterize.representation_scores(graph.orphans(snapshot), table))
+        orphan_ids = snapshot.article_ids[snapshot.in_degree_array() == 0]
+        rows.extend(characterize.representation_scores(orphan_ids, table))
     _write_report(
         config.out_dir / "representation_scores.tsv",
         (
@@ -841,7 +853,7 @@ def _load_documents(
         return []
     documents = []
     # Only line ends split records: JSON leaves U+2028 unescaped in strings.
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8") as handle, _decoding(path):
         for number, line in enumerate(handle, 1):
             if not line.strip():
                 continue

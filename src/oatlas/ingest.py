@@ -17,9 +17,10 @@ Three kinds of sources are understood:
 * Tab-separated tables, read by :func:`read_tsv` with one converter
   per column, in blocks of columns of up to ``_TSV_BLOCK_LINES`` lines:
   sitelinks (``qid, language, title``), pageviews (``language, page_id,
-  month, referrer_class, views``) and per-article features.
-  :class:`SitelinkRecord` and :class:`PageviewRecord` are NamedTuples
-  whose fields are their file's columns.
+  month, referrer_class, views``) and per-article features, which
+  :func:`read_feature_columns` keeps as :class:`FeatureColumns` per
+  language.  :class:`SitelinkRecord` and :class:`PageviewRecord` are
+  NamedTuples whose fields are their file's columns.
 * The loaders turn those blocks into indexed, validated tables used by
   the graph and analysis layers.  :class:`PageTable`,
   :class:`RedirectTable` and :class:`LinkTable` hold int64 columns,
@@ -1510,6 +1511,67 @@ def read_features_tsv(lines: Iterable[str]) -> Iterator[FeatureRecord]:
                 quality_score=quality,
                 creation_timestamp=created,
             )
+
+
+class FeatureColumns(NamedTuple):
+    """One language's rows of ``features.tsv`` as columns, in line order.
+
+    ``values`` has a row per entry of ``page_ids`` and the eight value
+    columns of the file as floats, made by :func:`feature_values`.
+    """
+
+    page_ids: np.ndarray
+    values: np.ndarray
+
+
+def feature_values(columns: Sequence[Sequence]) -> np.ndarray:
+    """The float matrix of feature rows, given their eight value columns.
+
+    ``columns`` are bot_created, is_woman_biography (None for ``NA``),
+    the four topic probabilities, quality_score and creation_timestamp,
+    as :data:`_FEATURE_COLUMNS` converts them.  The result has a row per
+    feature row, in C order: flags as 0.0 or 1.0, None as NaN, and the
+    timestamp as ``-float(timestamp)``, which grows with the article's age.
+    """
+    values = np.ascontiguousarray(np.array(columns, dtype=float).T)
+    # By assignment: in numpy 2.4.6, np.negative(x, out=x) on a short
+    # strided column reads it with the wrong stride.
+    values[:, -1] = -values[:, -1]
+    return values
+
+
+def read_feature_columns(
+    lines: Iterable[str], languages: Iterable[str]
+) -> dict[str, FeatureColumns]:
+    """Read feature TSV lines into :class:`FeatureColumns` per language.
+
+    Only the rows of ``languages`` are kept, and a language without rows
+    gets no entry.  Every line is converted and checked as in
+    :func:`read_features_tsv`, whatever its language, so a bad cell
+    raises :class:`TsvFormatError` with its line number.
+    """
+    wanted = set(languages)
+    # Each kept language's ids and values grow in place, block by block.
+    kept: dict[str, tuple[array.array, array.array]] = {}
+    for language, page_ids, *columns in read_tsv(lines, _FEATURE_COLUMNS):
+        names = sorted(wanted.intersection(language))
+        if not names:
+            continue
+        block_languages = np.array(language)
+        block_ids = np.array(page_ids, dtype=np.int64)
+        block_values = feature_values(columns)
+        for name in names:
+            rows = block_languages == name
+            ids, values = kept.setdefault(name, (array.array("q"), array.array("d")))
+            ids.frombytes(block_ids[rows].tobytes())
+            values.frombytes(block_values[rows].tobytes())
+    return {
+        name: FeatureColumns(
+            np.frombuffer(ids, dtype=np.int64),
+            np.frombuffer(values).reshape(len(ids), -1),
+        )
+        for name, (ids, values) in kept.items()
+    }
 
 
 @contextlib.contextmanager

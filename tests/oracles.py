@@ -294,7 +294,8 @@ def feature_columns_oracle(
     articles: Collection[int] | None = None,
 ) -> dict[str, dict[int, bool]]:
     """The feature table as one ``{page_id: flag}`` dict per feature; a
-    page absent from a column has the feature undefined there."""
+    page absent from a column has the feature undefined there.  A page
+    listed twice keeps its last row."""
     rows = [
         rec
         for rec in records
@@ -303,6 +304,8 @@ def feature_columns_oracle(
     columns: dict[str, dict[int, bool]] = {name: {} for name in BINARY_FEATURES}
     for rec in rows:
         columns["bot_created"][rec.page_id] = rec.bot_created
+        # A later row of the page replaces the whole row, NA included.
+        columns["is_woman_biography"].pop(rec.page_id, None)
         if rec.is_woman_biography is not None:
             columns["is_woman_biography"][rec.page_id] = rec.is_woman_biography
         for label in TOPIC_LABELS:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oatlas import ingest
 from oatlas.characterize import (
     BINARY_FEATURES,
     FeatureTable,
@@ -20,7 +22,12 @@ from oatlas.characterize import (
     split_at_median,
 )
 from oatlas.graph import LinkSnapshot
-from oatlas.ingest import TOPIC_LABELS, FeatureRecord
+from oatlas.ingest import (
+    TOPIC_LABELS,
+    FeatureRecord,
+    read_feature_columns,
+    read_features_tsv,
+)
 
 from .oracles import feature_columns_oracle, representation_scores_oracle
 
@@ -180,6 +187,52 @@ def test_feature_table_and_scores_match_the_dict_oracle(records, articles, orpha
     assert len(got) == len(want)
     for score, expected in zip(got, want):
         assert all(_same(g, w) for g, w in zip(score, expected)), (score, expected)
+
+
+# Lines of features.tsv: languages interleaved, page ids repeating,
+# NA biographies, and timestamps that float64 cannot hold exactly.
+_feature_lines = st.lists(
+    st.tuples(
+        st.sampled_from(["aa", "bb", "cc"]),
+        st.integers(1, 12).map(str),
+        st.sampled_from(["0", "1"]),
+        st.sampled_from(["0", "1", "NA"]),
+        *(st.sampled_from(["0.0", "0.5", "0.75", "1"]) for _ in range(5)),
+        st.sampled_from(
+            [-(2**63), -7, 0, 3, 2**53 + 1, 2**53 + 3, 2**62 + 2**9, 2**63 - 1]
+        ).map(str),
+    ).map("\t".join),
+    max_size=40,
+)
+
+
+@settings(max_examples=300)
+@given(
+    lines=_feature_lines,
+    languages=st.sets(st.sampled_from(["aa", "bb", "cc", "dd"])),
+    articles=_article_filters,
+    block_lines=st.integers(1, 4),
+)
+def test_feature_columns_make_the_table_of_the_records(
+    lines, languages, articles, block_lines
+):
+    """Read straight into columns, a language's table is the one its
+    records give, wherever the blocks of lines end."""
+    with mock.patch.object(ingest, "_TSV_BLOCK_LINES", block_lines):
+        columns = read_feature_columns(lines, languages)
+    records = list(read_features_tsv(lines))
+    assert set(columns) == languages & {rec.language for rec in records}
+    oracle_articles = None if articles is None else set(articles)
+    for language, (page_ids, values) in columns.items():
+        rows = [rec for rec in records if rec.language == language]
+        assert page_ids.tolist() == [rec.page_id for rec in rows]
+        ages = [-float(rec.creation_timestamp) for rec in rows]
+        assert values[:, -1].tolist() == ages
+        table = FeatureTable.from_columns(language, page_ids, values, articles)
+        assert table == build_feature_table(records, language, articles=articles)
+        assert _columns(table) == feature_columns_oracle(
+            records, language, oracle_articles
+        )
 
 
 def test_representation_scores_match_direct_counts():

@@ -376,16 +376,17 @@ def test_orphans_keeps_a_wiki_without_articles_off_the_curve(golden_root, tmp_pa
 
 
 class _NoRows(tuple):
-    """A stand-in for ``PanelObservation`` that fails when a row is made."""
+    """A stand-in for a row type, such as ``PanelObservation`` or
+    ``FeatureRecord``, that fails when a row is made."""
 
     _fields = causal.PanelObservation._fields
 
     def __new__(cls, *args, **kwargs):
-        raise AssertionError("a PanelObservation was built")
+        raise AssertionError("a row object was built")
 
     @classmethod
     def _make(cls, iterable):
-        raise AssertionError("a PanelObservation was built")
+        raise AssertionError("a row object was built")
 
 
 def test_panel_and_did_stages_build_no_row_objects(
@@ -400,6 +401,73 @@ def test_panel_and_did_stages_build_no_row_objects(
         assert _run(stage, *args, "--languages", "aa,bb,cc") == EXIT_OK
         for name in ("pairs.tsv", "panel.tsv", "estimates.json"):
             assert (out / name).read_bytes() == (pipeline / name).read_bytes()
+
+
+def test_characterize_stage_builds_no_feature_records(
+    golden_root, pipeline, tmp_path, monkeypatch
+):
+    """features.tsv goes into the feature tables as columns."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    (out / "representation_scores.tsv").unlink()
+    monkeypatch.setattr(ingest, "FeatureRecord", _NoRows)
+    args = ("--data", str(golden_root), "--out", str(out), "--months", MONTHS)
+    assert _run("characterize", *args) == EXIT_OK
+    name = "representation_scores.tsv"
+    assert (out / name).read_bytes() == (pipeline / name).read_bytes()
+
+
+def test_a_bad_feature_row_of_a_language_left_out_still_fails(
+    golden_root, tmp_path, capsys
+):
+    """Every line of features.tsv is checked, also one of a language
+    that the run does not analyse."""
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    path = data / "features.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert any(line.startswith("bb\t") for line in lines)
+    lines.append("bb\t1\t2\tNA\t0.5\t0.1\t0.1\t0.1\t0.5\t10")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = ("--data", str(data), "--out", str(tmp_path / "out"), "--months", MONTHS)
+    assert _run("ingest", *args, "--languages", "aa") == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "out" / "snapshots").iterdir()) == ["aa"]
+    capsys.readouterr()
+    assert _run("characterize", *args, "--languages", "aa") == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and f"(line {len(lines)})" in err
+
+
+@pytest.mark.parametrize(
+    "name, stage",
+    [
+        ("features.tsv", "characterize"),
+        ("sitelinks.tsv", "ingest"),
+        ("pageviews.tsv", "panel"),
+        ("aa/docs.jsonl", "candidates"),
+        ("out/qidmap.tsv", "panel"),
+        ("out/titles/aa.tsv", "candidates"),
+        ("oatlas.conf", "orphans"),
+    ],
+)
+def test_a_file_that_is_not_utf8_is_named(
+    golden_root, pipeline, tmp_path, capsys, name, stage
+):
+    """A byte that is not UTF-8 exits 3 naming the file, or 2 in the
+    config file, instead of a traceback."""
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    out = data / "out"
+    shutil.copytree(pipeline, out)
+    path = data / name
+    config = data / "oatlas.conf"
+    config.write_text(f"data_root = {data}\n", encoding="utf-8")
+    with path.open("ab") as handle:
+        handle.write(b"aa\t\xff\n")
+    capsys.readouterr()
+    rc = _run(stage, "--config", str(config), "--out", str(out), "--months", MONTHS)
+    assert rc == (EXIT_CONFIG_ERROR if path == config else EXIT_DATA_ERROR)
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_did_on_an_empty_panel_reports_then_fails(golden_root, tmp_path):

@@ -66,14 +66,15 @@ def test_a_stage_is_timed_on_both_sides_after_the_stages_before_it(
 def test_the_summary_reports_each_sides_median_peak_rss():
     run = time_stage.StageRun
     times = {
-        "baseline": [run(1.0, 50.0), run(3.0, 56.0), run(2.0, 52.0)],
-        "current": [run(0.5, 47.0), run(4.0, 45.0), run(1.0, 46.0)],
+        "baseline": [run(1.0, 50.0), run(3.0, 56.0), run(2.0, 52.0), run(2.0, 46.0)],
+        "current": [run(0.5, 47.0), run(4.0, 45.0), run(1.0, 46.0), run(2.0, 46.0)],
     }
+    # The last pair ties on both measures and counts for neither side.
     assert time_stage.summary(times) == [
-        "baseline: median 2.000 s, quartiles 1.500-2.500 s, "
-        "peak RSS median 52.0 MB, faster in 1 of 3 runs",
-        "current: median 1.000 s, quartiles 0.750-2.500 s, "
-        "peak RSS median 46.0 MB, faster in 2 of 3 runs",
+        "baseline: median 2.000 s, quartiles 1.750-2.250 s, faster in 1 of 4 runs; "
+        "peak RSS median 51.0 MB, quartiles 49.0-53.0 MB, smaller in 0 of 4 runs",
+        "current: median 1.500 s, quartiles 0.875-2.500 s, faster in 2 of 4 runs; "
+        "peak RSS median 46.0 MB, quartiles 45.8-46.2 MB, smaller in 3 of 4 runs",
     ]
 
 

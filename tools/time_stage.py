@@ -12,11 +12,11 @@ bytecode is missing or stale would compile its modules again in every
 run.  For each side it runs the stages before STAGE once, untimed; then
 it runs STAGE ``--runs`` times per side, alternating which side goes
 first, each run through the benchmark's ``bench/launch.py``.  It prints
-each side's median wall time, its quartiles, its median peak RSS (the
-``ru_maxrss`` of each run's process, in MB of 10^6 bytes, as the
-benchmark counts them) and the number of runs in which that side was
-the faster one.  A failing run ends the script with exit 1 and its
-last line of stderr.
+each side's median and quartiles of the wall time and of the peak RSS
+(the ``ru_maxrss`` of each run's process, in MB of 10^6 bytes, as the
+benchmark counts them), and for each the number of runs in which that
+side was the faster or the smaller one; a tie counts for neither side.
+A failing run ends the script with exit 1 and its last line of stderr.
 """
 
 from __future__ import annotations
@@ -85,22 +85,40 @@ def time_stage(
     return times
 
 
-def summary(times: dict[str, list[StageRun]]) -> list[str]:
-    """One line per side: median, quartiles, median peak RSS and runs won."""
+def _wins(values: dict[str, list[float]]) -> dict[str, int]:
+    """The number of runs in which each side had the smaller value; a
+    tie counts for neither."""
     wins = dict.fromkeys(SIDES, 0)
-    for pair in zip(*([run.seconds for run in times[side]] for side in SIDES)):
-        wins[SIDES[pair.index(min(pair))]] += 1
-    lines = []
-    for side in SIDES:
-        values = [run.seconds for run in times[side]]
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        rss = statistics.median(run.rss_mb for run in times[side])
-        lines.append(
-            f"{side}: median {median:.3f} s, quartiles {q1:.3f}-{q3:.3f} s, "
-            f"peak RSS median {rss:.1f} MB, "
-            f"faster in {wins[side]} of {len(values)} runs"
-        )
-    return lines
+    for pair in zip(*(values[side] for side in SIDES)):
+        if pair.count(min(pair)) == 1:
+            wins[SIDES[pair.index(min(pair))]] += 1
+    return wins
+
+
+# Per measure: the StageRun field, its label, unit, digits and the word
+# for the side with the smaller value.
+_MEASURES = (
+    ("seconds", "", "s", 3, "faster"),
+    ("rss_mb", "peak RSS ", "MB", 1, "smaller"),
+)
+
+
+def summary(times: dict[str, list[StageRun]]) -> list[str]:
+    """One line per side: for wall time and for peak RSS, the median,
+    the quartiles and the number of runs in which that side's value was
+    the smaller one."""
+    parts: dict[str, list[str]] = {side: [] for side in SIDES}
+    for field, label, unit, digits, better in _MEASURES:
+        values = {side: [getattr(run, field) for run in times[side]] for side in SIDES}
+        wins = _wins(values)
+        for side in SIDES:
+            q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
+            parts[side].append(
+                f"{label}median {median:.{digits}f} {unit}, "
+                f"quartiles {q1:.{digits}f}-{q3:.{digits}f} {unit}, "
+                f"{better} in {wins[side]} of {len(values[side])} runs"
+            )
+    return [f"{side}: " + "; ".join(parts[side]) for side in SIDES]
 
 
 def main(argv: list[str] | None = None) -> int:
