@@ -29,11 +29,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import LinkSnapshot, _sorted_unique, orphans
+from .graph import LinkSnapshot, _id_array, _sorted_unique
+# Unused here: bench/tracing.py wraps this name in this module.
+from .graph import orphans  # noqa: F401
 from .ingest import QidIndex, _positions, _take
 
 FINDLINK = "findlink"
@@ -325,7 +327,7 @@ def crosslingual_candidates(
 def validate_candidates(
     proposals: Iterable[CandidateLink],
     snapshot: LinkSnapshot,
-    orphan_ids: set[int],
+    orphan_ids: Collection[int],
 ) -> None:
     """Re-check candidate invariants against a snapshot; raise on any hole.
 
@@ -336,7 +338,7 @@ def validate_candidates(
     n = len(proposals)
     source = np.fromiter((c.source_page_id for c in proposals), np.int64, n)
     target = np.fromiter((c.target_page_id for c in proposals), np.int64, n)
-    orphan_array = np.sort(np.fromiter(orphan_ids, np.int64, len(orphan_ids)))
+    orphan_array = np.sort(_id_array(orphan_ids))
     checks = (
         (
             _positions(orphan_array, target) < 0,
@@ -361,49 +363,41 @@ def validate_candidates(
         raise ValueError(message(proposals[i]))
 
 
-@dataclass(frozen=True)
-class MethodCoverage:
-    n_with_ge1: int
-    n_with_ge10: int
+class Coverage(NamedTuple):
+    """One row of ``coverage.tsv``; the fields are its columns.
 
+    The combined counts are of distinct source pages across methods;
+    each method's pair counts that method's own candidates.
+    """
 
-@dataclass(frozen=True)
-class CoverageReport:
     language: str
     n_orphans: int
     n_with_ge1: int
     n_with_ge10: int
-    per_method: dict[str, MethodCoverage]
+    findlink_ge1: int
+    findlink_ge10: int
+    crosslingual_ge1: int
+    crosslingual_ge10: int
+    n_no_qid: int = 0
 
 
 def coverage_report(
     snapshot: LinkSnapshot,
     per_orphan: Mapping[int, Sequence[CandidateLink]],
-) -> CoverageReport:
+) -> Coverage:
     """Aggregate candidate availability over a snapshot's orphans.
 
     ``per_orphan`` must have an entry (possibly empty) for every orphan.
-    Combined counts use distinct source pages across methods; the
-    per-method breakdown counts each method's own candidates.
     """
-    orphan_ids = orphans(snapshot)
-    missing = orphan_ids - set(per_orphan)
+    orphan_ids = snapshot.article_ids[snapshot.in_degree_array() == 0].tolist()
+    missing = [orphan for orphan in orphan_ids if orphan not in per_orphan]
     if missing:
         raise ValueError(f"candidates missing for {len(missing)} orphans")
-    found = [per_orphan[p] for p in orphan_ids if per_orphan[p]]  # the rest count 0
-    sources = [len({c.source_page_id for c in proposals}) for proposals in found]
-    methods = [Counter(c.method for c in proposals) for proposals in found]
-    per_method = {
-        method: MethodCoverage(
-            n_with_ge1=sum(counts[method] >= 1 for counts in methods),
-            n_with_ge10=sum(counts[method] >= 10 for counts in methods),
-        )
-        for method in sorted(set().union(*methods))
-    }
-    return CoverageReport(
-        language=snapshot.language,
-        n_orphans=len(orphan_ids),
-        n_with_ge1=sum(n >= 1 for n in sources),
-        n_with_ge10=sum(n >= 10 for n in sources),
-        per_method=per_method,
-    )
+    counts = []  # distinct sources, findlink and crosslingual candidates
+    for orphan in orphan_ids:
+        if proposals := per_orphan[orphan]:  # the rest count 0
+            methods = Counter(c.method for c in proposals)
+            sources = len({c.source_page_id for c in proposals})
+            counts.append((sources, methods[FINDLINK], methods[CROSSLINGUAL]))
+    cells = [sum(n[j] >= least for n in counts) for j in range(3) for least in (1, 10)]
+    return Coverage(snapshot.language, len(orphan_ids), *cells)

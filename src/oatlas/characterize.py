@@ -25,7 +25,9 @@ from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import LinkSnapshot, deadends, orphans
+from .graph import LinkSnapshot, _id_array
+# Unused here: bench/tracing.py wraps this name in this module.
+from .graph import orphans  # noqa: F401
 from .ingest import TOPIC_LABELS, FeatureRecord, feature_values
 
 TOPIC_THRESHOLD = 0.5
@@ -108,10 +110,6 @@ class FeatureTable:
             + [split_at_median(quality), split_at_median(age)]
         )
         return cls(language, page_ids, flags, defined=~np.isnan(values))
-
-
-def _id_array(ids: Collection[int]) -> np.ndarray:
-    return ids if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64, len(ids))
 
 
 def build_feature_table(
@@ -210,12 +208,14 @@ def orphan_fraction_by_wiki(
     summaries = []
     for snapshot in snapshots:
         n = snapshot.n_articles
+        n_orphans = int(np.count_nonzero(snapshot.in_degree_array() == 0))
+        n_deadends = int(np.count_nonzero(snapshot.out_degree_array() == 0))
         summaries.append(
             WikiSummary(
                 language=snapshot.language,
                 n_articles=n,
-                orphan_fraction=len(orphans(snapshot)) / n if n else math.nan,
-                deadend_fraction=len(deadends(snapshot)) / n if n else math.nan,
+                orphan_fraction=n_orphans / n if n else math.nan,
+                deadend_fraction=n_deadends / n if n else math.nan,
             )
         )
     summaries.sort(key=lambda s: (-s.n_articles, s.language))

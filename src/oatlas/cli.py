@@ -301,12 +301,17 @@ def _write_json(path: Path, payload: object) -> None:
 
 @contextlib.contextmanager
 def _tsv_lines(path: Path) -> Iterator[TextIO]:
-    """Open a TSV to read; a malformed row or text that is not UTF-8
-    becomes a DataError naming it."""
+    """Open a TSV to read; a malformed or invalid row, or text that is
+    not UTF-8, becomes a DataError naming it."""
     with path.open(encoding="utf-8") as handle, _decoding(path):
         try:
             yield handle
-        except ingest.TsvFormatError as exc:
+        except (
+            ingest.TsvFormatError,
+            ingest.InvalidRecordError,
+            ingest.DuplicateKeyError,
+            MonthFormatError,
+        ) as exc:
             raise DataError(f"{path}: {exc}") from exc
 
 
@@ -347,16 +352,19 @@ def _snapshot_path(config: RunConfig, language: str, month: str) -> Path:
 
 
 def _load_snapshots(config: RunConfig, month: str) -> dict[str, graph.LinkSnapshot]:
+    """The month's snapshot of each language, of the allowed ones if set."""
     snapshots_dir = config.out_dir / "snapshots"
     if not snapshots_dir.is_dir():
         raise DataError(f"{snapshots_dir} not found; run the ingest stage first")
     loaded: dict[str, graph.LinkSnapshot] = {}
     for lang_dir in sorted(snapshots_dir.iterdir()):
         path = lang_dir / f"{month}.oatl"
-        if lang_dir.is_dir() and path.is_file():
+        allowed = config.languages is None or lang_dir.name in config.languages
+        if allowed and lang_dir.is_dir() and path.is_file():
             loaded[lang_dir.name] = graph.LinkSnapshot.load(path)
     if not loaded:
-        raise DataError(f"no snapshots for {month} under {snapshots_dir}")
+        allowed = "" if config.languages is None else f" of {list(config.languages)}"
+        raise DataError(f"no snapshots{allowed} for {month} under {snapshots_dir}")
     return loaded
 
 
@@ -364,11 +372,14 @@ def _load_qid_index(config: RunConfig) -> ingest.QidIndex:
     path = config.out_dir / "qidmap.tsv"
     if not path.is_file():
         raise DataError(f"{path} not found; run the ingest stage first")
+    # ingest wrote the file from a checked index: only its pages are read.
     index = ingest.QidIndex()
     with _tsv_lines(path) as lines:
         columns = (str, str, ingest.optional(ingest.positive_id), str)
-        for qids, languages, page_ids, titles in ingest.read_tsv(lines, columns):
-            index.add_rows(qids, languages, titles, page_ids)
+        for qids, languages, page_ids, _ in ingest.read_tsv(lines, columns):
+            for qid, language, page_id in zip(qids, languages, page_ids):
+                if page_id is not None:
+                    index.attach_page(qid, language, page_id)
     return index
 
 
@@ -885,9 +896,9 @@ def cmd_candidates(config: RunConfig) -> None:
         snapshot = snapshots[language]
         titles = _load_titles(config, language)
         documents = _load_documents(config, language)
-        orphan_ids = graph.orphans(snapshot)
+        orphan_ids = snapshot.article_ids[snapshot.in_degree_array() == 0]
         per_orphan: dict[int, list[candidates_mod.CandidateLink]] = {
-            orphan: [] for orphan in sorted(orphan_ids)
+            orphan: [] for orphan in orphan_ids.tolist()
         }
         if documents:
             for orphan in per_orphan:
@@ -905,45 +916,30 @@ def cmd_candidates(config: RunConfig) -> None:
         )
         for orphan, found in per_orphan.items():
             found.extend(translated[orphan])
+        # per_orphan is in orphan order, and so is flat.
         flat = [cand for found in per_orphan.values() for cand in found]
         candidates_mod.validate_candidates(flat, snapshot, orphan_ids)
 
-        for orphan in sorted(per_orphan):
-            for cand in per_orphan[orphan]:
-                if cand.method == candidates_mod.FINDLINK:
-                    evidence = ";".join(f"{a}-{b}" for a, b in cand.evidence)
-                else:
-                    evidence = ",".join(cand.evidence)
-                candidate_rows.append(
-                    (
-                        language,
-                        cand.source_page_id,
-                        titles.get(cand.source_page_id, "NA"),
-                        cand.target_page_id,
-                        titles.get(cand.target_page_id, "NA"),
-                        cand.method,
-                        evidence,
-                        cand.source_is_orphan,
-                    )
+        for cand in flat:
+            if cand.method == candidates_mod.FINDLINK:
+                evidence = ";".join(f"{a}-{b}" for a, b in cand.evidence)
+            else:
+                evidence = ",".join(cand.evidence)
+            candidate_rows.append(
+                (
+                    language,
+                    cand.source_page_id,
+                    titles.get(cand.source_page_id, "NA"),
+                    cand.target_page_id,
+                    titles.get(cand.target_page_id, "NA"),
+                    cand.method,
+                    evidence,
+                    cand.source_is_orphan,
                 )
+            )
 
         report = candidates_mod.coverage_report(snapshot, per_orphan)
-        method_cells = []
-        for method in (candidates_mod.FINDLINK, candidates_mod.CROSSLINGUAL):
-            coverage = report.per_method.get(method)
-            method_cells.extend(
-                (coverage.n_with_ge1, coverage.n_with_ge10) if coverage else (0, 0)
-            )
-        coverage_rows.append(
-            (
-                language,
-                report.n_orphans,
-                report.n_with_ge1,
-                report.n_with_ge10,
-                *method_cells,
-                stats.n_no_qid,
-            )
-        )
+        coverage_rows.append(report._replace(n_no_qid=stats.n_no_qid))
 
     _write_report(
         config.out_dir / "candidates.tsv",
@@ -961,17 +957,7 @@ def cmd_candidates(config: RunConfig) -> None:
     )
     _write_report(
         config.out_dir / "coverage.tsv",
-        (
-            "language",
-            "n_orphans",
-            "n_with_ge1",
-            "n_with_ge10",
-            "findlink_ge1",
-            "findlink_ge10",
-            "crosslingual_ge1",
-            "crosslingual_ge10",
-            "n_no_qid",
-        ),
+        candidates_mod.Coverage._fields,
         coverage_rows,
     )
 

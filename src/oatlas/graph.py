@@ -30,7 +30,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -366,6 +366,11 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """
     values = np.sort(values)
     return values[np.diff(values, prepend=values[:1] - 1) != 0]
+
+
+def _id_array(ids: Collection[int]) -> np.ndarray:
+    """Page ids, a set or an array, as an int64 array."""
+    return ids if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64, len(ids))
 
 
 def _encode_varints(values: np.ndarray) -> bytes:

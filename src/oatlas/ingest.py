@@ -19,8 +19,8 @@ Three kinds of sources are understood:
   sitelinks (``qid, language, title``), pageviews (``language, page_id,
   month, referrer_class, views``) and per-article features, which
   :func:`read_feature_columns` keeps as :class:`FeatureColumns` per
-  language.  :class:`SitelinkRecord` and :class:`PageviewRecord` are
-  NamedTuples whose fields are their file's columns.
+  language.  :class:`PageviewRecord` is a NamedTuple whose fields are
+  its file's columns.
 * The loaders turn those blocks into indexed, validated tables used by
   the graph and analysis layers.  :class:`PageTable`,
   :class:`RedirectTable` and :class:`LinkTable` hold int64 columns,
@@ -119,14 +119,6 @@ class RawLink(NamedTuple):
     from_page_id: int
     target_namespace: int
     target_title: str
-
-
-class SitelinkRecord(NamedTuple):
-    """One row of ``sitelinks.tsv``; the fields are its columns."""
-
-    qid: str
-    language: str
-    title: str
 
 
 class PageviewRecord(NamedTuple):
@@ -963,23 +955,19 @@ class QidIndex:
         qids: Iterable[str],
         languages: Iterable[str],
         titles: Iterable[str],
-        page_ids: Iterable[int | None] | None = None,
         *,
         strict: bool = False,
     ) -> None:
-        """Add sitelink rows, in order, and attach each row's page id.
+        """Add sitelink rows, in order.
 
         A row conflicts when its title already names another item in its
         language, or its item already has another title there.  Strict
         mode raises :class:`DuplicateKeyError` on the first conflict;
         lenient mode keeps the first sitelink and counts the row in
-        :attr:`n_conflicts`.  A page id that is not None is attached to
-        the row's item either way, as :meth:`attach_page` does.
+        :attr:`n_conflicts`.
         """
         codes = self._codes
-        if page_ids is None:
-            page_ids = itertools.repeat(None)
-        for qid, language, title, page_id in zip(qids, languages, titles, page_ids):
+        for qid, language, title in zip(qids, languages, titles):
             code = codes.setdefault(qid, len(codes))
             sites, titled = self._sites[language], self._titled[language]
             known = sites.get(title)
@@ -992,8 +980,6 @@ class QidIndex:
                         f"conflicting sitelink ({qid}, {language}, {title})"
                     )
                 self.n_conflicts += 1  # first wins
-            if page_id is not None:
-                self._attach(language, (code, page_id))
 
     def qid_for(self, language: str, title: str) -> str | None:
         code = self._sites.get(language, {}).get(title)
@@ -1030,7 +1016,7 @@ class QidIndex:
         return len(rows)
 
     def attach_page(self, qid: str, language: str, page_id: int) -> None:
-        """Directly register a qid/page pairing (fixture convenience)."""
+        """Attach ``page_id`` to the item ``qid`` in ``language``."""
         self._attach(language, (self._codes.setdefault(qid, len(self._codes)), page_id))
 
     def _table(self, language: str) -> tuple[np.ndarray, ...]:
@@ -1193,20 +1179,19 @@ def positive_id(cell: str) -> int:
     return value
 
 
-def read_sitelinks_tsv(lines: Iterable[str]) -> Iterator[SitelinkRecord]:
-    """Parse headerless sitelink TSV lines ``qid<TAB>language<TAB>title``."""
-    for block in read_tsv(lines, (nonempty,) * 3):
-        yield from map(SitelinkRecord, *block)
+def read_sitelinks_tsv(lines: Iterable[str]) -> Iterator[list[list]]:
+    """Parse headerless sitelink TSV lines ``qid<TAB>language<TAB>title``
+    into blocks of those three columns."""
+    return read_tsv(lines, (nonempty,) * 3)
 
 
 def load_sitelinks(
-    records: Iterable[SitelinkRecord], *, strict: bool = False
+    blocks: Iterable[Sequence[Sequence[str]]], *, strict: bool = False
 ) -> QidIndex:
     """Build a :class:`QidIndex`, first row winning on lenient conflicts."""
     index = QidIndex()
-    records = iter(records)
-    while block := list(itertools.islice(records, _TSV_BLOCK_LINES)):
-        index.add_rows(*zip(*block), strict=strict)
+    for qids, languages, titles in blocks:
+        index.add_rows(qids, languages, titles, strict=strict)
     if index.n_conflicts:
         logger.warning("sitelinks: %d conflicting rows ignored", index.n_conflicts)
     return index

@@ -16,7 +16,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from oatlas.candidates import AnnotatedDocument, CandidateLink
+from oatlas.candidates import CROSSLINGUAL, FINDLINK, AnnotatedDocument, CandidateLink
 from oatlas.causal import (
     CONTROL,
     DEFAULT_MIN_PAIRS,
@@ -723,6 +723,37 @@ def validate_candidates_oracle(
         if (source, target) in edges:
             return f"candidate duplicates existing edge {source}->{target}"
     return None
+
+
+def coverage_oracle(
+    snapshot: LinkSnapshot, per_orphan: Mapping[int, Sequence[CandidateLink]]
+) -> tuple:
+    """The ``coverage.tsv`` row, ``n_no_qid`` 0, recounted from the orphan
+    set: distinct sources over both methods, then each method's own
+    candidates.  ``ValueError`` if an orphan has no entry."""
+    orphan_ids = orphans(snapshot)
+    missing = orphan_ids - set(per_orphan)
+    if missing:
+        raise ValueError(f"candidates missing for {len(missing)} orphans")
+    found = [per_orphan[p] for p in orphan_ids if per_orphan[p]]
+    sources = [len({c.source_page_id for c in proposals}) for proposals in found]
+    methods = [Counter(c.method for c in proposals) for proposals in found]
+    per_method = {
+        method: (
+            sum(counts[method] >= 1 for counts in methods),
+            sum(counts[method] >= 10 for counts in methods),
+        )
+        for method in sorted(set().union(*methods))
+    }
+    return (
+        snapshot.language,
+        len(orphan_ids),
+        sum(n >= 1 for n in sources),
+        sum(n >= 10 for n in sources),
+        *per_method.get(FINDLINK, (0, 0)),
+        *per_method.get(CROSSLINGUAL, (0, 0)),
+        0,
+    )
 
 
 class QidIndexOracle:

@@ -28,6 +28,7 @@ from oatlas.ingest import QidIndex
 
 from .oracles import (
     QidIndexOracle,
+    coverage_oracle,
     crosslingual_oracle,
     findlink_oracle,
     unlinked_mentions_oracle,
@@ -552,10 +553,10 @@ def test_coverage_report_counts_distinct_sources():
     assert report.n_orphans == 4
     assert report.n_with_ge1 == 2
     assert report.n_with_ge10 == 1
-    assert report.per_method[FINDLINK].n_with_ge1 == 2
-    assert report.per_method[FINDLINK].n_with_ge10 == 1
-    assert report.per_method[CROSSLINGUAL].n_with_ge1 == 1
-    assert report.per_method[CROSSLINGUAL].n_with_ge10 == 0
+    assert report.findlink_ge1 == 2
+    assert report.findlink_ge10 == 1
+    assert report.crosslingual_ge1 == 1
+    assert report.crosslingual_ge10 == 0
 
 
 def test_coverage_report_requires_every_orphan():
@@ -567,3 +568,41 @@ def test_coverage_report_requires_every_orphan():
     report = coverage_report(linked, {1: [], 2: [_cand(1, 2)]})
     assert report.n_orphans == 1
     assert report.n_with_ge1 == 0
+
+
+# Few sources, so an orphan's candidates often repeat one.  Lists of 9 to
+# 11 straddle the >= 10 threshold.
+_candidate = st.tuples(st.integers(1, 12), st.sampled_from((FINDLINK, CROSSLINGUAL)))
+_candidate_lists = st.one_of(
+    st.lists(_candidate, max_size=3), st.lists(_candidate, min_size=9, max_size=11)
+)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_coverage_report_matches_the_per_orphan_recount(data):
+    articles = sorted(data.draw(st.sets(st.integers(1, 10), min_size=1), label="ids"))
+    edges = data.draw(
+        st.lists(st.tuples(st.sampled_from(articles), st.sampled_from(articles))),
+        label="edges",
+    )
+    snapshot = LinkSnapshot.from_edges(
+        "aa", "2023-05", articles, [(u, v) for u, v in edges if u != v]
+    )
+    orphan_ids = sorted(orphans(snapshot))
+    # Entries for non-orphans, and for pages outside the snapshot, are ignored.
+    extra = data.draw(st.lists(st.sampled_from(articles + [11])), label="extra")
+    per_orphan = {
+        target: [
+            _cand(source, target, method)
+            for source, method in data.draw(_candidate_lists, label=f"to {target}")
+        ]
+        for target in orphan_ids + extra
+    }
+    expected = coverage_oracle(snapshot, per_orphan)
+    assert coverage_report(snapshot, per_orphan) == expected
+    if orphan_ids:
+        del per_orphan[data.draw(st.sampled_from(orphan_ids), label="missing")]
+        for count in (coverage_report, coverage_oracle):
+            with pytest.raises(ValueError, match="missing for 1 orphans"):
+                count(snapshot, per_orphan)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oatlas import causal, cli, fixtures, graph, ingest
+from oatlas import candidates, causal, characterize, cli, fixtures, graph, ingest
 from oatlas.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
@@ -29,7 +29,7 @@ from oatlas.cli import (
 from oatlas.months import month_at
 
 from .oracles import QidIndexOracle
-from .test_ingest import _qidmap_rows, assert_same_index
+from .test_ingest import _qidmap_rows, assert_same_pages
 
 MONTHS = "2022-11:2022-12"
 
@@ -415,6 +415,83 @@ def test_characterize_stage_builds_no_feature_records(
     assert _run("characterize", *args) == EXIT_OK
     name = "representation_scores.tsv"
     assert (out / name).read_bytes() == (pipeline / name).read_bytes()
+
+
+def _no_orphan_set(snapshot):
+    raise AssertionError("an orphan or dead-end set was built")
+
+
+def test_orphans_and_candidates_stages_build_no_orphan_set(
+    golden_root, pipeline, tmp_path, monkeypatch
+):
+    """The orphan and dead-end shares and the candidates' orphans come
+    from the snapshots' degree arrays."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    for owner in (graph, characterize, candidates):
+        monkeypatch.setattr(owner, "orphans", _no_orphan_set)
+    monkeypatch.setattr(graph, "deadends", _no_orphan_set)
+    args = ("--data", str(golden_root), "--out", str(out), "--months", MONTHS)
+    for stage in ("orphans", "candidates"):
+        assert _run(stage, *args) == EXIT_OK
+    names = ("wiki_summary.tsv", "lowess_curve.tsv", "candidates.tsv", "coverage.tsv")
+    for name in names:
+        assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+def test_every_stage_keeps_to_the_allowed_languages(
+    golden_root, pipeline, tmp_path, capsys
+):
+    """After an ingest of aa, bb and cc, a stage run with ``--languages``
+    reads the allowed languages' snapshots alone, also as cross-lingual
+    evidence and as controls."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    args = ("--data", str(golden_root), "--out", str(out), "--months", MONTHS)
+    for stage in ("orphans", "characterize", "candidates"):
+        assert _run(stage, *args, "--languages", "aa") == EXIT_OK
+    for name in ("wiki_summary.tsv", "lowess_curve.tsv", "representation_scores.tsv"):
+        assert {row[0] for row in _rows(out / name)} == {"aa"}, name
+    # aa's one cross-lingual candidate rests on bb's links, so it goes.
+    assert _rows(out / "candidates.tsv") == [
+        row for row in _rows(pipeline / "candidates.tsv") if row[5] == "findlink"
+    ]
+    coverage = [["aa", "4", "2", "0", "2", "0", "0", "0", "1"]]
+    assert _rows(out / "coverage.tsv") == coverage
+    # The reverse pair's control is in cc.
+    assert _run("panel", *args, "--languages", "aa,bb") == EXIT_OK
+    assert [row[0] for row in _rows(out / "pairs.tsv")] == ["forward:2022-11:Q100:aa"]
+    capsys.readouterr()
+    assert _run("orphans", *args, "--languages", "zz") == EXIT_DATA_ERROR
+    assert "no snapshots of ['zz'] for 2022-11 under" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, stage, line",
+    [
+        ("pageviews.tsv", "panel", "aa\t2\t2022-99\tall\t5"),
+        ("pageviews.tsv", "panel", "aa\t2\t2022-11\tall\t-5"),
+        ("pageviews.tsv", "panel", None),
+        ("sitelinks.tsv", "ingest", "Q900\taa\tA_Star"),
+    ],
+    ids=["bad month", "negative views", "duplicate row", "conflicting sitelink"],
+)
+def test_a_row_that_breaks_its_tables_rules_names_the_file(
+    golden_root, pipeline, tmp_path, capsys, name, stage, line
+):
+    """Under --strict, a side-table row that reads but breaks a rule of
+    its table (None: a copy of the first row) exits 3 naming the file."""
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    path = data / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([*lines, line or lines[0]]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    capsys.readouterr()
+    args = ("--data", str(data), "--out", str(out), "--months", MONTHS, "--strict")
+    assert _run(stage, *args) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err.startswith(f"data error: {path}: ")
 
 
 def test_a_bad_feature_row_of_a_language_left_out_still_fails(
@@ -988,7 +1065,8 @@ def test_importing_the_cli_leaves_the_process_pool_out():
 @settings(max_examples=200)
 @given(rows=_qidmap_rows, block_lines=st.integers(1, 5))
 def test_qid_map_loads_like_the_per_row_oracle(rows, block_lines):
-    """``qidmap.tsv`` read back, conflicting rows included, in blocks of any size."""
+    """``qidmap.tsv``'s pages read back, conflicting rows included, in
+    blocks of any size."""
     oracle = QidIndexOracle()
     oracle.add_rows(rows)
     with tempfile.TemporaryDirectory() as tmp:
@@ -998,4 +1076,4 @@ def test_qid_map_loads_like_the_per_row_oracle(rows, block_lines):
         )
         with mock.patch.object(ingest, "_TSV_BLOCK_LINES", block_lines):
             index = cli._load_qid_index(config)
-    assert_same_index(index, oracle)
+    assert_same_pages(index, oracle)

@@ -531,6 +531,16 @@ def assert_same_index(index: QidIndex, oracle: QidIndexOracle) -> None:
         for (qid, language), title in sorted(oracle.title_by_site.items())
     ]
     assert len(index) == len({qid for qid, _ in oracle.title_by_site})
+    for language in _LANGUAGES:
+        for title in _TITLES:
+            assert index.qid_for(language, title) == oracle.qid_by_title.get(
+                (language, title)
+            )
+    assert_same_pages(index, oracle)
+
+
+def assert_same_pages(index: QidIndex, oracle: QidIndexOracle) -> None:
+    """Every page lookup of ``index`` answers as ``oracle``'s dicts do."""
     codes = index.codes_of(_QIDS)
     for language in _LANGUAGES:
         pages = index.pages_of(language, codes).tolist()
@@ -538,10 +548,6 @@ def assert_same_index(index: QidIndex, oracle: QidIndexOracle) -> None:
         qids = [oracle.qid_by_page.get((language, page_id)) for page_id in _PAGES]
         items = index.items_of(language, _PAGES)
         assert items.tolist() == index.codes_of(qids).tolist()
-        for title in _TITLES:
-            assert index.qid_for(language, title) == oracle.qid_by_title.get(
-                (language, title)
-            )
         for qid in _QIDS:
             assert index.page_for_qid(language, qid) == oracle.page_by_site.get(
                 (qid, language)
@@ -557,20 +563,28 @@ def assert_same_index(index: QidIndex, oracle: QidIndexOracle) -> None:
 def test_qid_index_rows_added_in_blocks_match_the_per_row_oracle(rows, block_rows):
     oracle = QidIndexOracle()
     oracle.add_rows(rows)
+
+    def attach_pages(index, rows):
+        for qid, language, page_id, _ in rows:
+            if page_id is not None:
+                index.attach_page(qid, language, page_id)
+
     index = QidIndex()
     for start in range(0, len(rows), block_rows):
-        qids, languages, page_ids, titles = zip(*rows[start : start + block_rows])
-        index.add_rows(qids, languages, titles, page_ids)
+        qids, languages, _, titles = zip(*rows[start : start + block_rows])
+        index.add_rows(qids, languages, titles)
+        attach_pages(index, rows[start : start + block_rows])
     assert_same_index(index, oracle)
 
-    qids, languages, page_ids, titles = tuple(zip(*rows)) or ((),) * 4
+    qids, languages, _, titles = tuple(zip(*rows)) or ((),) * 4
     strict = QidIndex()
     if oracle.first_conflict is None:
-        strict.add_rows(qids, languages, titles, page_ids, strict=True)
+        strict.add_rows(qids, languages, titles, strict=True)
+        attach_pages(strict, rows)
         assert_same_index(strict, oracle)
     else:
         with pytest.raises(DuplicateKeyError) as excinfo:
-            strict.add_rows(qids, languages, titles, page_ids, strict=True)
+            strict.add_rows(qids, languages, titles, strict=True)
         qid, language, _, title = rows[oracle.first_conflict]
         assert str(excinfo.value) == f"conflicting sitelink ({qid}, {language}, {title})"
 
