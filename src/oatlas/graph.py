@@ -14,14 +14,18 @@ which finds orphan-boundary crossings in both directions by in-degree.
 :func:`link_delta` and :func:`deorphanizing_events` are its reference.
 
 Snapshots round-trip through a small versioned binary container.  In
-format 2 a header (magic ``OATL``, a version byte, the language and the
+format 3 a header (magic ``OATL``, a version byte, the language and the
 month as ``u16`` length-prefixed UTF-8, then the article and edge counts
-as ``u64``) is followed by unsigned LEB128 varints in three blocks: the
-gaps between consecutive page ids, the out-degree of every article, and
-per adjacency row the gaps between consecutive target indices (the
-first gap of a row counts from 0).  A CRC-32 of everything before it
-(``u32``) and the trailer ``LTAO`` close the file.  Containers of
-format 1 are rejected; re-running ``ingest`` rewrites them.
+as ``u64``) is followed by one zlib stream (deflate level 1).  Inflated,
+it holds unsigned LEB128 varints in three blocks: the gaps between
+consecutive page ids, the out-degree of every article, and per adjacency
+row the gaps between consecutive target indices (the first gap of a row
+counts from 0).  A CRC-32 of everything before it (``u32``) and the
+trailer ``LTAO`` close the file.  Both ends work on slices of at most
+``_SLICE_VALUES`` values, so neither holds an array per value beside
+the snapshot's own.  Deflate's output does not depend on how its input
+is cut, so the file is the same for any slice size.  Containers of
+formats 1 and 2 are rejected; re-running ``ingest`` rewrites them.
 """
 
 from __future__ import annotations
@@ -39,10 +43,18 @@ from .ingest import _positions
 
 _MAGIC = b"OATL"
 _TRAILER = b"LTAO"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+# On varint gaps level 6 took about 1.5 times as long as level 1 and
+# made the stream smaller by under 2 % of its size.
+_ZLIB_LEVEL = 1
+# Deflate inflates at most 1032-fold: a 258-byte match takes 2 bits or more.
+_MAX_DEFLATE_RATIO = 1032
+_SLICE_VALUES = 1 << 16
 # A varint of k bytes holds values below 2**(7*k); nine hold any int64.
 _MAX_VARINT_BYTES = 9
 _VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, _MAX_VARINT_BYTES)])
+# The restarts of a block whose gaps count from 0 at its first value only.
+_FROM_ZERO = np.zeros(1, dtype=np.int64)
 
 DEORPHANIZED = "deorphanized"
 ORPHANIZED = "orphanized"
@@ -216,7 +228,7 @@ class LinkSnapshot:
 
     def _sources(self) -> np.ndarray:
         """The source index of every edge, aligned with the targets."""
-        return np.repeat(np.arange(len(self._ids)), np.diff(self._indptr))
+        return _edge_rows(self._indptr, 0, self.n_edges)
 
     def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
         if self._rev is None:
@@ -229,20 +241,23 @@ class LinkSnapshot:
         """Check structural invariants, raising on any violation."""
         ids, indptr, targets = self._ids, self._indptr, self._targets
         n = len(ids)
-        if (np.diff(ids) <= 0).any():
+        if (ids[1:] <= ids[:-1]).any():
             raise SnapshotIntegrityError("article ids not sorted unique")
         if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(targets):
             raise SnapshotIntegrityError("bad index pointer array")
-        if (np.diff(indptr) < 0).any():
+        if (indptr[1:] < indptr[:-1]).any():
             raise SnapshotIntegrityError("negative out degree")
         if not np.array_equal(_in_degrees(targets, n), self._in_degree):
             raise SnapshotIntegrityError("in_degree out of sync with adjacency")
-        sources = self._sources()
-        if (targets == sources).any():
-            raise SnapshotIntegrityError("self loop")
-        same_row = sources[1:] == sources[:-1]
-        if (same_row & (np.diff(targets) <= 0)).any():
-            raise SnapshotIntegrityError("adjacency list not sorted unique")
+        # Edges a slice at a time, so no array per edge is made.
+        for a in range(0, len(targets), _SLICE_VALUES):
+            b = min(a + _SLICE_VALUES, len(targets))
+            if (targets[a:b] == _edge_rows(indptr, a, b)).any():
+                raise SnapshotIntegrityError("self loop")
+            gaps = _gaps(targets, indptr, a, b)
+            gaps[_restarts_within(indptr, a, b)] = 1  # a row's first target
+            if (gaps <= 0).any():
+                raise SnapshotIntegrityError("adjacency list not sorted unique")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkSnapshot):
@@ -269,16 +284,17 @@ class LinkSnapshot:
             with atomic_file(target) as handle:
                 self.save(handle)
             return
-        ids, indptr, targets = self._ids, self._indptr, self._targets
+        crc = 0
+        for piece in self._container_pieces():
+            crc = zlib.crc32(piece, crc)
+            target.write(piece)
+        target.write(struct.pack("<I", crc) + _TRAILER)
+
+    def _container_pieces(self) -> Iterator[bytes]:
+        """The container's header, then its deflated varint blocks in pieces."""
         lang = self.language.encode("utf-8")
         month = self.month.encode("utf-8")
-        target_gaps = np.diff(targets, prepend=0)
-        row_starts = indptr[:-1][indptr[:-1] < indptr[1:]]
-        target_gaps[row_starts] = targets[row_starts]
-        values = np.concatenate([np.diff(ids, prepend=0), np.diff(indptr), target_gaps])
-        if (values < 0).any():
-            raise SnapshotIntegrityError("negative delta in container")
-        body = b"".join(
+        yield b"".join(
             [
                 _MAGIC,
                 struct.pack("<BH", _FORMAT_VERSION, len(lang)),
@@ -286,10 +302,16 @@ class LinkSnapshot:
                 struct.pack("<H", len(month)),
                 month,
                 struct.pack("<QQ", self.n_articles, self.n_edges),
-                _encode_varints(values),
             ]
         )
-        target.write(body + struct.pack("<I", zlib.crc32(body)) + _TRAILER)
+        compressor = zlib.compressobj(_ZLIB_LEVEL)
+        for values, restarts in _blocks(self._ids, self._indptr, self._targets):
+            for a in range(0, len(values), _SLICE_VALUES):
+                gaps = _gaps(values, restarts, a, a + _SLICE_VALUES)
+                if (gaps < 0).any():
+                    raise SnapshotIntegrityError("negative delta in container")
+                yield compressor.compress(_encode_varints(gaps))
+        yield compressor.flush()
 
     @classmethod
     def load(cls, source: Path | IO[bytes]) -> "LinkSnapshot":
@@ -297,47 +319,54 @@ class LinkSnapshot:
         if isinstance(source, Path):
             with source.open("rb") as handle:
                 return cls.load(handle)
-        data = source.read()
+        data = memoryview(source.read())
         if data[:4] != _MAGIC:
             raise SnapshotFormatError("not a snapshot container (bad magic)")
-        if data[4:5] == b"\x01":
+        if data[4:5] in (b"\x01", b"\x02"):
             raise SnapshotFormatError(
-                "container format 1 is no longer read; re-run `oatlas ingest`"
+                f"container format {data[4]} is no longer read; re-run `oatlas ingest`"
             )
         if data[4:5] != bytes([_FORMAT_VERSION]):
             raise SnapshotFormatError("unsupported container version")
         if len(data) < 13 or data[-4:] != _TRAILER:
             raise SnapshotFormatError("truncated container (missing trailer)")
-        body = data[:-8]
-        if zlib.crc32(body) != struct.unpack("<I", data[-8:-4])[0]:
+        if zlib.crc32(data[:-8]) != struct.unpack("<I", data[-8:-4])[0]:
             raise SnapshotFormatError("container checksum mismatch")
         pos = 5
         try:
-            (lang_len,) = struct.unpack_from("<H", body, pos)
-            language = body[pos + 2 : pos + 2 + lang_len].decode("utf-8")
+            (lang_len,) = struct.unpack_from("<H", data, pos)
+            language = str(data[pos + 2 : pos + 2 + lang_len], "utf-8")
             pos += 2 + lang_len
-            (month_len,) = struct.unpack_from("<H", body, pos)
-            month = body[pos + 2 : pos + 2 + month_len].decode("utf-8")
+            (month_len,) = struct.unpack_from("<H", data, pos)
+            month = str(data[pos + 2 : pos + 2 + month_len], "utf-8")
             pos += 2 + month_len
-            n_nodes, n_edges = struct.unpack_from("<QQ", body, pos)
+            n_nodes, n_edges = struct.unpack_from("<QQ", data, pos)
         except (struct.error, UnicodeDecodeError) as exc:
             raise SnapshotFormatError(f"bad container header: {exc}") from exc
-        payload = body[pos + 16 :]
-        if 2 * n_nodes + n_edges > len(payload):
+        stream = data[pos + 16 : -8]
+        count = 2 * n_nodes + n_edges
+        # Each value inflates to one byte or more.  Consecutive ids and no
+        # edges come close to deflate's bound, so a valid container may ask
+        # for about 8 KB of arrays per stream byte; they are allocated from
+        # the counts, and the targets filled once the degrees sum to n_edges.
+        if count > _MAX_DEFLATE_RATIO * len(stream):
             raise SnapshotFormatError("container counts exceed its payload")
-        values = _decode_varints(payload, 2 * n_nodes + n_edges)
-        ids = np.cumsum(values[:n_nodes])
-        degrees = values[n_nodes : 2 * n_nodes]
-        if n_nodes and degrees.max() > n_edges:
-            raise SnapshotFormatError("edge count mismatch")
+        ids = np.empty(n_nodes, dtype=np.int64)
         indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        if indptr[-1] != n_edges:
-            raise SnapshotFormatError("edge count mismatch")
-        # Each row's targets are the running sum of its gaps: a global
-        # running sum less the sum reached before the row starts.
-        targets = np.cumsum(values[2 * n_nodes :])
-        targets -= np.repeat(np.concatenate(([0], targets))[indptr[:-1]], degrees)
+        targets = np.empty(n_edges, dtype=np.int64)
+        varints = _Varints(stream, count)
+        for values, restarts in _blocks(ids, indptr, targets):
+            # The target gaps restart at the row starts, so check those first.
+            if restarts is indptr and (
+                indptr[-1] != n_edges or (indptr[1:] < indptr[:-1]).any()
+            ):
+                raise SnapshotFormatError("edge count mismatch")
+            a = 0
+            while a < len(values):
+                gaps = varints.take(len(values) - a)
+                _sums(values, restarts, a, gaps)
+                a += len(gaps)
+        varints.finish()
         snapshot = cls(language, month, ids, indptr, targets)
         snapshot.validate()
         return snapshot
@@ -347,6 +376,14 @@ def _in_degrees(targets: np.ndarray, n: int) -> np.ndarray:
     if len(targets) and (targets.min() < 0 or targets.max() >= n):
         raise SnapshotIntegrityError("target outside article set")
     return np.bincount(targets, minlength=n)
+
+
+def _edge_rows(indptr: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The row of each edge from a to b-1."""
+    first = np.searchsorted(indptr, a, side="right") - 1
+    stop = np.searchsorted(indptr, b)
+    counts = np.diff(np.clip(indptr[first : stop + 1], a, b))
+    return np.repeat(np.arange(first, stop), counts)
 
 
 def _csr(
@@ -373,6 +410,111 @@ def _id_array(ids: Collection[int]) -> np.ndarray:
     return ids if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64, len(ids))
 
 
+def _blocks(
+    ids: np.ndarray, indptr: np.ndarray, targets: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The container's three blocks: each array, whose values it stores as
+    gaps, and the sorted positions where those gaps count from 0."""
+    return ((ids, _FROM_ZERO), (indptr[1:], _FROM_ZERO), (targets, indptr))
+
+
+def _restarts_within(restarts: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The positions in ``restarts`` from a to b-1, counted from a."""
+    lo, hi = np.searchsorted(restarts, [a, b])
+    return restarts[lo:hi] - a
+
+
+def _gaps(values: np.ndarray, restarts: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Each of values[a:b] less the value before it, or less 0 at a restart."""
+    part = values[a:b]
+    gaps = part.copy()
+    gaps[1:] -= part[:-1]
+    if a:
+        gaps[0] -= values[a - 1]
+    starts = _restarts_within(restarts, a, a + len(part))
+    gaps[starts] = part[starts]
+    return gaps
+
+
+def _sums(values: np.ndarray, restarts: np.ndarray, a: int, gaps: np.ndarray) -> None:
+    """Write to values[a:] the values whose :func:`_gaps` are ``gaps``,
+    given the values before a."""
+    part = values[a : a + len(gaps)]
+    np.cumsum(gaps, out=part)
+    starts = _restarts_within(restarts, a, a + len(gaps))
+    first = starts[0] if len(starts) else len(part)
+    # The running sum just before each restart; empty rows repeat a start.
+    before = part[starts - 1]
+    before[starts == 0] = 0
+    if a:
+        part[:first] += values[a - 1]
+    part[first:] -= np.repeat(before, np.diff(starts, append=len(part)))
+
+
+class _Varints:
+    """The varints of a deflated stream, inflated a slice at a time.
+
+    No slice passed to zlib or taken from it is larger than
+    ``_SLICE_VALUES`` bytes, and the stream is never inflated past
+    ``_MAX_VARINT_BYTES`` per value of ``count`` (one byte for an empty
+    graph, to see its stream end).  Every fault is a
+    :class:`SnapshotFormatError`.
+    """
+
+    def __init__(self, stream: memoryview, count: int):
+        self._inflater = zlib.decompressobj()
+        self._stream = stream
+        self._pos = 0  # the stream bytes that zlib has used
+        self._room = _MAX_VARINT_BYTES * count or 1
+        self._carry = b""  # the start of a varint cut at a slice's edge
+        self._values = np.empty(0, dtype=np.int64)
+
+    def take(self, most: int) -> np.ndarray:
+        """The next values: at least one and at most ``most``."""
+        while not len(self._values):
+            if self._inflater.eof:
+                raise SnapshotFormatError("varint stream has fewer values than counted")
+            data = self._carry + self._inflate()
+            self._values, used = _decode_varints(data)
+            self._carry = data[used:]
+            if len(self._carry) >= _MAX_VARINT_BYTES:
+                raise SnapshotFormatError("varint longer than 64 bits")
+        values, self._values = self._values[:most], self._values[most:]
+        return values
+
+    def finish(self) -> None:
+        """Check that the stream ends with the values taken."""
+        if self._carry:
+            raise SnapshotFormatError("varint stream ends inside a varint")
+        if len(self._values):
+            raise SnapshotFormatError("varint stream has more values than counted")
+        while not self._inflater.eof:
+            if self._inflate():
+                raise SnapshotFormatError("varint stream has more values than counted")
+
+    def _inflate(self) -> bytes:
+        if not self._room:
+            raise SnapshotFormatError("varint stream inflates past 9 bytes per value")
+        limit = min(_SLICE_VALUES, self._room)
+        while True:
+            # zlib copies the input it leaves unused, so pass a slice only.
+            piece = self._stream[self._pos : self._pos + _SLICE_VALUES]
+            try:
+                chunk = self._inflater.decompress(piece, limit)
+            except zlib.error as exc:
+                raise SnapshotFormatError(f"bad varint stream: {exc}") from exc
+            self._pos += len(piece) - len(self._inflater.unconsumed_tail)
+            if self._inflater.eof and (
+                self._inflater.unused_data or self._pos < len(self._stream)
+            ):
+                raise SnapshotFormatError("bytes after the end of the varint stream")
+            if chunk or self._inflater.eof:
+                self._room -= len(chunk)
+                return chunk
+            if self._pos == len(self._stream):
+                raise SnapshotFormatError("varint stream ends early")
+
+
 def _encode_varints(values: np.ndarray) -> bytes:
     """Unsigned LEB128 of non-negative int64 values, in order."""
     lengths = 1 + np.searchsorted(_VARINT_LIMITS, values, side="right")
@@ -386,16 +528,17 @@ def _encode_varints(values: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def _decode_varints(payload: bytes, count: int) -> np.ndarray:
-    """Exactly ``count`` unsigned LEB128 values filling ``payload``."""
-    data = np.frombuffer(payload, dtype=np.uint8)
+def _decode_varints(buffer: bytes) -> tuple[np.ndarray, int]:
+    """The complete unsigned LEB128 values at the start of ``buffer``, and
+    the number of bytes they fill."""
+    data = np.frombuffer(buffer, dtype=np.uint8)
     ends = np.flatnonzero(data < 0x80)
-    if len(ends) != count or (data[-1:] >= 0x80).any():
-        raise SnapshotFormatError("varint payload does not match the counts")
+    used = int(ends[-1]) + 1 if len(ends) else 0
+    data = data[:used]
     values = data[ends].astype(np.int64)
     # Walk back from each varint's last byte over the continuation bytes
     # before it.  data[-1] ends a varint, so a step to index -1 stops too.
-    rows, pos = np.arange(count), ends - 1
+    rows, pos = np.arange(len(ends)), ends - 1
     for _ in range(_MAX_VARINT_BYTES - 1):
         more = data[pos] >= 0x80
         rows, pos = rows[more], pos[more]
@@ -403,7 +546,7 @@ def _decode_varints(payload: bytes, count: int) -> np.ndarray:
         pos -= 1
     if (data[pos] >= 0x80).any():
         raise SnapshotFormatError("varint longer than 64 bits")
-    return values
+    return values, used
 
 
 def build_snapshot(

@@ -6,9 +6,11 @@ import multiprocessing
 import os
 import pickle
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -290,6 +292,36 @@ def test_flipped_container_byte_is_a_data_error(golden_root, tmp_path):
     blob[4 + 1 + 2 + 2 + 2 + 7 + 7] ^= 0x40
     container.write_bytes(bytes(blob))
     assert _run("orphans", *base) == EXIT_DATA_ERROR
+
+
+def _format_2_container(snapshot):
+    """The container of ``snapshot`` as format 2 wrote it: the varint
+    blocks without deflate."""
+    ids, indptr = snapshot.article_ids, snapshot._indptr
+    rows = np.split(snapshot._targets, indptr[1:-1])
+    target_gaps = [np.diff(row, prepend=0) for row in rows]
+    values = np.concatenate([np.diff(ids, prepend=0), np.diff(indptr), *target_gaps])
+    lang, month = snapshot.language.encode(), snapshot.month.encode()
+    body = (
+        b"OATL\x02"
+        + struct.pack("<H", len(lang)) + lang
+        + struct.pack("<H", len(month)) + month
+        + struct.pack("<QQ", snapshot.n_articles, snapshot.n_edges)
+        + graph._encode_varints(values)
+    )
+    return body + struct.pack("<I", zlib.crc32(body)) + b"LTAO"
+
+
+def test_orphans_on_format_2_snapshots_is_a_data_error(golden_root, tmp_path, capsys):
+    out = tmp_path / "out"
+    base = ("--data", str(golden_root), "--out", str(out), "--months", MONTHS)
+    assert _run("ingest", *base) == EXIT_OK
+    for path in sorted((out / "snapshots").rglob("*.oatl")):
+        path.write_bytes(_format_2_container(graph.LinkSnapshot.load(path)))
+    capsys.readouterr()
+    assert _run("orphans", *base) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert "container format 2 is no longer read; re-run `oatlas ingest`" in err
 
 
 def test_corrupt_dump_lenient_skip_and_strict_abort(golden_root, tmp_path):

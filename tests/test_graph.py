@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oatlas import fixtures
+from oatlas import fixtures, graph
 from oatlas.graph import (
     DEORPHANIZED,
     ORPHANIZED,
@@ -112,6 +114,38 @@ def test_a_loaded_snapshot_holds_its_arrays_and_no_page_index():
     assert held <= 24 * n + 8 * loaded.n_edges + 64 * 1024
     assert not any(isinstance(value, dict) for value in vars(loaded).values())
     assert loaded.rows_of([1, 2, 2 * n - 1]).tolist() == [0, -1, n - 1]
+
+
+def test_save_and_load_make_under_16_bytes_per_edge_of_temporaries():
+    """Both ends of the container work a slice at a time: what they
+    allocate beyond the bytes written, or the snapshot read, stays under
+    16 B per edge on a million edges (64 and 51 B in format 2)."""
+    n, m = 100_000, 1_050_000
+    rng = np.random.default_rng(3)
+    ids = np.sort(rng.choice(np.arange(1, 4 * n), n, replace=False))
+    sources, targets = rng.integers(0, n, (2, m))
+    keep = sources != targets
+    edges = graph._csr(n, sources[keep], targets[keep])
+    snapshot = LinkSnapshot("aa", "2022-11", ids, *edges)
+    assert snapshot.n_edges > 1_000_000
+    buffer = io.BytesIO()
+    tracemalloc.start()
+    try:
+        snapshot.save(buffer)
+        _, save_peak = tracemalloc.get_traced_memory()
+        written = buffer.getbuffer().nbytes
+    finally:
+        tracemalloc.stop()
+    buffer.seek(0)
+    tracemalloc.start()
+    try:
+        loaded = LinkSnapshot.load(buffer)
+        held, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == snapshot
+    assert save_peak - written < 16 * snapshot.n_edges
+    assert load_peak - held < 16 * snapshot.n_edges
 
 
 def test_from_edges_rejects_bad_input():
@@ -344,6 +378,20 @@ def test_container_round_trip(tmp_path):
     assert LinkSnapshot.load(path) == wide
 
 
+# The container of test_container_layout's snapshot in format 2, which
+# stored the varint blocks without deflate.
+_FORMAT_2_BODY = (
+    b"OATL\x02"
+    + struct.pack("<H", 2) + b"xx"
+    + struct.pack("<H", 7) + b"2022-11"
+    + struct.pack("<QQ", 2, 1)
+    + bytes([0x01, 0xAB, 0x02, 0x00, 0x01, 0x00])
+)
+_FORMAT_2_BLOB = (
+    _FORMAT_2_BODY + struct.pack("<I", zlib.crc32(_FORMAT_2_BODY)) + b"LTAO"
+)
+
+
 def test_container_rejects_corruption(tmp_path):
     snap = _small_snapshot()
     buf = io.BytesIO()
@@ -355,24 +403,191 @@ def test_container_rejects_corruption(tmp_path):
         LinkSnapshot.load(io.BytesIO(blob[:-3]))
     with pytest.raises(SnapshotFormatError):
         LinkSnapshot.load(io.BytesIO(blob[:-4] + b"XXXX"))
-    with pytest.raises(SnapshotFormatError, match="ingest"):
+    with pytest.raises(SnapshotFormatError, match="format 1 .* re-run `oatlas ingest`"):
         LinkSnapshot.load(io.BytesIO(blob[:4] + b"\x01" + blob[5:]))
+    with pytest.raises(SnapshotFormatError, match="format 2 .* re-run `oatlas ingest`"):
+        LinkSnapshot.load(io.BytesIO(_FORMAT_2_BLOB))
+
+
+def _varints(values):
+    """Unsigned LEB128, one value at a time."""
+    out = bytearray()
+    for value in values:
+        while value >= 0x80:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+    return bytes(out)
+
+
+def _header(snapshot, n_articles=None, n_edges=None):
+    lang, month = snapshot.language.encode(), snapshot.month.encode()
+    return (
+        b"OATL\x03"
+        + struct.pack("<H", len(lang)) + lang
+        + struct.pack("<H", len(month)) + month
+        + struct.pack(
+            "<QQ",
+            snapshot.n_articles if n_articles is None else n_articles,
+            snapshot.n_edges if n_edges is None else n_edges,
+        )
+    )
+
+
+def _container(header, stream):
+    body = header + stream
+    return body + struct.pack("<I", zlib.crc32(body)) + b"LTAO"
+
+
+def _one_shot_container(snapshot):
+    """The container as one zlib.compress of the three varint blocks."""
+    ids, indptr = snapshot.article_ids.tolist(), snapshot._indptr.tolist()
+    targets = snapshot._targets.tolist()
+    gaps = [b - a for a, b in zip([0] + ids, ids)]
+    gaps += [b - a for a, b in zip(indptr, indptr[1:])]
+    for lo, hi in zip(indptr, indptr[1:]):
+        row = targets[lo:hi]
+        gaps += [b - a for a, b in zip([0] + row, row)]
+    return _container(_header(snapshot), zlib.compress(_varints(gaps), 1))
 
 
 def test_container_layout_is_header_three_varint_blocks_crc_trailer():
     snap = LinkSnapshot.from_edges("xx", "2022-11", articles=[1, 300], edges=[(300, 1)])
     buf = io.BytesIO()
     snap.save(buf)
-    body = (
-        b"OATL\x02"
+    header = (
+        b"OATL\x03"
         + struct.pack("<H", 2) + b"xx"
         + struct.pack("<H", 7) + b"2022-11"
         + struct.pack("<QQ", 2, 1)
-        + bytes([0x01, 0xAB, 0x02])  # id gaps 1 and 299
+    )
+    varints = (
+        bytes([0x01, 0xAB, 0x02])  # id gaps 1 and 299
         + bytes([0x00, 0x01])  # out-degrees
         + bytes([0x00])  # row of page 300: target index 0
     )
-    assert buf.getvalue() == body + struct.pack("<I", zlib.crc32(body)) + b"LTAO"
+    assert buf.getvalue() == _container(header, zlib.compress(varints, 1))
+    assert buf.getvalue() == _one_shot_container(snap)
+
+
+@st.composite
+def _snapshots(draw):
+    """Small graphs whose id gaps reach 2**62."""
+    gaps = draw(st.lists(st.integers(1, 2**62), max_size=14))
+    ids = [i for i in itertools.accumulate(gaps) if i < 2**63]
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)) if ids else None
+    edges = draw(st.lists(pair, max_size=60)) if ids else []
+    edges = [(u, v) for u, v in edges if u != v]
+    return LinkSnapshot.from_edges("de", "2022-11", ids, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(snapshot=_snapshots(), slice_values=st.integers(1, 64))
+def test_sliced_save_writes_the_one_shot_bytes_and_load_reads_them(
+    snapshot, slice_values
+):
+    """Slices of 1 to 64 values end inside rows and, on load, inside varints."""
+    with mock.patch.object(graph, "_SLICE_VALUES", slice_values):
+        buf = io.BytesIO()
+        snapshot.save(buf)
+        assert buf.getvalue() == _one_shot_container(snapshot)
+        buf.seek(0)
+        assert LinkSnapshot.load(buf) == snapshot
+
+
+@pytest.mark.parametrize(
+    "slice_values, cut_varint",
+    [(1 << 16, "ends inside a varint"), (1, "more values")],
+)
+def test_a_stream_that_does_not_match_its_counts_fails_typed(slice_values, cut_varint):
+    """Also with slices of 1 byte, so that no fault shares the first slice.
+    A varint cut at the stream's end is then read as a value past the
+    counted ones before its end is seen."""
+    snap = _small_snapshot()
+    header = _header(snap)
+    stream = _one_shot_container(snap)[len(header) : -8]
+    varints = zlib.decompress(stream)
+    bad = [
+        # Header counts raised, with a fresh checksum.
+        ("edge count mismatch", _header(snap, n_articles=6) + stream),
+        ("exceed its payload", _header(snap, n_edges=2**40) + stream),
+        ("incorrect header check", header + b"\xff" * len(stream)),
+        ("stream ends early", header + stream[:-6]),
+        ("fewer values", header + zlib.compress(varints[:-1], 1)),
+        ("more values", header + zlib.compress(varints + b"\x01", 1)),
+        (cut_varint, header + zlib.compress(varints + b"\x81", 1)),
+        ("longer than 64 bits", header + zlib.compress(b"\x81" * 9 + varints, 1)),
+        ("bytes after the end", header + stream + b"\x00"),
+    ]
+    for message, body in bad:
+        with mock.patch.object(graph, "_SLICE_VALUES", slice_values):
+            with pytest.raises(SnapshotFormatError, match=message):
+                LinkSnapshot.load(io.BytesIO(_container(body, b"")))
+
+
+def _recording_decompressobj(calls):
+    """A stand-in for ``zlib.decompressobj`` that appends the input size
+    and ``max_length`` of each ``decompress`` call to ``calls``."""
+    real = zlib.decompressobj
+
+    class Recording:
+        def __init__(self):
+            self._inner = real()
+
+        def decompress(self, data, max_length=0):
+            calls.append((len(data), max_length))
+            return self._inner.decompress(data, max_length)
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    return mock.patch.object(zlib, "decompressobj", Recording)
+
+
+def test_inflation_stops_at_nine_bytes_per_counted_value():
+    snap = LinkSnapshot.from_edges("xx", "2022-11", articles=[], edges=[])
+    blob = io.BytesIO()
+    snap.save(blob)
+    assert LinkSnapshot.load(io.BytesIO(blob.getvalue())) == snap
+    calls = []
+    # An empty graph whose stream inflates to a megabyte of zero bytes.
+    bomb = _container(_header(snap), zlib.compress(bytes(1 << 20), 1))
+    one = LinkSnapshot.from_edges("xx", "2022-11", articles=[5], edges=[])
+    bomb_of_one = _container(_header(one), zlib.compress(bytes(1 << 20), 1))
+    with _recording_decompressobj(calls):
+        with pytest.raises(SnapshotFormatError, match="more values"):
+            LinkSnapshot.load(io.BytesIO(bomb))
+        assert [asked for _, asked in calls] == [1]
+        calls.clear()
+        with pytest.raises(SnapshotFormatError):
+            LinkSnapshot.load(io.BytesIO(bomb_of_one))
+        # Two values (one id gap, one degree) allow 18 bytes.
+        asked = [asked for _, asked in calls]
+        assert sum(asked) <= 18 and 0 not in asked
+
+
+def test_load_passes_each_stream_byte_to_zlib_a_bounded_number_of_times():
+    """Load feeds zlib slices of the stream, not all of what is left of it.
+
+    A call either fills its output slice, and then passes no more input
+    than that output, or uses up the input it was passed.  So the input
+    passed in all stays under the stream plus its inflated size.
+    """
+    rng = np.random.default_rng(11)
+    ids = np.arange(1, 2001)
+    pairs = rng.choice(ids, size=(20_000, 2))
+    edges = [(int(u), int(v)) for u, v in pairs if u != v]
+    snap = LinkSnapshot.from_edges("xx", "2022-11", ids, edges)
+    blob = _one_shot_container(snap)
+    stream = blob[len(_header(snap)) : -8]
+    inflated = len(zlib.decompress(stream))
+    calls = []
+    with mock.patch.object(graph, "_SLICE_VALUES", 256):
+        with _recording_decompressobj(calls):
+            assert LinkSnapshot.load(io.BytesIO(blob)) == snap
+    assert len(calls) > inflated // 256
+    assert max(size for size, _ in calls) <= 256
+    assert sum(size for size, _ in calls) <= len(stream) + inflated
 
 
 def _fuzz_container():
@@ -425,6 +640,28 @@ def test_validate_catches_tampering():
     snap._targets[0] = 999999
     with pytest.raises(SnapshotIntegrityError):
         snap.validate()
+
+
+@pytest.mark.parametrize("slice_values", [1, 2, 3, 64])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # Page 2's row holds edges 4-6, to the targets 0, 2, 3.
+        ((4, 3), "not sorted unique"),  # targets 3, 2, 3
+        ((5, 0), "not sorted unique"),  # targets 0, 0, 3
+        ((5, 1), "self loop"),  # targets 0, 1, 3
+    ],
+)
+def test_validate_checks_every_row_at_any_slice_edge(slice_values, edit, message):
+    edges = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 3), (2, 4), (4, 2)]
+    snap = _small_snapshot(edges=edges)
+    with mock.patch.object(graph, "_SLICE_VALUES", slice_values):
+        snap.validate()
+        edge, target = edit
+        snap._targets[edge] = target
+        snap._in_degree = np.bincount(snap._targets, minlength=snap.n_articles)
+        with pytest.raises(SnapshotIntegrityError, match=message):
+            snap.validate()
 
 
 def test_link_delta_and_events_on_known_change():

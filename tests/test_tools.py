@@ -6,8 +6,11 @@ from __future__ import annotations
 import resource
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from oatlas import graph
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -33,10 +36,37 @@ def test_an_edited_file_and_a_file_on_one_side_are_reported(tmp_path):
     (current / "titles" / "aa.tsv").write_text("1\tB\n")
     (baseline / "gone.tsv").write_text("")
     (current / "new.json").write_text("{}")
-    assert compare_outputs.differing_files(baseline, current) == [
+    checkouts = (compare_outputs.REPO, compare_outputs.REPO)
+    assert compare_outputs.differing_files(baseline, current, checkouts) == [
         "gone.tsv: only in the baseline",
         "new.json: only in the current checkout",
         "titles/aa.tsv: differs",
+    ]
+
+
+def test_a_container_re_encoded_is_told_from_one_that_differs(tmp_path):
+    """Two containers of one graph written at different deflate levels
+    differ in bytes but not in what the program reads from them."""
+    snapshot = graph.LinkSnapshot.from_edges("aa", "m", [1, 2, 9], [(1, 9), (9, 2)])
+    other = graph.LinkSnapshot.from_edges("aa", "m", [1, 2, 9], [(1, 9)])
+    baseline, current = tmp_path / "baseline", tmp_path / "current"
+    for root in (baseline, current):
+        (root / "snapshots").mkdir(parents=True)
+    snapshot.save(baseline / "snapshots" / "same.oatl")
+    snapshot.save(baseline / "snapshots" / "other.oatl")
+    (baseline / "snapshots" / "broken.oatl").write_bytes(b"OATL")
+    (current / "snapshots" / "broken.oatl").write_bytes(b"OATL\x03")
+    with mock.patch.object(graph, "_ZLIB_LEVEL", 9):
+        snapshot.save(current / "snapshots" / "same.oatl")
+        other.save(current / "snapshots" / "other.oatl")
+    assert (baseline / "snapshots" / "same.oatl").read_bytes() != (
+        current / "snapshots" / "same.oatl"
+    ).read_bytes()
+    checkouts = (compare_outputs.REPO, compare_outputs.REPO)
+    assert compare_outputs.differing_files(baseline, current, checkouts) == [
+        "snapshots/broken.oatl: differs",
+        "snapshots/other.oatl: differs",
+        "snapshots/same.oatl: same graph, re-encoded",
     ]
 
 
