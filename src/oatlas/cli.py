@@ -32,7 +32,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,13 +64,39 @@ class ModelError(Exception):
     """Estimation failed on otherwise well-formed data."""
 
 
+# What the readers raise on an input they cannot use: _input names its file.
+_CONTENT_ERRORS = (
+    ingest.SqlDumpError,
+    ingest.TsvFormatError,
+    ingest.InvalidRecordError,
+    ingest.DuplicateKeyError,
+    MonthFormatError,
+    graph.SnapshotFormatError,
+    graph.SnapshotIntegrityError,
+)
+
+
 @contextlib.contextmanager
-def _decoding(path: Path, error: type[Exception] = DataError) -> Iterator[None]:
-    """Turn text of ``path`` that is not UTF-8 into ``error``, naming the file."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+def _input(path: Path, mode: str = "r", hint: str = "") -> Iterator[IO]:
+    """Open a stage input to read, as UTF-8 text or, with mode ``"rb"``,
+    as bytes.
+
+    A missing file, text that is not UTF-8 and content a reader rejects
+    become a :class:`DataError` naming the file; ``hint`` follows the
+    "not found".
+    """
+    if not path.is_file():
+        raise DataError(f"{path} not found{hint}")
+    with path.open(mode, encoding=None if "b" in mode else "utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except _CONTENT_ERRORS as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
+_AFTER_INGEST = "; run the ingest stage first"
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +192,10 @@ def load_config_file(path: Path) -> dict[str, str]:
     """
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    with _decoding(path, ConfigError):
+    try:
         text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     values: dict[str, str] = {}
     for number, line in enumerate(text.splitlines(), 1):
         stripped = _COMMENT.split(line, 1)[0].strip()
@@ -299,36 +327,6 @@ def _write_json(path: Path, payload: object) -> None:
         handle.write(text.encode("utf-8"))
 
 
-@contextlib.contextmanager
-def _tsv_lines(path: Path) -> Iterator[TextIO]:
-    """Open a TSV to read; a malformed or invalid row, or text that is
-    not UTF-8, becomes a DataError naming it."""
-    with path.open(encoding="utf-8") as handle, _decoding(path):
-        try:
-            yield handle
-        except (
-            ingest.TsvFormatError,
-            ingest.InvalidRecordError,
-            ingest.DuplicateKeyError,
-            MonthFormatError,
-        ) as exc:
-            raise DataError(f"{path}: {exc}") from exc
-
-
-@contextlib.contextmanager
-def _dump(path: Path) -> Iterator[IO[bytes]]:
-    """Open a SQL dump to read; a bad row becomes a DataError naming it."""
-    with path.open("rb") as handle:
-        try:
-            yield handle
-        except (
-            ingest.SqlDumpError,
-            ingest.InvalidRecordError,
-            ingest.DuplicateKeyError,
-        ) as exc:
-            raise DataError(f"{path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Shared loading
 # ---------------------------------------------------------------------------
@@ -352,16 +350,27 @@ def _snapshot_path(config: RunConfig, language: str, month: str) -> Path:
 
 
 def _load_snapshots(config: RunConfig, month: str) -> dict[str, graph.LinkSnapshot]:
-    """The month's snapshot of each language, of the allowed ones if set."""
+    """The month's snapshot of each language, of the allowed ones if set.
+
+    A container must hold the language and month its path names.
+    """
     snapshots_dir = config.out_dir / "snapshots"
     if not snapshots_dir.is_dir():
-        raise DataError(f"{snapshots_dir} not found; run the ingest stage first")
+        raise DataError(f"{snapshots_dir} not found{_AFTER_INGEST}")
     loaded: dict[str, graph.LinkSnapshot] = {}
-    for lang_dir in sorted(snapshots_dir.iterdir()):
-        path = lang_dir / f"{month}.oatl"
-        allowed = config.languages is None or lang_dir.name in config.languages
-        if allowed and lang_dir.is_dir() and path.is_file():
-            loaded[lang_dir.name] = graph.LinkSnapshot.load(path)
+    found = snapshots_dir.glob(f"*/{month}.oatl")
+    for language in sorted(path.parent.name for path in found):
+        if config.languages is not None and language not in config.languages:
+            continue
+        path = _snapshot_path(config, language, month)
+        with _input(path, "rb") as handle:
+            snapshot = graph.LinkSnapshot.load(handle)
+        if (snapshot.language, snapshot.month) != (language, month):
+            raise DataError(
+                f"{path}: holds {snapshot.language}/{snapshot.month}, "
+                f"not {language}/{month}"
+            )
+        loaded[language] = snapshot
     if not loaded:
         allowed = "" if config.languages is None else f" of {list(config.languages)}"
         raise DataError(f"no snapshots{allowed} for {month} under {snapshots_dir}")
@@ -369,12 +378,9 @@ def _load_snapshots(config: RunConfig, month: str) -> dict[str, graph.LinkSnapsh
 
 
 def _load_qid_index(config: RunConfig) -> ingest.QidIndex:
-    path = config.out_dir / "qidmap.tsv"
-    if not path.is_file():
-        raise DataError(f"{path} not found; run the ingest stage first")
     # ingest wrote the file from a checked index: only its pages are read.
     index = ingest.QidIndex()
-    with _tsv_lines(path) as lines:
+    with _input(config.out_dir / "qidmap.tsv", hint=_AFTER_INGEST) as lines:
         columns = (str, str, ingest.optional(ingest.positive_id), str)
         for qids, languages, page_ids, _ in ingest.read_tsv(lines, columns):
             for qid, language, page_id in zip(qids, languages, page_ids):
@@ -388,21 +394,15 @@ def _titles_path(config: RunConfig, language: str) -> Path:
 
 
 def _load_titles(config: RunConfig, language: str) -> dict[int, str]:
-    path = _titles_path(config, language)
-    if not path.is_file():
-        raise DataError(f"{path} not found; run the ingest stage first")
     titles: dict[int, str] = {}
-    with _tsv_lines(path) as lines:
+    with _input(_titles_path(config, language), hint=_AFTER_INGEST) as lines:
         for page_ids, names in ingest.read_tsv(lines, (int, ingest.nonempty)):
             titles.update(zip(page_ids, names))
     return titles
 
 
 def _load_pageview_table(config: RunConfig) -> ingest.PageviewTable:
-    path = config.data_root / "pageviews.tsv"
-    if not path.is_file():
-        raise DataError(f"pageview table not found: {path}")
-    with _tsv_lines(path) as lines:
+    with _input(config.data_root / "pageviews.tsv") as lines:
         return ingest.load_pageviews(
             ingest.read_pageviews_tsv(lines), strict=config.strict
         )
@@ -471,7 +471,7 @@ def _ingest_language(
 
         def load(name: str, loader: Callable, *args: object) -> object:
             stats = parse_stats[name]
-            with _dump(month_dir / name) as handle:
+            with _input(month_dir / name, "rb") as handle:
                 blocks = ingest.read_sql_columns(
                     handle, titles, strict=config.strict, stats=stats
                 )
@@ -574,9 +574,10 @@ def cmd_ingest(config: RunConfig) -> None:
         print("nothing to ingest: no languages matched the configuration")
         return
 
+    # Checked before any worker starts, so a missing table parses no dump.
     sitelinks_path = config.data_root / "sitelinks.tsv"
     if not sitelinks_path.is_file():
-        raise DataError(f"sitelink table not found: {sitelinks_path}")
+        raise DataError(f"{sitelinks_path} not found")
     # A language whose missing dump fails strict mode is the last one
     # that would run; the languages after it are never started.
     plans = []
@@ -593,7 +594,7 @@ def cmd_ingest(config: RunConfig) -> None:
             for plan in plans
         ]
         try:
-            with _tsv_lines(sitelinks_path) as lines:
+            with _input(sitelinks_path) as lines:
                 index = ingest.load_sitelinks(
                     ingest.read_sitelinks_tsv(lines), strict=config.strict
                 )
@@ -662,10 +663,7 @@ def cmd_orphans(config: RunConfig) -> None:
 def cmd_characterize(config: RunConfig) -> None:
     month = config.months[0]
     snapshots = _load_snapshots(config, month)
-    features_path = config.data_root / "features.tsv"
-    if not features_path.is_file():
-        raise DataError(f"feature table not found: {features_path}")
-    with _tsv_lines(features_path) as lines:
+    with _input(config.data_root / "features.tsv") as lines:
         features = ingest.read_feature_columns(lines, snapshots.keys())
 
     rows = []
@@ -782,8 +780,6 @@ def _referrer_class(cell: str) -> str:
 
 def _read_panel(config: RunConfig) -> causal.Panel:
     path = config.out_dir / "panel.tsv"
-    if not path.is_file():
-        raise DataError(f"{path} not found; run the panel stage first")
     # Text columns repeat few distinct cells: check each distinct one once.
     once = functools.lru_cache(maxsize=None)
     converters = (
@@ -795,7 +791,7 @@ def _read_panel(config: RunConfig) -> causal.Panel:
         float,
         once(_referrer_class),
     )
-    with _tsv_lines(path) as lines:
+    with _input(path, hint="; run the panel stage first") as lines:
         blocks = ingest.read_tsv(lines, converters)
         return causal.Panel.concat([causal.Panel.from_columns(*b) for b in blocks])
 
@@ -864,7 +860,7 @@ def _load_documents(
         return []
     documents = []
     # Only line ends split records: JSON leaves U+2028 unescaped in strings.
-    with path.open(encoding="utf-8") as handle, _decoding(path):
+    with _input(path) as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
                 continue
@@ -1036,16 +1032,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (
-        DataError,
-        OSError,
-        ingest.SqlDumpError,
-        ingest.TsvFormatError,
-        ingest.DuplicateKeyError,
-        ingest.InvalidRecordError,
-        graph.SnapshotFormatError,
-        graph.SnapshotIntegrityError,
-    ) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     except (

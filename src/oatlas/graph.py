@@ -247,12 +247,14 @@ class LinkSnapshot:
             raise SnapshotIntegrityError("bad index pointer array")
         if (indptr[1:] < indptr[:-1]).any():
             raise SnapshotIntegrityError("negative out degree")
-        if not np.array_equal(_in_degrees(targets, n), self._in_degree):
-            raise SnapshotIntegrityError("in_degree out of sync with adjacency")
-        # Edges a slice at a time, so no array per edge is made.
+        # Edges a slice at a time, so no array per edge is made.  The
+        # constructor counted the in-degrees from these targets.
         for a in range(0, len(targets), _SLICE_VALUES):
             b = min(a + _SLICE_VALUES, len(targets))
-            if (targets[a:b] == _edge_rows(indptr, a, b)).any():
+            part = targets[a:b]
+            if (part < 0).any() or (part >= n).any():
+                raise SnapshotIntegrityError("target outside article set")
+            if (part == _edge_rows(indptr, a, b)).any():
                 raise SnapshotIntegrityError("self loop")
             gaps = _gaps(targets, indptr, a, b)
             gaps[_restarts_within(indptr, a, b)] = 1  # a row's first target

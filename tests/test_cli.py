@@ -23,6 +23,7 @@ from oatlas import candidates, causal, characterize, cli, fixtures, graph, inges
 from oatlas.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
+    EXIT_MODEL_ERROR,
     EXIT_OK,
     ConfigError,
     build_config,
@@ -282,7 +283,7 @@ def test_missing_sitelinks_fails_before_any_dump_is_parsed(golden_root, tmp_path
     assert not (out / "snapshots").exists()
 
 
-def test_flipped_container_byte_is_a_data_error(golden_root, tmp_path):
+def test_flipped_container_byte_is_a_data_error(golden_root, tmp_path, capsys):
     out = tmp_path / "out"
     base = ("--data", str(golden_root), "--out", str(out), "--months", MONTHS)
     assert _run("ingest", *base) == EXIT_OK
@@ -291,7 +292,107 @@ def test_flipped_container_byte_is_a_data_error(golden_root, tmp_path):
     # The top byte of the article count: magic, version, "aa", "2022-11".
     blob[4 + 1 + 2 + 2 + 2 + 7 + 7] ^= 0x40
     container.write_bytes(bytes(blob))
+    capsys.readouterr()
     assert _run("orphans", *base) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err.startswith(f"data error: {container}: ")
+
+
+@pytest.mark.parametrize(
+    "copies, stage",
+    [
+        ([("aa/2022-11", "bb/2022-11"), ("aa/2022-12", "bb/2022-12")], "orphans"),
+        ([("aa/2022-12", "bb/2022-12")], "panel"),
+        ([("aa/2022-12", "aa/2022-11")], "orphans"),
+    ],
+    ids=["another language", "another language in one month", "another month"],
+)
+def test_a_container_under_another_path_is_a_data_error(
+    golden_root, pipeline, tmp_path, capsys, copies, stage
+):
+    """A container holds the language and month of its path, or the
+    stage exits 3 naming the first one read that does not."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    snapshots = out / "snapshots"
+    for source, target in copies:
+        shutil.copy(snapshots / f"{source}.oatl", snapshots / f"{target}.oatl")
+    capsys.readouterr()
+    rc = _run(stage, "--data", str(golden_root), "--out", str(out), "--months", MONTHS)
+    assert rc == EXIT_DATA_ERROR
+    source, target = copies[0]
+    path = snapshots / f"{target}.oatl"
+    err = capsys.readouterr().err
+    assert err == f"data error: {path}: holds {source}, not {target}\n"
+
+
+_CONTAINERS = [
+    f"out/snapshots/{language}/{month}.oatl"
+    for language in ("aa", "bb", "cc")
+    for month in fixtures.GOLDEN_MONTHS
+]
+_NOVEMBER = [name for name in _CONTAINERS if name.endswith("2022-11.oatl")]
+# The inputs of each stage on a finished golden tree, under the data root.
+_STAGE_INPUTS = {
+    "ingest": [
+        *(
+            f"aa/{month}/{dump}"
+            for month in fixtures.GOLDEN_MONTHS
+            for dump in cli.DUMP_FILES
+        ),
+        "sitelinks.tsv",
+    ],
+    "orphans": _NOVEMBER,
+    "characterize": [*_NOVEMBER, "features.tsv"],
+    "panel": [*_CONTAINERS, "out/qidmap.tsv", "pageviews.tsv"],
+    "did": ["out/panel.tsv"],
+    "candidates": [
+        *_NOVEMBER,
+        "out/qidmap.tsv",
+        "out/titles/aa.tsv",
+        "out/titles/bb.tsv",
+        "aa/docs.jsonl",
+    ],
+}
+
+
+def _damage(draw, blob, others):
+    """``blob`` with a bit flipped, cut short or with a span repeated, or
+    one of ``others``, the other containers if ``blob`` is one."""
+    kind = draw(st.sampled_from(["flip", "cut", "repeat"] + ["swap"] * bool(others)))
+    if kind == "swap":
+        return draw(st.sampled_from(others))
+    start = draw(st.integers(0, len(blob) - 1))
+    if kind == "flip":
+        flipped = blob[start] ^ 1 << draw(st.integers(0, 7))
+        return blob[:start] + bytes([flipped]) + blob[start + 1 :]
+    if kind == "cut":
+        return blob[:start]
+    end = draw(st.integers(start + 1, len(blob)))
+    return blob[:end] + blob[start:end] + blob[end:]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_damaged_input_never_raises(golden_root, pipeline, data):
+    """A stage run on a finished tree with one input damaged, leniently
+    and under --strict, exits 0, 3 or 4 and raises nothing."""
+    stage = data.draw(st.sampled_from(sorted(_STAGE_INPUTS)))
+    name = data.draw(st.sampled_from(_STAGE_INPUTS[stage]))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "data"
+        shutil.copytree(golden_root, root)
+        shutil.copytree(pipeline, root / "out")
+        others = [
+            (root / other).read_bytes()
+            for other in _CONTAINERS
+            if name.endswith(".oatl") and other != name
+        ]
+        path = root / name
+        path.write_bytes(_damage(data.draw, path.read_bytes(), others))
+        args = ("--data", str(root), "--out", str(root / "out"), "--months", MONTHS)
+        for strict in ((), ("--strict",)):
+            rc = _run(stage, *args, *strict)
+            assert rc in (EXIT_OK, EXIT_DATA_ERROR, EXIT_MODEL_ERROR)
 
 
 def _format_2_container(snapshot):
@@ -577,6 +678,30 @@ def test_a_file_that_is_not_utf8_is_named(
     rc = _run(stage, "--config", str(config), "--out", str(out), "--months", MONTHS)
     assert rc == (EXIT_CONFIG_ERROR if path == config else EXIT_DATA_ERROR)
     assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, stage",
+    [
+        ("features.tsv", "characterize"),
+        ("pageviews.tsv", "panel"),
+        ("out/qidmap.tsv", "panel"),
+        ("out/titles/aa.tsv", "candidates"),
+        ("out/panel.tsv", "did"),
+    ],
+)
+def test_a_missing_input_is_named(golden_root, pipeline, tmp_path, capsys, name, stage):
+    """A stage input that is not there exits 3 naming the file."""
+    data = tmp_path / "data"
+    shutil.copytree(golden_root, data)
+    out = data / "out"
+    shutil.copytree(pipeline, out)
+    path = data / name
+    path.unlink()
+    capsys.readouterr()
+    rc = _run(stage, "--data", str(data), "--out", str(out), "--months", MONTHS)
+    assert rc == EXIT_DATA_ERROR
+    assert capsys.readouterr().err.startswith(f"data error: {path} not found")
 
 
 def test_did_on_an_empty_panel_reports_then_fails(golden_root, tmp_path):

@@ -650,6 +650,7 @@ def test_validate_catches_tampering():
         ((4, 3), "not sorted unique"),  # targets 3, 2, 3
         ((5, 0), "not sorted unique"),  # targets 0, 0, 3
         ((5, 1), "self loop"),  # targets 0, 1, 3
+        ((6, 5), "target outside article set"),  # targets 0, 2, 5 of 5 articles
     ],
 )
 def test_validate_checks_every_row_at_any_slice_edge(slice_values, edit, message):
@@ -662,6 +663,17 @@ def test_validate_checks_every_row_at_any_slice_edge(slice_values, edit, message
         snap._in_degree = np.bincount(snap._targets, minlength=snap.n_articles)
         with pytest.raises(SnapshotIntegrityError, match=message):
             snap.validate()
+
+
+def test_load_counts_the_in_degrees_once():
+    snap = _small_snapshot(edges=[(1, 2), (1, 3), (2, 1), (4, 2), (5, 2)])
+    blob = io.BytesIO()
+    snap.save(blob)
+    with mock.patch.object(graph, "_in_degrees", wraps=graph._in_degrees) as counted:
+        loaded = LinkSnapshot.load(io.BytesIO(blob.getvalue()))
+    assert counted.call_count == 1
+    assert loaded == snap
+    assert loaded.in_degree_array().tolist() == [1, 3, 1, 0, 0]
 
 
 def test_link_delta_and_events_on_known_change():
