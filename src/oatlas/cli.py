@@ -34,11 +34,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
+# OpenBLAS reads this once, when numpy loads it.  A DiD design has about
+# a dozen columns, too few for a second BLAS thread to help; the threads
+# spin while they wait, which costs CPU and, with the cores busy, time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import candidates as candidates_mod
-from . import causal, characterize, graph, ingest
-from .months import MonthFormatError, month_add, month_index, month_range
+import numpy as np  # noqa: E402
+
+from . import candidates as candidates_mod  # noqa: E402
+from . import causal, characterize, graph, ingest  # noqa: E402
+from .months import MonthFormatError, month_add, month_index, month_range  # noqa: E402
 
 logger = logging.getLogger(__name__)
 

@@ -20,12 +20,15 @@ as ``u64``) is followed by one zlib stream (deflate level 1).  Inflated,
 it holds unsigned LEB128 varints in three blocks: the gaps between
 consecutive page ids, the out-degree of every article, and per adjacency
 row the gaps between consecutive target indices (the first gap of a row
-counts from 0).  A CRC-32 of everything before it (``u32``) and the
-trailer ``LTAO`` close the file.  Both ends work on slices of at most
-``_SLICE_VALUES`` values, so neither holds an array per value beside
-the snapshot's own.  Deflate's output does not depend on how its input
-is cut, so the file is the same for any slice size.  Containers of
-formats 1 and 2 are rejected; re-running ``ingest`` rewrites them.
+counts from 0).  ``save`` ends a deflate block after each of the first
+two, so each array is coded with its own Huffman tables; ``load`` reads
+any zlib stream of those varints, however its blocks fall.  A CRC-32 of
+everything before it (``u32``) and the trailer ``LTAO`` close the file.
+Both ends work on slices of at most ``_SLICE_VALUES`` values, so neither
+holds an array per value beside the snapshot's own.  Deflate's output
+does not depend on how its input is cut between flushes, so the file is
+the same for any slice size.  Containers of formats 1 and 2 are
+rejected; re-running ``ingest`` rewrites them.
 """
 
 from __future__ import annotations
@@ -293,7 +296,14 @@ class LinkSnapshot:
         target.write(struct.pack("<I", crc) + _TRAILER)
 
     def _container_pieces(self) -> Iterator[bytes]:
-        """The container's header, then its deflated varint blocks in pieces."""
+        """The container's header, then its deflated varint blocks in pieces.
+
+        A ``Z_BLOCK`` flush ends the deflate blocks of each array before
+        the next one starts, so the id gaps, the out-degrees and the
+        target gaps each get their own Huffman codes; in a small graph
+        they would otherwise share one block.  The payload stays one zlib
+        stream, and the flush points do not depend on the slice size.
+        """
         lang = self.language.encode("utf-8")
         month = self.month.encode("utf-8")
         yield b"".join(
@@ -307,7 +317,14 @@ class LinkSnapshot:
             ]
         )
         compressor = zlib.compressobj(_ZLIB_LEVEL)
-        for values, restarts in _blocks(self._ids, self._indptr, self._targets):
+        blocks = (
+            (self._ids, _FROM_ZERO),
+            (self._indptr[1:], _FROM_ZERO),
+            (self._targets, self._indptr),
+        )
+        for i, (values, restarts) in enumerate(blocks):
+            if i:  # close the previous array's deflate blocks
+                yield compressor.flush(zlib.Z_BLOCK)
             for a in range(0, len(values), _SLICE_VALUES):
                 gaps = _gaps(values, restarts, a, a + _SLICE_VALUES)
                 if (gaps < 0).any():
@@ -347,27 +364,18 @@ class LinkSnapshot:
             raise SnapshotFormatError(f"bad container header: {exc}") from exc
         stream = data[pos + 16 : -8]
         count = 2 * n_nodes + n_edges
-        # Each value inflates to one byte or more.  Consecutive ids and no
-        # edges come close to deflate's bound, so a valid container may ask
-        # for about 8 KB of arrays per stream byte; they are allocated from
-        # the counts, and the targets filled once the degrees sum to n_edges.
+        # Each value inflates to one byte or more.  The arrays grow with
+        # the values inflated, so counts that the stream does not fill
+        # allocate one slice per array, or twice what its values need.
         if count > _MAX_DEFLATE_RATIO * len(stream):
             raise SnapshotFormatError("container counts exceed its payload")
-        ids = np.empty(n_nodes, dtype=np.int64)
-        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-        targets = np.empty(n_edges, dtype=np.int64)
         varints = _Varints(stream, count)
-        for values, restarts in _blocks(ids, indptr, targets):
-            # The target gaps restart at the row starts, so check those first.
-            if restarts is indptr and (
-                indptr[-1] != n_edges or (indptr[1:] < indptr[:-1]).any()
-            ):
-                raise SnapshotFormatError("edge count mismatch")
-            a = 0
-            while a < len(values):
-                gaps = varints.take(len(values) - a)
-                _sums(values, restarts, a, gaps)
-                a += len(gaps)
+        ids = varints.read(n_nodes, _FROM_ZERO)
+        indptr = varints.read(n_nodes, _FROM_ZERO, lead=1)
+        # The target gaps restart at the row starts, so check those first.
+        if indptr[-1] != n_edges or (indptr[1:] < indptr[:-1]).any():
+            raise SnapshotFormatError("edge count mismatch")
+        targets = varints.read(n_edges, indptr)
         varints.finish()
         snapshot = cls(language, month, ids, indptr, targets)
         snapshot.validate()
@@ -410,14 +418,6 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 def _id_array(ids: Collection[int]) -> np.ndarray:
     """Page ids, a set or an array, as an int64 array."""
     return ids if isinstance(ids, np.ndarray) else np.fromiter(ids, np.int64, len(ids))
-
-
-def _blocks(
-    ids: np.ndarray, indptr: np.ndarray, targets: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The container's three blocks: each array, whose values it stores as
-    gaps, and the sorted positions where those gaps count from 0."""
-    return ((ids, _FROM_ZERO), (indptr[1:], _FROM_ZERO), (targets, indptr))
 
 
 def _restarts_within(restarts: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -470,6 +470,24 @@ class _Varints:
         self._room = _MAX_VARINT_BYTES * count or 1
         self._carry = b""  # the start of a varint cut at a slice's edge
         self._values = np.empty(0, dtype=np.int64)
+
+    def read(self, n: int, restarts: np.ndarray, lead: int = 0) -> np.ndarray:
+        """The next ``n`` values, after ``lead`` zeros, from their :func:`_gaps`
+        with the given restarts.
+
+        The array starts at one slice and doubles as it fills, so it
+        holds at most one slice, or twice the values inflated so far.
+        """
+        out = np.zeros(lead + min(n, _SLICE_VALUES), dtype=np.int64)
+        a = 0
+        while a < n:
+            if lead + a == len(out):
+                # No view of out is alive here, so numpy may move its data.
+                out.resize(lead + min(2 * a, n), refcheck=False)
+            gaps = self.take(len(out) - lead - a)
+            _sums(out[lead:], restarts, a, gaps)
+            a += len(gaps)
+        return out
 
     def take(self, most: int) -> np.ndarray:
         """The next values: at least one and at most ``most``."""

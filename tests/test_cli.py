@@ -1219,6 +1219,20 @@ def test_importing_the_cli_leaves_the_process_pool_out():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])
+def test_the_cli_loads_numpy_with_one_blas_thread_unless_set(preset, seen):
+    code = "import os, oatlas.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(map(str, sys.path))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == seen
+
+
 @settings(max_examples=200)
 @given(rows=_qidmap_rows, block_lines=st.integers(1, 5))
 def test_qid_map_loads_like_the_per_row_oracle(rows, block_lines):

@@ -439,16 +439,35 @@ def _container(header, stream):
     return body + struct.pack("<I", zlib.crc32(body)) + b"LTAO"
 
 
-def _one_shot_container(snapshot):
-    """The container as one zlib.compress of the three varint blocks."""
+def _deflate_blocks(*blocks):
+    """One zlib stream at level 1 that ends a deflate block after each of
+    ``blocks`` but the last, and the stream after the last."""
+    compressor = zlib.compressobj(1)
+    stream = b""
+    for block in blocks[:-1]:
+        stream += compressor.compress(block) + compressor.flush(zlib.Z_BLOCK)
+    return stream + compressor.compress(blocks[-1]) + compressor.flush()
+
+
+def _varint_blocks(snapshot):
+    """The container's three varint blocks: id gaps, out-degrees and the
+    target gaps of each row in turn."""
     ids, indptr = snapshot.article_ids.tolist(), snapshot._indptr.tolist()
     targets = snapshot._targets.tolist()
-    gaps = [b - a for a, b in zip([0] + ids, ids)]
-    gaps += [b - a for a, b in zip(indptr, indptr[1:])]
+    target_gaps = []
     for lo, hi in zip(indptr, indptr[1:]):
         row = targets[lo:hi]
-        gaps += [b - a for a, b in zip([0] + row, row)]
-    return _container(_header(snapshot), zlib.compress(_varints(gaps), 1))
+        target_gaps += [b - a for a, b in zip([0] + row, row)]
+    return (
+        _varints([b - a for a, b in zip([0] + ids, ids)]),
+        _varints([b - a for a, b in zip(indptr, indptr[1:])]),
+        _varints(target_gaps),
+    )
+
+
+def _one_shot_container(snapshot):
+    """The container with each of the three varint blocks compressed whole."""
+    return _container(_header(snapshot), _deflate_blocks(*_varint_blocks(snapshot)))
 
 
 def test_container_layout_is_header_three_varint_blocks_crc_trailer():
@@ -461,12 +480,12 @@ def test_container_layout_is_header_three_varint_blocks_crc_trailer():
         + struct.pack("<H", 7) + b"2022-11"
         + struct.pack("<QQ", 2, 1)
     )
-    varints = (
-        bytes([0x01, 0xAB, 0x02])  # id gaps 1 and 299
-        + bytes([0x00, 0x01])  # out-degrees
-        + bytes([0x00])  # row of page 300: target index 0
+    stream = _deflate_blocks(
+        bytes([0x01, 0xAB, 0x02]),  # id gaps 1 and 299
+        bytes([0x00, 0x01]),  # out-degrees
+        bytes([0x00]),  # row of page 300: target index 0
     )
-    assert buf.getvalue() == _container(header, zlib.compress(varints, 1))
+    assert buf.getvalue() == _container(header, stream)
     assert buf.getvalue() == _one_shot_container(snap)
 
 
@@ -493,6 +512,49 @@ def test_sliced_save_writes_the_one_shot_bytes_and_load_reads_them(
         assert buf.getvalue() == _one_shot_container(snapshot)
         buf.seek(0)
         assert LinkSnapshot.load(buf) == snapshot
+
+
+@settings(max_examples=50, deadline=None)
+@given(snapshot=_snapshots())
+def test_a_container_deflated_as_one_block_still_loads(snapshot):
+    """Containers written before the per-array block ends, whose varints
+    were compressed as one run, are the same format and read the same."""
+    stream = zlib.compress(b"".join(_varint_blocks(snapshot)), 1)
+    blob = _container(_header(snapshot), stream)
+    assert LinkSnapshot.load(io.BytesIO(blob)) == snapshot
+
+
+@pytest.mark.parametrize("articles", [[], [7], [1, 5, 2**40]])
+def test_graphs_without_edges_round_trip(articles):
+    snapshot = LinkSnapshot.from_edges("xx", "2022-11", articles, [])
+    buf = io.BytesIO()
+    snapshot.save(buf)
+    assert buf.getvalue() == _one_shot_container(snapshot)
+    buf.seek(0)
+    loaded = LinkSnapshot.load(buf)
+    assert loaded == snapshot and loaded.n_edges == 0
+    assert loaded.in_degree_array().tolist() == [0] * len(articles)
+
+
+def test_header_counts_the_stream_cannot_fill_allocate_no_arrays_for_them():
+    """A 1.5 KB container with a valid checksum, whose header claims 1.4M
+    values, passes the deflate-ratio check but holds 1,600.  Load fails on
+    the missing values having allocated under 1 MB, not the 11 MB of
+    arrays that the counts ask for."""
+    rng = np.random.default_rng(2)
+    varints = rng.integers(0, 0x80, 1_600, dtype=np.uint8).tobytes()
+    stream = zlib.compress(varints, 1)
+    snap = LinkSnapshot.from_edges("xx", "2022-11", [], [])
+    blob = _container(_header(snap, n_articles=700_000, n_edges=0), stream)
+    assert len(blob) < 1_500 and 1_400_000 <= graph._MAX_DEFLATE_RATIO * len(stream)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SnapshotFormatError, match="fewer values than counted"):
+            LinkSnapshot.load(io.BytesIO(blob))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

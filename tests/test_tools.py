@@ -23,8 +23,16 @@ def test_one_checkout_on_both_sides_writes_the_same_golden_outputs(
     golden_root, tmp_path
 ):
     checkout = compare_outputs.REPO
-    assert compare_outputs.compare_tree("golden", golden_root, checkout, tmp_path) == []
+    problems, sizes = compare_outputs.compare_tree(
+        "golden", golden_root, checkout, tmp_path
+    )
+    assert problems == []
     assert (tmp_path / "golden" / "current" / "representation_scores.tsv").is_file()
+    written = sum(p.stat().st_size for p in (tmp_path / "golden").rglob("*.oatl"))
+    assert written > 0 and sizes == (
+        f"golden: .oatl bytes {written // 2:,} in the baseline,"
+        f" {written // 2:,} in the current checkout, ratio 1.0000"
+    )
 
 
 def test_an_edited_file_and_a_file_on_one_side_are_reported(tmp_path):
@@ -68,6 +76,17 @@ def test_a_container_re_encoded_is_told_from_one_that_differs(tmp_path):
         "snapshots/other.oatl: differs",
         "snapshots/same.oatl: same graph, re-encoded",
     ]
+    old, new = (
+        sum(p.stat().st_size for p in (root / "snapshots").iterdir())
+        for root in (baseline, current)
+    )
+    assert compare_outputs.container_sizes("tree", baseline, current) == (
+        f"tree: .oatl bytes {old:,} in the baseline, {new:,} in the current"
+        f" checkout, ratio {new / old:.4f}"
+    )
+    assert compare_outputs.container_sizes("none", tmp_path / "a", tmp_path / "b") == (
+        "none: .oatl bytes 0 in the baseline, 0 in the current checkout, ratio -"
+    )
 
 
 def test_a_stage_is_timed_on_both_sides_after_the_stages_before_it(

@@ -13,8 +13,11 @@ that differs or exists on one side only, and every run that fails.  A
 snapshot container (``.oatl``) whose bytes differ is loaded by each
 side's own program; if both read the same language, month and arrays,
 it is printed as "same graph, re-encoded", which is not a difference.
-The script exits 1 if it printed a difference and 0 otherwise.  Trees
-and outputs are written only under the temporary directory.
+For each tree it also prints the total bytes of the containers each side
+wrote and their ratio, current over baseline, so a re-encoding shows
+its size change.  The script exits 1 if it printed a difference and 0
+otherwise.  Trees and outputs are written only under the temporary
+directory.
 """
 
 from __future__ import annotations
@@ -136,8 +139,24 @@ def differing_files(
     return lines
 
 
-def compare_tree(name: str, data: Path, baseline: Path, work: Path) -> list[str]:
-    """Run both checkouts on one tree and list what tells their outputs apart."""
+def container_sizes(name: str, baseline: Path, current: Path) -> str:
+    """The total bytes of the containers under each root, and their ratio."""
+    old, new = (
+        sum(path.stat().st_size for path in root.rglob("*.oatl"))
+        for root in (baseline, current)
+    )
+    ratio = f"{new / old:.4f}" if old else "-"
+    return (
+        f"{name}: .oatl bytes {old:,} in the baseline, {new:,} in the current"
+        f" checkout, ratio {ratio}"
+    )
+
+
+def compare_tree(
+    name: str, data: Path, baseline: Path, work: Path
+) -> tuple[list[str], str]:
+    """Run both checkouts on one tree.  List what tells their outputs
+    apart, and give the line of :func:`container_sizes`."""
     problems = []
     outs = {}
     for side, checkout in (("baseline", baseline), ("current", REPO)):
@@ -147,7 +166,8 @@ def compare_tree(name: str, data: Path, baseline: Path, work: Path) -> list[str]
             last = run.stderr.strip().rpartition("\n")[2]
             problems.append(f"{name}: the {side} run exited {run.returncode}: {last}")
     diffs = differing_files(outs["baseline"], outs["current"], (baseline, REPO))
-    return problems + [f"{name}/{line}" for line in diffs]
+    sizes = container_sizes(name, outs["baseline"], outs["current"])
+    return problems + [f"{name}/{line}" for line in diffs], sizes
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -160,9 +180,11 @@ def main(argv: list[str] | None = None) -> int:
         root = Path(tmp)
         problems = []
         for name, data in write_trees(root / "data").items():
-            problems += compare_tree(name, data, args.baseline.resolve(), root / "out")
-    for line in problems:
-        print(line)
+            found, sizes = compare_tree(
+                name, data, args.baseline.resolve(), root / "out"
+            )
+            problems += found
+            print(*found, sizes, sep="\n")
     differences = [line for line in problems if not line.endswith(RE_ENCODED)]
     if not differences:
         print("no differences on", ", ".join(["golden", *sorted(generate.BUILDERS)]))
