@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import itertools
 import json
 import logging
@@ -354,10 +355,18 @@ def _snapshot_path(config: RunConfig, language: str, month: str) -> Path:
     return config.out_dir / "snapshots" / language / f"{month}.oatl"
 
 
-def _load_snapshots(config: RunConfig, month: str) -> dict[str, graph.LinkSnapshot]:
+def _load_snapshots(
+    config: RunConfig,
+    month: str,
+    full: dict[tuple[str, str], graph.LinkSnapshot] | None = None,
+) -> dict[str, graph.LinkSnapshot]:
     """The month's snapshot of each language, of the allowed ones if set.
 
-    A container must hold the language and month its path names.
+    A container must hold the language and month its path names; that is
+    checked before a delta's base is read.  ``full``, if given, holds the
+    snapshots of full containers read before, by language and month, and
+    the full containers read here are added to it: a delta takes its base
+    from there, or else reads it from beside it and frees it once applied.
     """
     snapshots_dir = config.out_dir / "snapshots"
     if not snapshots_dir.is_dir():
@@ -369,12 +378,22 @@ def _load_snapshots(config: RunConfig, month: str) -> dict[str, graph.LinkSnapsh
             continue
         path = _snapshot_path(config, language, month)
         with _input(path, "rb") as handle:
-            snapshot = graph.LinkSnapshot.load(handle)
-        if (snapshot.language, snapshot.month) != (language, month):
-            raise DataError(
-                f"{path}: holds {snapshot.language}/{snapshot.month}, "
-                f"not {language}/{month}"
-            )
+            container = graph.Container.read(handle)
+            if (container.language, container.month) != (language, month):
+                raise DataError(
+                    f"{path}: holds {container.language}/{container.month}, "
+                    f"not {language}/{month}"
+                )
+            base_month = container.base_month
+            base = (full or {}).get((language, base_month))
+            if base is None and base_month is not None:
+                snapshot = container.snapshot(
+                    graph.LinkSnapshot.load_base(path, base_month)
+                )
+            else:
+                snapshot = container.snapshot(base)
+        if full is not None and base_month is None:
+            full[language, month] = snapshot
         loaded[language] = snapshot
     if not loaded:
         allowed = "" if config.languages is None else f" of {list(config.languages)}"
@@ -464,12 +483,16 @@ def _ingest_language(
     """Parse and persist one language's ``months``, whose dumps all exist.
 
     Returns the manifest note of each month and the first month's title
-    index, used for sitelink attachment.  Runs in an ingest worker, so
-    it reads and writes only this language's files.
+    index, used for sitelink attachment.  Each month is saved by
+    :func:`_save_month` against the last one saved whole, the first month
+    to begin with; a later month's note names that base month and the
+    edges removed from it and added.  Runs in an ingest worker, so it
+    reads and writes only this language's files.
     """
     notes: dict[str, dict] = {}
     id_by_title: dict[str, int] = {}
     titles = ingest.Titles()  # one code per title across the months
+    base = None  # the last month saved whole
     for month in months:
         month_dir = config.data_root / language / month
         parse_stats = {name: ingest.ParseStats() for name in DUMP_FILES}
@@ -491,7 +514,7 @@ def _ingest_language(
         )
         path = _snapshot_path(config, language, month)
         path.parent.mkdir(parents=True, exist_ok=True)
-        snapshot.save(path)
+        churn, as_delta = _save_month(snapshot, path, base)
 
         notes[month] = {
             "n_articles": snapshot.n_articles,
@@ -508,6 +531,13 @@ def _ingest_language(
                 "duplicate": build_stats.n_duplicate_links,
             },
         }
+        if churn is not None:
+            removed, added = churn
+            notes[month].update(
+                base_month=base.month, edges_removed=removed, edges_added=added
+            )
+        if not as_delta:
+            base = snapshot
         if month == months[0]:
             page_titles = pages.title_list()
             id_by_title = dict(zip(page_titles, pages.page_ids.tolist()))
@@ -520,6 +550,30 @@ def _ingest_language(
             ]
             _write_report(_titles_path(config, language), ("page_id", "title"), rows)
     return notes, id_by_title
+
+
+def _save_month(
+    snapshot: graph.LinkSnapshot, path: Path, base: graph.LinkSnapshot | None
+) -> tuple[tuple[int, int] | None, bool]:
+    """Save a month's snapshot at ``path``, and return the numbers of
+    edges that it removes from ``base`` and adds to it (None without a
+    base) and whether it is stored as a delta against ``base``.
+
+    It is a delta where that takes fewer bytes than the full container
+    and ``path`` does not hold a full container already: a delta that an
+    earlier run wrote for a later month may be stored against that one.
+    """
+    if base is None:
+        snapshot.save(path)
+        return None, False
+    keep_whole = graph.holds_full_container(path)
+    delta, whole = io.BytesIO(), io.BytesIO()
+    churn = snapshot.save(delta, base)
+    snapshot.save(whole)
+    as_delta = not keep_whole and delta.tell() < whole.tell()
+    with ingest.atomic_file(path) as handle:
+        handle.write((delta if as_delta else whole).getbuffer())
+    return churn, as_delta
 
 
 def _usable_cpus() -> int:
@@ -704,8 +758,9 @@ def cmd_characterize(config: RunConfig) -> None:
 
 def cmd_panel(config: RunConfig) -> None:
     month, following = _require_month_pair(config)
-    first = _load_snapshots(config, month)
-    second = _load_snapshots(config, following)
+    full: dict[tuple[str, str], graph.LinkSnapshot] = {}
+    first = _load_snapshots(config, month, full)
+    second = _load_snapshots(config, following, full)
     snapshots = {
         lang: {month: first[lang], following: second[lang]}
         for lang in first

@@ -29,6 +29,24 @@ holds an array per value beside the snapshot's own.  Deflate's output
 does not depend on how its input is cut between flushes, so the file is
 the same for any slice size.  Containers of formats 1 and 2 are
 rejected; re-running ``ingest`` rewrites them.
+
+Format 4, a delta container, stores a later month of a language as what
+it changes in a base month of that language, which is always a full
+(format 3) container.  Its header carries, after the language and the
+month, the base month (``u16`` length-prefixed UTF-8), a CRC-32 of the
+base graph's id, row pointer and target arrays (``u32``, over
+little-endian int64), then six ``u64`` counts: article ids removed, ids
+added, and the rows and edges of the removed and of the added edges.
+Its stream holds eight varint blocks, each ended as in format 3: the
+gaps of the removed ids and of the added ids, then the removed edges
+and the added edges, each a small CSR in three blocks (the gaps between
+its rows, the out-degree of each row, and per row its target gaps).
+Rows and targets are ranks in the sorted union of both months' ids.  A
+delta is read against its base, which the caller hands over or which
+sits beside it as ``<base month>.oatl``; a base that is missing,
+changed, of another language or month, or itself a delta is refused,
+so a load reads at most two files.  Which months ``ingest`` stores as
+deltas is its own rule (:func:`oatlas.cli._save_month`).
 """
 
 from __future__ import annotations
@@ -46,7 +64,7 @@ from .ingest import _positions
 
 _MAGIC = b"OATL"
 _TRAILER = b"LTAO"
-_FORMAT_VERSION = 3
+_FULL, _DELTA = 3, 4  # the container formats read and written
 # On varint gaps level 6 took about 1.5 times as long as level 1 and
 # made the stream smaller by under 2 % of its size.
 _ZLIB_LEVEL = 1
@@ -73,6 +91,74 @@ class SnapshotIntegrityError(ValueError):
 
 class SnapshotMismatchError(ValueError):
     """An operation across snapshots that do not belong together."""
+
+
+class Container:
+    """A container read whole: its trailer, CRC-32 and header are checked.
+
+    ``base_month`` is None in a full (format 3) container; ``counts`` are
+    the header's ``u64`` counts, and ``stream`` is the deflated stream.
+    """
+
+    def __init__(self, data: bytes | memoryview):
+        data = memoryview(data)
+        if data[:4] != _MAGIC:
+            raise SnapshotFormatError("not a snapshot container (bad magic)")
+        if data[4:5] in (b"\x01", b"\x02"):
+            raise SnapshotFormatError(
+                f"container format {data[4]} is no longer read; re-run `oatlas ingest`"
+            )
+        if data[4:5] not in (bytes([_FULL]), bytes([_DELTA])):
+            raise SnapshotFormatError("unsupported container version")
+        if len(data) < 13 or data[-4:] != _TRAILER:
+            raise SnapshotFormatError("truncated container (missing trailer)")
+        if zlib.crc32(data[:-8]) != struct.unpack("<I", data[-8:-4])[0]:
+            raise SnapshotFormatError("container checksum mismatch")
+        pos = 5
+
+        def text() -> str:
+            nonlocal pos
+            (length,) = struct.unpack_from("<H", data, pos)
+            pos += 2 + length
+            if pos > len(data):
+                raise struct.error("text runs past the end")
+            return str(data[pos - length : pos], "utf-8")
+
+        try:
+            self.language, self.month = text(), text()
+            self.base_month, self.base_crc, n_counts = None, 0, 2
+            if data[4] == _DELTA:
+                self.base_month = text()
+                (self.base_crc,) = struct.unpack_from("<I", data, pos)
+                pos, n_counts = pos + 4, 6
+            self.counts = struct.unpack_from(f"<{n_counts}Q", data, pos)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise SnapshotFormatError(f"bad container header: {exc}") from exc
+        self.stream = data[pos + 8 * n_counts : -8]
+
+    @classmethod
+    def read(cls, source: Path | IO[bytes]) -> "Container":
+        """The container in a file or a stream."""
+        if isinstance(source, Path):
+            with source.open("rb") as handle:
+                return cls(handle.read())
+        return cls(source.read())
+
+    def snapshot(self, base: "LinkSnapshot | None" = None) -> "LinkSnapshot":
+        """The snapshot that the container holds; a delta is applied to
+        ``base``, which must be the graph it was written against."""
+        if self.base_month is None:
+            n_nodes, n_edges = self.counts
+            varints = _Varints(self.stream, 2 * n_nodes + n_edges)
+            ids = varints.read(n_nodes, _FROM_ZERO)
+            indptr, targets = _read_adjacency(varints, n_nodes, n_edges)
+            varints.finish()
+        else:
+            ids, indptr, targets = _read_delta(self, base)
+            del base  # a base read for this delta alone is freed here
+        snapshot = LinkSnapshot(self.language, self.month, ids, indptr, targets)
+        snapshot.validate()
+        return snapshot
 
 
 @dataclass
@@ -283,103 +369,133 @@ class LinkSnapshot:
 
     # -- persistence ----------------------------------------------------------
 
-    def save(self, target: Path | IO[bytes]) -> None:
-        """Write the snapshot as a versioned binary container."""
+    def save(
+        self, target: Path | IO[bytes], base: "LinkSnapshot | None" = None
+    ) -> tuple[int, int] | None:
+        """Write the snapshot as a versioned binary container.
+
+        Without ``base`` the container is a full one (format 3).  With
+        ``base``, another month of the language that is saved as a full
+        container, it is a delta against that month (format 4), and the
+        numbers of edges it removes and adds are returned.
+        """
         if isinstance(target, Path):
             with atomic_file(target) as handle:
-                self.save(handle)
-            return
-        crc = 0
-        for piece in self._container_pieces():
+                return self.save(handle, base)
+        if base is None:
+            header = _header_bytes(
+                _FULL, self.language, self.month, (self.n_articles, self.n_edges)
+            )
+            blocks = [
+                (self._ids, _FROM_ZERO),
+                (self._indptr[1:], _FROM_ZERO),
+                (self._targets, self._indptr),
+            ]
+            churn = None
+        else:
+            header, blocks, churn = _delta_container(base, self)
+        crc = zlib.crc32(header)
+        target.write(header)
+        for piece in _deflated(blocks):
             crc = zlib.crc32(piece, crc)
             target.write(piece)
         target.write(struct.pack("<I", crc) + _TRAILER)
-
-    def _container_pieces(self) -> Iterator[bytes]:
-        """The container's header, then its deflated varint blocks in pieces.
-
-        A ``Z_BLOCK`` flush ends the deflate blocks of each array before
-        the next one starts, so the id gaps, the out-degrees and the
-        target gaps each get their own Huffman codes; in a small graph
-        they would otherwise share one block.  The payload stays one zlib
-        stream, and the flush points do not depend on the slice size.
-        """
-        lang = self.language.encode("utf-8")
-        month = self.month.encode("utf-8")
-        yield b"".join(
-            [
-                _MAGIC,
-                struct.pack("<BH", _FORMAT_VERSION, len(lang)),
-                lang,
-                struct.pack("<H", len(month)),
-                month,
-                struct.pack("<QQ", self.n_articles, self.n_edges),
-            ]
-        )
-        compressor = zlib.compressobj(_ZLIB_LEVEL)
-        blocks = (
-            (self._ids, _FROM_ZERO),
-            (self._indptr[1:], _FROM_ZERO),
-            (self._targets, self._indptr),
-        )
-        for i, (values, restarts) in enumerate(blocks):
-            if i:  # close the previous array's deflate blocks
-                yield compressor.flush(zlib.Z_BLOCK)
-            for a in range(0, len(values), _SLICE_VALUES):
-                gaps = _gaps(values, restarts, a, a + _SLICE_VALUES)
-                if (gaps < 0).any():
-                    raise SnapshotIntegrityError("negative delta in container")
-                yield compressor.compress(_encode_varints(gaps))
-        yield compressor.flush()
+        return churn
 
     @classmethod
-    def load(cls, source: Path | IO[bytes]) -> "LinkSnapshot":
-        """Read a container written by :meth:`save`."""
-        if isinstance(source, Path):
-            with source.open("rb") as handle:
-                return cls.load(handle)
-        data = memoryview(source.read())
-        if data[:4] != _MAGIC:
-            raise SnapshotFormatError("not a snapshot container (bad magic)")
-        if data[4:5] in (b"\x01", b"\x02"):
-            raise SnapshotFormatError(
-                f"container format {data[4]} is no longer read; re-run `oatlas ingest`"
-            )
-        if data[4:5] != bytes([_FORMAT_VERSION]):
-            raise SnapshotFormatError("unsupported container version")
-        if len(data) < 13 or data[-4:] != _TRAILER:
-            raise SnapshotFormatError("truncated container (missing trailer)")
-        if zlib.crc32(data[:-8]) != struct.unpack("<I", data[-8:-4])[0]:
-            raise SnapshotFormatError("container checksum mismatch")
-        pos = 5
+    def load(
+        cls, source: Path | IO[bytes], base: "LinkSnapshot | None" = None
+    ) -> "LinkSnapshot":
+        """Read a container written by :meth:`save`.
+
+        A delta is read against ``base``, or, when ``source`` is a path
+        and no base is given, against :meth:`load_base`.
+        """
+        container = Container.read(source)
+        base_month = container.base_month
+        if base is None and base_month is not None and isinstance(source, Path):
+            return container.snapshot(cls.load_base(source, base_month))
+        return container.snapshot(base)
+
+    @staticmethod
+    def load_base(delta_path: Path, base_month: str) -> "LinkSnapshot":
+        """Read the base of the delta at ``delta_path``: the full container
+        of ``base_month`` beside it.
+
+        A missing file or a delta there raises, naming the path.
+        """
+        path = delta_path.with_name(f"{base_month}.oatl")
         try:
-            (lang_len,) = struct.unpack_from("<H", data, pos)
-            language = str(data[pos + 2 : pos + 2 + lang_len], "utf-8")
-            pos += 2 + lang_len
-            (month_len,) = struct.unpack_from("<H", data, pos)
-            month = str(data[pos + 2 : pos + 2 + month_len], "utf-8")
-            pos += 2 + month_len
-            n_nodes, n_edges = struct.unpack_from("<QQ", data, pos)
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise SnapshotFormatError(f"bad container header: {exc}") from exc
-        stream = data[pos + 16 : -8]
-        count = 2 * n_nodes + n_edges
-        # Each value inflates to one byte or more.  The arrays grow with
-        # the values inflated, so counts that the stream does not fill
-        # allocate one slice per array, or twice what its values need.
-        if count > _MAX_DEFLATE_RATIO * len(stream):
-            raise SnapshotFormatError("container counts exceed its payload")
-        varints = _Varints(stream, count)
-        ids = varints.read(n_nodes, _FROM_ZERO)
-        indptr = varints.read(n_nodes, _FROM_ZERO, lead=1)
-        # The target gaps restart at the row starts, so check those first.
-        if indptr[-1] != n_edges or (indptr[1:] < indptr[:-1]).any():
-            raise SnapshotFormatError("edge count mismatch")
-        targets = varints.read(n_edges, indptr)
-        varints.finish()
-        snapshot = cls(language, month, ids, indptr, targets)
-        snapshot.validate()
-        return snapshot
+            if not path.is_file():
+                raise SnapshotIntegrityError("not found")
+            container = Container.read(path)
+            if container.base_month is not None:
+                raise SnapshotFormatError("is itself a delta, not a full container")
+            return container.snapshot()
+        except (SnapshotFormatError, SnapshotIntegrityError) as exc:
+            raise type(exc)(f"base container {path}: {exc}") from exc
+
+
+def holds_full_container(path: Path) -> bool:
+    """Whether the file at ``path`` begins as a full (format 3) container."""
+    try:
+        with path.open("rb") as handle:
+            return handle.read(5) == _MAGIC + bytes([_FULL])
+    except FileNotFoundError:
+        return False
+
+
+def _header_bytes(
+    version: int,
+    language: str,
+    month: str,
+    counts: Sequence[int],
+    base_month: str | None = None,
+    base_crc: int = 0,
+) -> bytes:
+    """A container header; ``base_month`` and ``base_crc`` are a delta's."""
+    texts = [language, month] + ([] if base_month is None else [base_month])
+    parts = [_MAGIC, bytes([version])]
+    for text in texts:
+        raw = text.encode("utf-8")
+        parts += [struct.pack("<H", len(raw)), raw]
+    if base_month is not None:
+        parts.append(struct.pack("<I", base_crc))
+    parts.append(struct.pack(f"<{len(counts)}Q", *counts))
+    return b"".join(parts)
+
+
+def _deflated(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes]:
+    """The deflated varints of the :func:`_gaps` of each (values, restarts)
+    block, in pieces.
+
+    A ``Z_BLOCK`` flush ends the deflate blocks of each array before the
+    next one starts, so each array gets its own Huffman codes; in a small
+    graph they would otherwise share one block.  The payload stays one
+    zlib stream, and the flush points do not depend on the slice size.
+    """
+    compressor = zlib.compressobj(_ZLIB_LEVEL)
+    for i, (values, restarts) in enumerate(blocks):
+        if i:  # close the previous array's deflate blocks
+            yield compressor.flush(zlib.Z_BLOCK)
+        for a in range(0, len(values), _SLICE_VALUES):
+            gaps = _gaps(values, restarts, a, a + _SLICE_VALUES)
+            if (gaps < 0).any():
+                raise SnapshotIntegrityError("negative delta in container")
+            yield compressor.compress(_encode_varints(gaps))
+    yield compressor.flush()
+
+
+def _read_adjacency(
+    varints: "_Varints", n_rows: int, n_edges: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row pointers and targets of a CSR block pair: out-degrees, then
+    per row its target gaps."""
+    indptr = varints.read(n_rows, _FROM_ZERO, lead=1)
+    # The target gaps restart at the row starts, so check those first.
+    if indptr[-1] != n_edges or (indptr[1:] < indptr[:-1]).any():
+        raise SnapshotFormatError("edge count mismatch")
+    return indptr, varints.read(n_edges, indptr)
 
 
 def _in_degrees(targets: np.ndarray, n: int) -> np.ndarray:
@@ -464,6 +580,11 @@ class _Varints:
     """
 
     def __init__(self, stream: memoryview, count: int):
+        # Each value inflates to one byte or more.  The arrays grow with
+        # the values inflated, so counts that the stream does not fill
+        # allocate one slice per array, or twice what its values need.
+        if count > _MAX_DEFLATE_RATIO * len(stream):
+            raise SnapshotFormatError("container counts exceed its payload")
         self._inflater = zlib.decompressobj()
         self._stream = stream
         self._pos = 0  # the stream bytes that zlib has used
@@ -567,6 +688,243 @@ def _decode_varints(buffer: bytes) -> tuple[np.ndarray, int]:
     if (data[pos] >= 0x80).any():
         raise SnapshotFormatError("varint longer than 64 bits")
     return values, used
+
+
+# -- delta containers ----------------------------------------------------------
+
+
+def _delta_container(
+    base: LinkSnapshot, later: LinkSnapshot
+) -> tuple[bytes, list[tuple[np.ndarray, np.ndarray]], tuple[int, int]]:
+    """The header of ``later``'s delta against ``base``, its (values,
+    restarts) varint blocks, and the edges it removes and adds."""
+    if base.language != later.language or base.month == later.month:
+        raise SnapshotMismatchError(
+            f"{later.language}/{later.month} cannot be stored against "
+            f"{base.language}/{base.month}"
+        )
+    removed_ids, added_ids, removed, added = _diff(base, later)
+    counts = (len(removed_ids), len(added_ids))
+    blocks = [(removed_ids, _FROM_ZERO), (added_ids, _FROM_ZERO)]
+    for rows, indptr, targets in (removed, added):
+        counts += (len(rows), len(targets))
+        blocks += [(rows, _FROM_ZERO), (indptr[1:], _FROM_ZERO), (targets, indptr)]
+    header = _header_bytes(
+        _DELTA, later.language, later.month, counts, base.month, _arrays_crc(base)
+    )
+    return header, blocks, (len(removed[2]), len(added[2]))
+
+
+def _read_delta(
+    container: Container, base: LinkSnapshot | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ids, row pointers and targets of a delta container applied to
+    ``base``, which must be the graph it names."""
+    wanted = f"{container.language}/{container.base_month}"
+    if base is None:
+        raise SnapshotIntegrityError(f"a delta against {wanted} needs its base")
+    if (base.language, base.month) != (container.language, container.base_month):
+        raise SnapshotIntegrityError(
+            f"a delta against {wanted} given the base {base.language}/{base.month}"
+        )
+    if _arrays_crc(base) != container.base_crc:
+        raise SnapshotIntegrityError(
+            f"the base {wanted} is not the graph this delta was written against"
+        )
+    n_removed, n_added, *csr_counts = container.counts
+    shapes = (csr_counts[:2], csr_counts[2:])  # (rows, edges), twice
+    count = n_removed + n_added + sum(2 * rows + n for rows, n in shapes)
+    varints = _Varints(container.stream, count)
+    removed_ids = varints.read(n_removed, _FROM_ZERO)
+    added_ids = varints.read(n_added, _FROM_ZERO)
+    removed, added = [
+        (varints.read(rows, _FROM_ZERO), *_read_adjacency(varints, rows, n))
+        for rows, n in shapes
+    ]
+    varints.finish()
+    return _apply(base, removed_ids, added_ids, removed, added)
+
+
+def _arrays_crc(snapshot: LinkSnapshot) -> int:
+    """A CRC-32 of the graph's ids, row pointers and targets as
+    little-endian int64, the check a delta keeps of its base."""
+    crc = 0
+    for array in (snapshot._ids, snapshot._indptr, snapshot._targets):
+        crc = zlib.crc32(np.ascontiguousarray(array, dtype="<i8"), crc)
+    return crc
+
+
+def _merged(ids: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """The sorted ids with the sorted ``added``, none of them in ids, merged in."""
+    return np.insert(ids, np.searchsorted(ids, added), added)
+
+
+def _edge_keys(
+    snapshot: LinkSnapshot, rank: np.ndarray, n: int, a: int, b: int
+) -> np.ndarray:
+    """``rank[source] * n + rank[target]`` of the edges a to b-1."""
+    b = min(b, snapshot.n_edges)
+    keys = rank[_edge_rows(snapshot._indptr, a, b)]
+    keys *= n
+    keys += rank[snapshot._targets[a:b]]
+    return keys
+
+
+def _key_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted edge keys ``row * n + target`` as a small CSR: the distinct
+    rows, their row pointers and the targets."""
+    rows = keys // n
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return rows[starts], np.append(starts, len(keys)), keys % n
+
+
+def _diff(base: LinkSnapshot, later: LinkSnapshot) -> tuple:
+    """What ``later`` removes from ``base`` and adds to it: the removed and
+    the added ids, then the removed and the added edges, each as the
+    (rows, row pointers, targets) of :func:`_key_rows` over the ranks of
+    the union of both months' ids.
+
+    Besides the results, it holds the base's edge keys and a flag per base
+    edge; the later month's keys are made a slice at a time.
+    """
+    removed_ids = base._ids[_positions(later._ids, base._ids) < 0]
+    added_ids = later._ids[_positions(base._ids, later._ids) < 0]
+    union = _merged(base._ids, added_ids)
+    n = len(union)
+    base_rank = np.searchsorted(union, base._ids)
+    later_rank = np.searchsorted(union, later._ids)
+    # Rows ascend, and targets within them, so these keys are sorted.
+    base_keys = np.empty(base.n_edges, dtype=np.int64)
+    for a in range(0, base.n_edges, _SLICE_VALUES):
+        base_keys[a : a + _SLICE_VALUES] = _edge_keys(
+            base, base_rank, n, a, a + _SLICE_VALUES
+        )
+    in_later = np.zeros(base.n_edges, dtype=bool)
+    added = [base_keys[:0]]
+    for a in range(0, later.n_edges, _SLICE_VALUES):
+        keys = _edge_keys(later, later_rank, n, a, a + _SLICE_VALUES)
+        at = _positions(base_keys, keys)
+        in_later[at[at >= 0]] = True
+        added.append(keys[at < 0])
+    removed = _key_rows(base_keys[~in_later], n)
+    return removed_ids, added_ids, removed, _key_rows(np.concatenate(added), n)
+
+
+def _search_rows(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """For each key, the first place from ``lo`` to ``hi`` in ``values``,
+    which ascend there, whose value is not below the key (``hi`` if there
+    is none): one bisection for all.  It overwrites ``lo`` and ``hi``."""
+    while len(open_ := np.flatnonzero(lo < hi)):
+        mid = (lo[open_] + hi[open_]) // 2
+        below = values[mid] < keys[open_]
+        lo[open_[below]] = mid[below] + 1
+        hi[open_[~below]] = mid[~below]
+    return lo
+
+
+def _ascending(values: np.ndarray) -> bool:
+    return not (values[1:] <= values[:-1]).any()
+
+
+def _delta_keys(
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (source, target) ranks in the union of both months' ids, of
+    ``n`` articles, of each edge of a delta's CSR, which must ascend."""
+    rows, indptr, targets = edges
+    for values in (rows, targets):
+        if len(values) and (values.min() < 0 or values.max() >= n):
+            raise SnapshotIntegrityError("delta edge outside the union of both months")
+    sources = np.repeat(rows, np.diff(indptr))
+    if not _ascending(sources * n + targets):
+        raise SnapshotIntegrityError(f"{what} edges are not sorted unique")
+    return sources, targets
+
+
+def _apply(
+    base: LinkSnapshot,
+    removed_ids: np.ndarray,
+    added_ids: np.ndarray,
+    removed: tuple[np.ndarray, np.ndarray, np.ndarray],
+    added: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ids, row pointers and targets of the month that a delta's
+    arrays, read by ``load``, take ``base`` to.
+
+    Every removed edge must be in the base, and every kept or added one
+    within the later month's articles; ``validate`` checks the rest.
+    Besides the result, it holds arrays per article and per removed or
+    added edge: the kept edges go into the result a slice at a time, each
+    after the added edges that sort before it.
+    """
+    ids, indptr = base._ids, base._indptr
+    if not _ascending(removed_ids) or (_positions(ids, removed_ids) < 0).any():
+        raise SnapshotIntegrityError("removed ids are not sorted unique base articles")
+    if not _ascending(added_ids) or (_positions(ids, added_ids) >= 0).any():
+        raise SnapshotIntegrityError("added ids are not sorted unique new articles")
+    union = _merged(ids, added_ids)
+    n = len(union)
+    in_base = np.ones(n, dtype=bool)
+    in_base[np.searchsorted(union, added_ids)] = False
+    in_later = np.ones(n, dtype=bool)
+    in_later[np.searchsorted(union, removed_ids)] = False
+    later_ids = union[in_later]
+    del union
+    base_below = np.cumsum(in_base) - in_base  # base articles before each rank
+    to_later = np.where(in_later, np.cumsum(in_later) - 1, -1)
+    later_of_base = to_later[in_base]
+
+    # The places of the removed edges among the base's.
+    sources, targets = _delta_keys(removed, n, "removed")
+    if not in_base[sources].all() or not in_base[targets].all():
+        raise SnapshotIntegrityError("a removed edge leaves the base's articles")
+    rows, targets = base_below[sources], base_below[targets]
+    gone = _search_rows(base._targets, indptr[rows], indptr[rows + 1], targets)
+    found = gone < indptr[rows + 1]
+    found[found] = base._targets[gone[found]] == targets[found]
+    if not found.all():
+        raise SnapshotIntegrityError("a removed edge is not a base edge")
+    degrees = np.diff(indptr)
+    degrees -= np.bincount(rows, minlength=len(ids))
+    if degrees[later_of_base < 0].any():
+        raise SnapshotIntegrityError("a removed article keeps an edge")
+    kept_degrees = np.zeros(len(later_ids), dtype=np.int64)
+    alive = later_of_base >= 0
+    kept_degrees[later_of_base[alive]] = degrees[alive]
+    del degrees, alive
+
+    # Before each added edge: the base edges that sort before it, less
+    # the removed ones among them.  A new source has no base row.
+    sources, targets = _delta_keys(added, n, "added")
+    rows = base_below[sources]
+    starts = indptr[rows]
+    ends = np.where(in_base[sources], indptr[np.minimum(rows + 1, len(ids))], starts)
+    before = _search_rows(base._targets, starts, ends, base_below[targets])
+    kept_before = before - np.searchsorted(gone, before)
+    sources, targets = to_later[sources], to_later[targets]
+    if (sources < 0).any() or (targets < 0).any():
+        raise SnapshotIntegrityError("an added edge leaves the later month's articles")
+    kept_degrees += np.bincount(sources, minlength=len(later_ids))
+    later_indptr = np.concatenate([[0], np.cumsum(kept_degrees)])
+    # Only later_of_base is needed per article from here on.
+    del in_base, in_later, base_below, to_later, kept_degrees
+    del rows, starts, ends, before, sources
+
+    out = np.empty(later_indptr[-1], dtype=np.int64)
+    out[kept_before + np.arange(len(targets))] = targets
+    for a in range(0, base.n_edges, _SLICE_VALUES):
+        b = min(a + _SLICE_VALUES, base.n_edges)
+        lo, hi = np.searchsorted(gone, [a, b])
+        keep = np.ones(b - a, dtype=bool)
+        keep[gone[lo:hi] - a] = False
+        part = later_of_base[base._targets[a:b][keep]]
+        if (part < 0).any():
+            raise SnapshotIntegrityError("an edge to a removed article is kept")
+        kept = np.arange(a - lo, a - lo + len(part))  # their places among the kept
+        out[kept + np.searchsorted(kept_before, kept, side="right")] = part
+    return later_ids, later_indptr, out
 
 
 def build_snapshot(

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line over the hand-checked tree."""
 
+import io
 import json
 import math
 import multiprocessing
@@ -310,10 +311,14 @@ def test_a_container_under_another_path_is_a_data_error(
     golden_root, pipeline, tmp_path, capsys, copies, stage
 ):
     """A container holds the language and month of its path, or the
-    stage exits 3 naming the first one read that does not."""
+    stage exits 3 naming the first one read that does not.  With ``aa``'s
+    second month rewritten as a delta against the first, the path check
+    comes before its base is read, also where it is copied over that
+    base."""
     out = tmp_path / "out"
     shutil.copytree(pipeline, out)
     snapshots = out / "snapshots"
+    _as_delta(snapshots / "aa")
     for source, target in copies:
         shutil.copy(snapshots / f"{source}.oatl", snapshots / f"{target}.oatl")
     capsys.readouterr()
@@ -323,6 +328,158 @@ def test_a_container_under_another_path_is_a_data_error(
     path = snapshots / f"{target}.oatl"
     err = capsys.readouterr().err
     assert err == f"data error: {path}: holds {source}, not {target}\n"
+
+
+def _as_delta(language_dir):
+    """Rewrite a golden language's second month as a delta against its
+    first, which ``ingest`` keeps whole in graphs this small; returns
+    both paths."""
+    first, second = (language_dir / f"{month}.oatl" for month in fixtures.GOLDEN_MONTHS)
+    later = graph.LinkSnapshot.load(second)
+    later.save(second, graph.LinkSnapshot.load(first))
+    assert second.read_bytes()[4] == 4
+    return first, second
+
+
+def test_golden_months_are_whole_and_the_manifest_counts_their_churn(pipeline):
+    """A golden graph's delta would take more bytes than the graph, so
+    each month is a full container; the later one's manifest entry still
+    counts the edges it removes from the first month and adds."""
+    manifest = json.loads((pipeline / "manifest.json").read_text(encoding="utf-8"))
+    for language in ("aa", "bb", "cc"):
+        first, second = (
+            pipeline / "snapshots" / language / f"{month}.oatl"
+            for month in fixtures.GOLDEN_MONTHS
+        )
+        assert first.read_bytes()[4] == 3 and second.read_bytes()[4] == 3
+        delta = graph.link_delta(
+            graph.LinkSnapshot.load(first), graph.LinkSnapshot.load(second)
+        )
+        notes = manifest["languages"][language]["months"]
+        assert "base_month" not in notes["2022-11"]
+        assert notes["2022-12"].items() >= {
+            "base_month": "2022-11",
+            "edges_removed": len(delta.removed),
+            "edges_added": len(delta.added),
+        }.items()
+
+
+# A month of links on one page table, from the month before: a few rows
+# dropped, or the rows of another wiki.
+_CHURN_MONTHS = {
+    "2022-11": ("first", 0),
+    "2022-12": ("first", 30),
+    "2023-01": ("first", 60),
+    "2023-02": ("other", 0),
+    "2023-03": ("other", 30),
+}
+
+
+def _churn_tree(root):
+    """One language ``aa`` over :data:`_CHURN_MONTHS`."""
+    rng = np.random.default_rng(8)
+    wiki = fixtures.random_wiki(rng, n_pages=300, n_links=1500)
+    links = {
+        "first": wiki.link_rows,
+        "other": fixtures.random_wiki(rng, n_pages=300, n_links=1500).link_rows,
+    }
+    for month, (rows, dropped) in _CHURN_MONTHS.items():
+        month_dir = root / "aa" / month
+        month_dir.mkdir(parents=True)
+        fixtures.write_sql_dump(month_dir / "page.sql", "page", wiki.page_rows)
+        fixtures.write_sql_dump(
+            month_dir / "redirect.sql", "redirect", wiki.redirect_rows
+        )
+        fixtures.write_sql_dump(
+            month_dir / "pagelinks.sql", "pagelinks", links[rows][dropped:]
+        )
+    fixtures.write_sitelinks_tsv(root / "sitelinks.tsv", [("Q1", "aa", "P_1")])
+    return root
+
+
+def test_a_month_is_a_delta_against_the_last_whole_one_where_that_is_smaller(
+    tmp_path,
+):
+    """Months that keep most links of the month saved whole before them
+    are deltas against it; a month of another wiki's links is saved
+    whole, and the months after it are stored against it."""
+    data, out = _churn_tree(tmp_path / "data"), tmp_path / "out"
+    args = ("--data", str(data), "--out", str(out), "--months", "2022-11:2023-03")
+    assert _run("ingest", *args) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    notes = manifest["languages"]["aa"]["months"]
+    snapshots_dir = out / "snapshots" / "aa"
+    paths = {month: snapshots_dir / f"{month}.oatl" for month in _CHURN_MONTHS}
+    snapshots = {month: graph.LinkSnapshot.load(path) for month, path in paths.items()}
+    formats = [path.read_bytes()[4] for path in paths.values()]
+    assert formats == [3, 4, 4, 3, 4]
+    bases = [notes[month].get("base_month") for month in _CHURN_MONTHS]
+    assert bases == [None, "2022-11", "2022-11", "2022-11", "2023-02"]
+    for month, base_month in zip(_CHURN_MONTHS, bases):
+        if base_month is None:
+            continue
+        base, later = snapshots[base_month], snapshots[month]
+        delta = graph.link_delta(base, later)
+        assert (notes[month]["edges_removed"], notes[month]["edges_added"]) == (
+            len(delta.removed),
+            len(delta.added),
+        )
+        sizes = []
+        for against in (base, None):
+            buffer = io.BytesIO()
+            later.save(buffer, against)
+            sizes.append(buffer.tell())
+        assert paths[month].stat().st_size == min(sizes)
+
+
+def test_re_ingesting_an_earlier_window_keeps_a_base_whole(tmp_path):
+    """A month saved whole that a later month's delta is stored against
+    stays whole when an earlier window is ingested, though a delta
+    against the month before it would be smaller."""
+    data, out = _churn_tree(tmp_path / "data"), tmp_path / "out"
+    for months in ("2022-12:2023-01", "2022-11:2022-12"):
+        args = ("--data", str(data), "--out", str(out), "--months", months)
+        assert _run("ingest", *args) == EXIT_OK
+    paths = [out / "snapshots" / "aa" / f"{month}.oatl" for month in _CHURN_MONTHS]
+    assert [path.read_bytes()[4] for path in paths[:3]] == [3, 3, 4]
+    assert graph.LinkSnapshot.load(paths[2]).month == "2023-01"
+    args = ("--data", str(data), "--out", str(out), "--months", "2023-01")
+    assert _run("orphans", *args) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "damage, stage, months, named, message",
+    [
+        ("missing", "orphans", "2022-12", "2022-12", "2022-11.oatl: not found"),
+        ("missing", "panel", MONTHS, "2022-12", "2022-11.oatl: not found"),
+        ("stale", "orphans", "2022-12", "2022-12", "not the graph"),
+        ("stale", "panel", MONTHS, "2022-12", "not the graph"),
+        ("a delta", "orphans", "2022-12", "2022-12", "is itself a delta"),
+        ("a delta", "panel", MONTHS, "2022-11", "is itself a delta"),
+    ],
+)
+def test_a_delta_without_its_base_is_a_data_error(
+    golden_root, pipeline, tmp_path, capsys, damage, stage, months, named, message
+):
+    """A delta whose base container is gone, holds another graph (the
+    panel stage checks the base it read a moment before), or is itself a
+    delta exits 3, naming the delta read."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    first, second = _as_delta(out / "snapshots" / "aa")
+    later = graph.LinkSnapshot.load(second)
+    if damage == "missing":
+        first.unlink()
+    elif damage == "stale":
+        graph.LinkSnapshot.from_edges("aa", "2022-11", [1, 2], [(1, 2)]).save(first)
+    else:  # the first month rewritten as a delta against the second
+        graph.LinkSnapshot.load(first).save(first, later)
+    capsys.readouterr()
+    rc = _run(stage, "--data", str(golden_root), "--out", str(out), "--months", months)
+    assert rc == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {out / 'snapshots' / 'aa' / named}.oatl: ")
+    assert message in err
 
 
 _CONTAINERS = [
@@ -417,8 +574,11 @@ def test_orphans_on_format_2_snapshots_is_a_data_error(golden_root, tmp_path, ca
     out = tmp_path / "out"
     base = ("--data", str(golden_root), "--out", str(out), "--months", MONTHS)
     assert _run("ingest", *base) == EXIT_OK
-    for path in sorted((out / "snapshots").rglob("*.oatl")):
-        path.write_bytes(_format_2_container(graph.LinkSnapshot.load(path)))
+    # Every container is read first: a later month's delta needs its base.
+    paths = sorted((out / "snapshots").rglob("*.oatl"))
+    snapshots = [graph.LinkSnapshot.load(path) for path in paths]
+    for path, snapshot in zip(paths, snapshots):
+        path.write_bytes(_format_2_container(snapshot))
     capsys.readouterr()
     assert _run("orphans", *base) == EXIT_DATA_ERROR
     err = capsys.readouterr().err

@@ -116,36 +116,59 @@ def test_a_loaded_snapshot_holds_its_arrays_and_no_page_index():
     assert loaded.rows_of([1, 2, 2 * n - 1]).tolist() == [0, -1, n - 1]
 
 
-def test_save_and_load_make_under_16_bytes_per_edge_of_temporaries():
+def _traced(run):
+    """What ``run()`` returns, and the bytes traced as held after it and
+    at its peak."""
+    tracemalloc.start()
+    try:
+        result = run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_save_and_load_make_under_16_bytes_per_edge_of_temporaries(tmp_path):
     """Both ends of the container work a slice at a time: what they
     allocate beyond the bytes written, or the snapshot read, stays under
-    16 B per edge on a million edges (64 and 51 B in format 2)."""
+    16 B per edge on a million edges (64 and 51 B in format 2).
+
+    The next month, with 5 % of the edges redrawn and saved as a delta,
+    stays under 40 B per edge at save, where the diff holds the base's
+    edge keys and a flag per edge (about 15 B measured), and under 16 B
+    at load (about 6 B).  Loaded by path, the delta also reads its base,
+    whose arrays are about 10 B per edge: under 24 B in all (about 16 B).
+    """
     n, m = 100_000, 1_050_000
     rng = np.random.default_rng(3)
     ids = np.sort(rng.choice(np.arange(1, 4 * n), n, replace=False))
     sources, targets = rng.integers(0, n, (2, m))
     keep = sources != targets
-    edges = graph._csr(n, sources[keep], targets[keep])
-    snapshot = LinkSnapshot("aa", "2022-11", ids, *edges)
+    snapshot = LinkSnapshot(
+        "aa", "2022-11", ids, *graph._csr(n, sources[keep], targets[keep])
+    )
     assert snapshot.n_edges > 1_000_000
-    buffer = io.BytesIO()
-    tracemalloc.start()
-    try:
-        snapshot.save(buffer)
-        _, save_peak = tracemalloc.get_traced_memory()
+    redrawn = rng.random(m) < 0.05
+    sources[redrawn], targets[redrawn] = rng.integers(0, n, (2, redrawn.sum()))
+    keep = sources != targets
+    later = LinkSnapshot(
+        "aa", "2022-12", ids, *graph._csr(n, sources[keep], targets[keep])
+    )
+    for saved, base, save_bound in ((snapshot, None, 16), (later, snapshot, 40)):
+        buffer = io.BytesIO()
+        churn, _, save_peak = _traced(lambda: saved.save(buffer, base))
         written = buffer.getbuffer().nbytes
-    finally:
-        tracemalloc.stop()
-    buffer.seek(0)
-    tracemalloc.start()
-    try:
-        loaded = LinkSnapshot.load(buffer)
-        held, load_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert loaded == snapshot
-    assert save_peak - written < 16 * snapshot.n_edges
-    assert load_peak - held < 16 * snapshot.n_edges
+        buffer.seek(0)
+        loaded, held, load_peak = _traced(lambda: LinkSnapshot.load(buffer, base))
+        assert loaded == saved
+        assert save_peak - written < save_bound * saved.n_edges
+        assert load_peak - held < 16 * saved.n_edges
+    assert 40_000 < churn[0] < 60_000 and 40_000 < churn[1] < 60_000
+    snapshot.save(tmp_path / "2022-11.oatl")
+    later.save(tmp_path / "2022-12.oatl", snapshot)
+    loaded, held, peak = _traced(lambda: LinkSnapshot.load(tmp_path / "2022-12.oatl"))
+    assert loaded == later
+    assert peak - held < 24 * later.n_edges
 
 
 def test_from_edges_rejects_bad_input():
@@ -434,6 +457,19 @@ def _header(snapshot, n_articles=None, n_edges=None):
     )
 
 
+def _delta_header(language, month, base, counts):
+    """A format-4 header: the language, the month, the base's month and
+    the CRC-32 of its arrays, then the six counts."""
+    crc = 0
+    for array in (base.article_ids, base._indptr, base._targets):
+        crc = zlib.crc32(np.asarray(array, dtype="<i8").tobytes(), crc)
+    texts = b"".join(
+        struct.pack("<H", len(text.encode())) + text.encode()
+        for text in (language, month, base.month)
+    )
+    return b"OATL\x04" + texts + struct.pack("<I6Q", crc, *counts)
+
+
 def _container(header, stream):
     body = header + stream
     return body + struct.pack("<I", zlib.crc32(body)) + b"LTAO"
@@ -540,21 +576,25 @@ def test_header_counts_the_stream_cannot_fill_allocate_no_arrays_for_them():
     """A 1.5 KB container with a valid checksum, whose header claims 1.4M
     values, passes the deflate-ratio check but holds 1,600.  Load fails on
     the missing values having allocated under 1 MB, not the 11 MB of
-    arrays that the counts ask for."""
+    arrays that the counts ask for.  So does a delta whose header claims
+    700,000 added ids."""
     rng = np.random.default_rng(2)
     varints = rng.integers(0, 0x80, 1_600, dtype=np.uint8).tobytes()
     stream = zlib.compress(varints, 1)
     snap = LinkSnapshot.from_edges("xx", "2022-11", [], [])
     blob = _container(_header(snap, n_articles=700_000, n_edges=0), stream)
     assert len(blob) < 1_500 and 1_400_000 <= graph._MAX_DEFLATE_RATIO * len(stream)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SnapshotFormatError, match="fewer values than counted"):
-            LinkSnapshot.load(io.BytesIO(blob))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    counts = (0, 700_000, 0, 0, 0, 0)
+    delta = _container(_delta_header("xx", "2022-12", snap, counts), stream)
+    for container, base in ((blob, None), (delta, snap)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SnapshotFormatError, match="fewer values than counted"):
+                LinkSnapshot.load(io.BytesIO(container), base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -668,6 +708,38 @@ _CORRUPT = (SnapshotFormatError, SnapshotIntegrityError)
 _fuzz = settings(max_examples=300)
 
 
+def _fuzz_delta():
+    """A month after the fuzz container's, with a few articles and edges
+    gone and others added, saved as a delta; and its base."""
+    base = LinkSnapshot.load(io.BytesIO(_FUZZ_BLOB))
+    rng = np.random.default_rng(6)
+    ids = np.concatenate([base.article_ids[4:], [100_003, 100_500]])
+    edges = [(u, v) for u, v in base.edges() if u in ids and v in ids][10:]
+    pairs = rng.choice(ids, size=(30, 2))
+    edges += [(int(u), int(v)) for u, v in pairs if u != v]
+    buf = io.BytesIO()
+    LinkSnapshot.from_edges("de", "2022-12", ids.tolist(), edges).save(buf, base)
+    return buf.getvalue(), base
+
+
+_FUZZ_DELTA, _FUZZ_BASE = _fuzz_delta()
+
+
+def _with_fresh_checksum(blob, pos, mask):
+    """The container with the byte at ``pos`` flipped and its CRC-32 redone."""
+    body = bytearray(blob[:-8])
+    body[pos] ^= mask
+    return bytes(body) + struct.pack("<I", zlib.crc32(body)) + blob[-4:]
+
+
+def _loads_valid_or_fails_typed(blob, base=None):
+    try:
+        loaded = LinkSnapshot.load(io.BytesIO(blob), base)
+    except _CORRUPT:
+        return
+    loaded.validate()
+
+
 @_fuzz
 @given(cut=st.integers(0, len(_FUZZ_BLOB) - 1))
 def test_truncated_container_never_loads(cut):
@@ -687,14 +759,32 @@ def test_flipped_byte_under_the_stored_checksum_never_loads(pos, mask):
 @_fuzz
 @given(pos=st.integers(0, len(_FUZZ_BLOB) - 9), mask=st.integers(1, 255))
 def test_flipped_byte_with_a_fresh_checksum_fails_typed_or_loads_valid(pos, mask):
-    body = bytearray(_FUZZ_BLOB[:-8])
-    body[pos] ^= mask
-    blob = bytes(body) + struct.pack("<I", zlib.crc32(body)) + _FUZZ_BLOB[-4:]
-    try:
-        loaded = LinkSnapshot.load(io.BytesIO(blob))
-    except _CORRUPT:
-        return
-    loaded.validate()
+    _loads_valid_or_fails_typed(_with_fresh_checksum(_FUZZ_BLOB, pos, mask))
+
+
+@_fuzz
+@given(cut=st.integers(0, len(_FUZZ_DELTA) - 1))
+def test_truncated_delta_never_loads(cut):
+    with pytest.raises(_CORRUPT):
+        LinkSnapshot.load(io.BytesIO(_FUZZ_DELTA[:cut]), _FUZZ_BASE)
+
+
+@_fuzz
+@given(pos=st.integers(0, len(_FUZZ_DELTA) - 1), mask=st.integers(1, 255))
+def test_flipped_delta_byte_under_the_stored_checksum_never_loads(pos, mask):
+    blob = bytearray(_FUZZ_DELTA)
+    blob[pos] ^= mask
+    with pytest.raises(_CORRUPT):
+        LinkSnapshot.load(io.BytesIO(bytes(blob)), _FUZZ_BASE)
+
+
+@_fuzz
+@given(pos=st.integers(0, len(_FUZZ_DELTA) - 9), mask=st.integers(1, 255))
+def test_flipped_delta_byte_with_a_fresh_checksum_fails_typed_or_loads_valid(
+    pos, mask
+):
+    blob = _with_fresh_checksum(_FUZZ_DELTA, pos, mask)
+    _loads_valid_or_fails_typed(blob, _FUZZ_BASE)
 
 
 def test_validate_catches_tampering():
@@ -845,3 +935,103 @@ def test_orphan_status_crossings_match_the_edge_diff(pair):
     assert {page: after.in_degree_of(page) for page in forward} == gained
     reverse = shared[linked_before & ~linked_after].tolist()
     assert reverse == orphanizing_oracle(before, after)
+
+
+# -- delta containers ---------------------------------------------------------
+
+
+def test_delta_layout_is_header_eight_varint_blocks_crc_trailer():
+    base = LinkSnapshot.from_edges("xx", "2022-11", [1, 300], [(300, 1)])
+    later = LinkSnapshot.from_edges("xx", "2022-12", [1, 5], [(1, 5)])
+    buf = io.BytesIO()
+    assert later.save(buf, base) == (1, 1)
+    # The union of both months' ids is 1, 5, 300.
+    stream = _deflate_blocks(
+        bytes([0xAC, 0x02]),  # removed ids: 300
+        bytes([0x05]),  # added ids: 5
+        bytes([0x02]),  # removed edges' rows: 300
+        bytes([0x01]),  # their out-degrees
+        bytes([0x00]),  # row of 300: target 1, at rank 0
+        bytes([0x00]),  # added edges' rows: 1
+        bytes([0x01]),  # their out-degrees
+        bytes([0x01]),  # row of 1: target 5, at rank 1
+    )
+    header = _delta_header("xx", "2022-12", base, (1, 1, 1, 1, 1, 1))
+    assert buf.getvalue() == _container(header, stream)
+    assert LinkSnapshot.load(io.BytesIO(buf.getvalue()), base) == later
+
+
+@st.composite
+def _month_pairs(draw):
+    """Two months of one language: articles removed and added (the id
+    sets may be disjoint or empty), and from none to all of the edges
+    redrawn."""
+    pool = draw(st.lists(st.integers(1, 2**40), max_size=24, unique=True))
+    months = []
+    for month in ("2022-11", "2022-12"):
+        ids = [i for i in pool if draw(st.booleans())]
+        pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)) if ids else None
+        edges = draw(st.lists(pair, max_size=60)) if ids else []
+        if months:  # the base's edges that the later month may keep
+            kept = [(u, v) for u, v in months[0].edges() if u in ids and v in ids]
+            edges += [edge for edge in kept if draw(st.booleans())]
+        edges = [(u, v) for u, v in edges if u != v]
+        months.append(LinkSnapshot.from_edges("de", month, ids, edges))
+    return months
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_month_pairs(), slice_values=st.integers(1, 64))
+def test_a_delta_round_trips_at_any_slice_size(pair, slice_values):
+    base, later = pair
+    whole = io.BytesIO()
+    churn = later.save(whole, base)
+    before, after = base.edge_set(), later.edge_set()
+    assert churn == (len(before - after), len(after - before))
+    with mock.patch.object(graph, "_SLICE_VALUES", slice_values):
+        buf = io.BytesIO()
+        later.save(buf, base)
+        assert buf.getvalue() == whole.getvalue()
+        buf.seek(0)
+        assert LinkSnapshot.load(buf, base) == later
+
+
+def test_a_delta_path_finds_its_base_beside_it(tmp_path):
+    base = _small_snapshot()
+    later = _small_snapshot("2022-12", edges=[(1, 2), (5, 3), (3, 1)])
+    base.save(tmp_path / "2022-11.oatl")
+    assert later.save(tmp_path / "2022-12.oatl", base) == (2, 1)
+    assert LinkSnapshot.load(tmp_path / "2022-12.oatl") == later
+    blob = (tmp_path / "2022-12.oatl").read_bytes()
+    assert LinkSnapshot.load(io.BytesIO(blob), base) == later
+    with pytest.raises(SnapshotIntegrityError, match="needs its base"):
+        LinkSnapshot.load(io.BytesIO(blob))
+    with pytest.raises(SnapshotIntegrityError, match="given the base xx/2022-12"):
+        LinkSnapshot.load(io.BytesIO(blob), later)
+    with pytest.raises(SnapshotMismatchError):
+        later.save(io.BytesIO(), later)
+
+
+@pytest.mark.parametrize(
+    "damage, error, message",
+    [
+        ("missing", SnapshotIntegrityError, "2022-11.oatl: not found"),
+        ("stale", SnapshotIntegrityError, "not the graph this delta was written"),
+        ("a delta", SnapshotFormatError, "2022-11.oatl: is itself a delta"),
+    ],
+)
+def test_a_delta_refuses_a_missing_changed_or_delta_base(
+    tmp_path, damage, error, message
+):
+    base = _small_snapshot()
+    later = _small_snapshot("2022-12", edges=[(1, 2), (5, 3)])
+    base.save(tmp_path / "2022-11.oatl")
+    later.save(tmp_path / "2022-12.oatl", base)
+    if damage == "missing":
+        (tmp_path / "2022-11.oatl").unlink()
+    elif damage == "stale":
+        _small_snapshot(edges=[(1, 2)]).save(tmp_path / "2022-11.oatl")
+    else:
+        base.save(tmp_path / "2022-11.oatl", later)
+    with pytest.raises(error, match=message):
+        LinkSnapshot.load(tmp_path / "2022-12.oatl")

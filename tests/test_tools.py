@@ -3,7 +3,9 @@
 
 from __future__ import annotations
 
+import os
 import resource
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -53,13 +55,19 @@ def test_an_edited_file_and_a_file_on_one_side_are_reported(tmp_path):
 
 
 def test_a_container_re_encoded_is_told_from_one_that_differs(tmp_path):
-    """Two containers of one graph written at different deflate levels
-    differ in bytes but not in what the program reads from them."""
+    """Two containers of one graph written at different deflate levels,
+    or a later month written whole and as a delta against the month
+    before, differ in bytes but not in what the program reads from them."""
     snapshot = graph.LinkSnapshot.from_edges("aa", "m", [1, 2, 9], [(1, 9), (9, 2)])
     other = graph.LinkSnapshot.from_edges("aa", "m", [1, 2, 9], [(1, 9)])
+    first = graph.LinkSnapshot.from_edges("aa", "2022-11", [1, 2, 9], [(1, 9)])
+    second = graph.LinkSnapshot.from_edges("aa", "2022-12", [1, 2], [(2, 1)])
     baseline, current = tmp_path / "baseline", tmp_path / "current"
     for root in (baseline, current):
         (root / "snapshots").mkdir(parents=True)
+        first.save(root / "snapshots" / "2022-11.oatl")
+    second.save(baseline / "snapshots" / "2022-12.oatl")
+    second.save(current / "snapshots" / "2022-12.oatl", first)
     snapshot.save(baseline / "snapshots" / "same.oatl")
     snapshot.save(baseline / "snapshots" / "other.oatl")
     (baseline / "snapshots" / "broken.oatl").write_bytes(b"OATL")
@@ -72,6 +80,7 @@ def test_a_container_re_encoded_is_told_from_one_that_differs(tmp_path):
     ).read_bytes()
     checkouts = (compare_outputs.REPO, compare_outputs.REPO)
     assert compare_outputs.differing_files(baseline, current, checkouts) == [
+        "snapshots/2022-12.oatl: same graph, re-encoded",
         "snapshots/broken.oatl: differs",
         "snapshots/other.oatl: differs",
         "snapshots/same.oatl: same graph, re-encoded",
@@ -87,6 +96,30 @@ def test_a_container_re_encoded_is_told_from_one_that_differs(tmp_path):
     assert compare_outputs.container_sizes("none", tmp_path / "a", tmp_path / "b") == (
         "none: .oatl bytes 0 in the baseline, 0 in the current checkout, ratio -"
     )
+
+
+def test_the_program_runs_in_the_environment_the_tools_were_started_in():
+    """Importing ``time_stage`` loads ``oatlas.cli``, which sets
+    OPENBLAS_NUM_THREADS in its own process; the commands the tools run
+    do not inherit it."""
+    code = (
+        "import os, sys; from pathlib import Path; sys.path.insert(0, 'tools'); "
+        "import time_stage; "
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'; "
+        "_, env = time_stage.cli_command(Path('.'), Path('data'), Path('out')); "
+        "print(env.get('OPENBLAS_NUM_THREADS'))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(compare_outputs.REPO / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=compare_outputs.REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "None\n"
 
 
 def test_a_stage_is_timed_on_both_sides_after_the_stages_before_it(

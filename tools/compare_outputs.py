@@ -29,6 +29,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+# The environment the program runs in, taken before ``oatlas.cli`` can be
+# imported here: it sets OPENBLAS_NUM_THREADS in its own environment.
+ENVIRON = dict(os.environ)
 REPO = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
 
@@ -73,7 +76,7 @@ def cli_command(
     checkout: Path, data: Path, out: Path, command: str = "all"
 ) -> tuple[list[str], dict[str, str]]:
     """The argv and environment of one command of ``checkout``'s program."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    env = {**ENVIRON, "PYTHONPATH": str(checkout / "src")}
     argv = [sys.executable, "-m", "oatlas.cli", command]
     argv += ["--data", str(data), "--out", str(out), "--months", MONTHS]
     return argv, env
@@ -100,7 +103,7 @@ def graph_digests(checkout: Path, paths: list[Path]) -> list[str | None]:
     month and a digest of its arrays, or None if it cannot load it."""
     if not paths:
         return []
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    env = {**ENVIRON, "PYTHONPATH": str(checkout / "src")}
     argv = [sys.executable, "-c", _GRAPH_DIGESTS, *map(str, paths)]
     run = subprocess.run(argv, env=env, capture_output=True, text=True)
     lines = run.stdout.splitlines()
