@@ -21,3 +21,8 @@ The package is organized around the pipeline's data flow:
 from __future__ import annotations
 
 __version__ = "0.1.0"
+
+# Shared by the run configuration (``cli.RunConfig``) and the estimator
+# (``causal``), so that the command line need not import ``causal``.
+DEFAULT_WINDOW = 3  # months on each side of treatment
+DEFAULT_MIN_PAIRS = 30  # pairs a language needs for its own estimate

@@ -38,6 +38,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import DEFAULT_MIN_PAIRS, DEFAULT_WINDOW
 from .graph import LinkSnapshot, _sorted_unique, orphan_status
 # Unused here: bench/tracing.py wraps these names in this module.
 from .graph import deorphanizing_events, link_delta, orphanizing_events, orphans  # noqa: F401
@@ -51,8 +52,6 @@ REVERSE = "reverse"
 TREATED = "treated"
 CONTROL = "control"
 
-DEFAULT_WINDOW = 3
-DEFAULT_MIN_PAIRS = 30
 Z_95 = 1.96
 
 

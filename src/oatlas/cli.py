@@ -33,7 +33,16 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (
+    IO,
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 # OpenBLAS reads this once, when numpy loads it.  A DiD design has about
 # a dozen columns, too few for a second BLAS thread to help; the threads
@@ -42,9 +51,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from . import candidates as candidates_mod  # noqa: E402
-from . import causal, characterize, graph, ingest  # noqa: E402
+# Each stage imports the modules it runs, candidates, causal and
+# characterize, itself: at start-up they would cost every other stage.
+from . import DEFAULT_MIN_PAIRS, DEFAULT_WINDOW, graph, ingest  # noqa: E402
 from .months import MonthFormatError, month_add, month_index, month_range  # noqa: E402
+
+if TYPE_CHECKING:
+    from . import candidates as candidates_mod
+    from . import causal
 
 logger = logging.getLogger(__name__)
 
@@ -123,8 +137,8 @@ class RunConfig:
     months: tuple[str, ...] = ()
     languages: tuple[str, ...] | None = None
     strict: bool = False
-    window: int = causal.DEFAULT_WINDOW
-    min_pairs: int = causal.DEFAULT_MIN_PAIRS
+    window: int = DEFAULT_WINDOW
+    min_pairs: int = DEFAULT_MIN_PAIRS
     lowess_fraction: float = 0.67
 
     def validate(self) -> None:
@@ -552,6 +566,24 @@ def _ingest_language(
     return notes, id_by_title
 
 
+class _Grown(Exception):
+    """A container written through :class:`_Capped` passed its cap."""
+
+
+class _Capped:
+    """A sink that passes writes on to ``handle`` until they come to more
+    than ``cap`` bytes, and then raises :class:`_Grown`."""
+
+    def __init__(self, handle: IO[bytes], cap: int):
+        self._handle, self._room = handle, cap
+
+    def write(self, data: bytes) -> None:
+        self._room -= len(data)
+        if self._room < 0:
+            raise _Grown
+        self._handle.write(data)
+
+
 def _save_month(
     snapshot: graph.LinkSnapshot, path: Path, base: graph.LinkSnapshot | None
 ) -> tuple[tuple[int, int] | None, bool]:
@@ -562,18 +594,26 @@ def _save_month(
     It is a delta where that takes fewer bytes than the full container
     and ``path`` does not hold a full container already: a delta that an
     earlier run wrote for a later month may be stored against that one.
+    The delta is encoded first, and the full container is written only
+    until it takes more bytes than the delta: a container's bytes only
+    grow as it is written, so from there on the delta is the smaller.
     """
     if base is None:
         snapshot.save(path)
         return None, False
-    keep_whole = graph.holds_full_container(path)
-    delta, whole = io.BytesIO(), io.BytesIO()
+    delta = io.BytesIO()
     churn = snapshot.save(delta, base)
-    snapshot.save(whole)
-    as_delta = not keep_whole and delta.tell() < whole.tell()
-    with ingest.atomic_file(path) as handle:
-        handle.write((delta if as_delta else whole).getbuffer())
-    return churn, as_delta
+    if graph.holds_full_container(path):
+        snapshot.save(path)
+        return churn, False
+    try:
+        with ingest.atomic_file(path) as handle:
+            snapshot.save(_Capped(handle, delta.tell()))
+        return churn, False
+    except _Grown:
+        with ingest.atomic_file(path) as handle:
+            handle.write(delta.getbuffer())
+        return churn, True
 
 
 def _usable_cpus() -> int:
@@ -684,6 +724,8 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_orphans(config: RunConfig) -> None:
+    from . import characterize
+
     month = config.months[0]
     snapshots = _load_snapshots(config, month)
     summaries = characterize.orphan_fraction_by_wiki(snapshots.values())
@@ -720,6 +762,8 @@ def cmd_orphans(config: RunConfig) -> None:
 
 
 def cmd_characterize(config: RunConfig) -> None:
+    from . import characterize
+
     month = config.months[0]
     snapshots = _load_snapshots(config, month)
     with _input(config.data_root / "features.tsv") as lines:
@@ -757,6 +801,8 @@ def cmd_characterize(config: RunConfig) -> None:
 
 
 def cmd_panel(config: RunConfig) -> None:
+    from . import causal
+
     month, following = _require_month_pair(config)
     full: dict[tuple[str, str], graph.LinkSnapshot] = {}
     first = _load_snapshots(config, month, full)
@@ -817,21 +863,6 @@ def cmd_panel(config: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-_DIRECTION_PREFIXES = (f"{causal.FORWARD}:", f"{causal.REVERSE}:")
-
-
-def _pair_id(cell: str) -> str:
-    if not cell.startswith(_DIRECTION_PREFIXES):
-        raise ValueError(f"pair id {cell!r} names no direction")
-    return cell
-
-
-def _treated(cell: str) -> bool:
-    if cell not in (causal.TREATED, causal.CONTROL):
-        raise ValueError(f"unknown role {cell!r}")
-    return cell == causal.TREATED
-
-
 def _referrer_class(cell: str) -> str:
     if cell not in ingest.REFERRER_CLASSES:
         raise ValueError(f"unknown referrer class {cell!r}")
@@ -839,12 +870,26 @@ def _referrer_class(cell: str) -> str:
 
 
 def _read_panel(config: RunConfig) -> causal.Panel:
+    from . import causal
+
+    directions = (f"{causal.FORWARD}:", f"{causal.REVERSE}:")
+
+    def pair_id(cell: str) -> str:
+        if not cell.startswith(directions):
+            raise ValueError(f"pair id {cell!r} names no direction")
+        return cell
+
+    def treated(cell: str) -> bool:
+        if cell not in (causal.TREATED, causal.CONTROL):
+            raise ValueError(f"unknown role {cell!r}")
+        return cell == causal.TREATED
+
     path = config.out_dir / "panel.tsv"
     # Text columns repeat few distinct cells: check each distinct one once.
     once = functools.lru_cache(maxsize=None)
     converters = (
-        once(_pair_id),
-        once(_treated),
+        once(pair_id),
+        once(treated),
         str,
         once(month_index),
         ingest.int64,
@@ -857,6 +902,8 @@ def _read_panel(config: RunConfig) -> causal.Panel:
 
 
 def _estimates_for_direction(config: RunConfig, panel: causal.Panel) -> dict:
+    from . import causal
+
     is_all = np.array([name == "all" for name in panel.referrers], dtype=bool)
     pooled_rows = panel.take(is_all[panel.referrer])
     pooled = causal.fit_did(pooled_rows, spec="pooled")
@@ -874,6 +921,8 @@ def _estimates_for_direction(config: RunConfig, panel: causal.Panel) -> dict:
 
 
 def cmd_did(config: RunConfig) -> None:
+    from . import causal
+
     panel = _read_panel(config)
     estimates_path = config.out_dir / "estimates.json"
     if not len(panel):
@@ -915,6 +964,8 @@ def _json_int(value: object) -> int:
 def _load_documents(
     config: RunConfig, language: str
 ) -> list[candidates_mod.AnnotatedDocument]:
+    from . import candidates as candidates_mod
+
     path = config.data_root / language / "docs.jsonl"
     if not path.is_file():
         return []
@@ -942,6 +993,8 @@ def _load_documents(
 
 
 def cmd_candidates(config: RunConfig) -> None:
+    from . import candidates as candidates_mod
+
     month = config.months[0]
     snapshots = _load_snapshots(config, month)
     index = _load_qid_index(config)
@@ -1095,11 +1148,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    except (
-        ModelError,
-        causal.DegeneratePanelError,
-        causal.RankDeficientError,
-    ) as exc:
+    except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL_ERROR
     return EXIT_OK

@@ -27,26 +27,34 @@ everything before it (``u32``) and the trailer ``LTAO`` close the file.
 Both ends work on slices of at most ``_SLICE_VALUES`` values, so neither
 holds an array per value beside the snapshot's own.  Deflate's output
 does not depend on how its input is cut between flushes, so the file is
-the same for any slice size.  Containers of formats 1 and 2 are
-rejected; re-running ``ingest`` rewrites them.
+the same for any slice size.
 
-Format 4, a delta container, stores a later month of a language as what
+Format 5, a delta container, stores a later month of a language as what
 it changes in a base month of that language, which is always a full
 (format 3) container.  Its header carries, after the language and the
 month, the base month (``u16`` length-prefixed UTF-8), a CRC-32 of the
 base graph's id, row pointer and target arrays (``u32``, over
-little-endian int64), then six ``u64`` counts: article ids removed, ids
-added, and the rows and edges of the removed and of the added edges.
-Its stream holds eight varint blocks, each ended as in format 3: the
-gaps of the removed ids and of the added ids, then the removed edges
-and the added edges, each a small CSR in three blocks (the gaps between
-its rows, the out-degree of each row, and per row its target gaps).
-Rows and targets are ranks in the sorted union of both months' ids.  A
+little-endian int64), then five ``u64`` counts: articles removed, ids
+added, edges removed, and the rows and edges of the added edges.  Its
+stream holds six varint blocks, each ended as in format 3: the gaps
+between the places of the removed articles in the base's id array, the
+gaps of the added ids, the gaps between the places of the removed edges
+in the base's target array (the first gap of a block counts from 0),
+and the added edges as a small CSR in three blocks (the gaps between
+its rows, the out-degree of each row, and per row its target gaps),
+whose rows and targets are ranks in the sorted union of both months'
+ids.  What a delta removes is named by its place in the base's arrays,
+and the base's CRC is what makes that safe: a delta applies only to the
+exact arrays it was written against.  A
 delta is read against its base, which the caller hands over or which
 sits beside it as ``<base month>.oatl``; a base that is missing,
 changed, of another language or month, or itself a delta is refused,
 so a load reads at most two files.  Which months ``ingest`` stores as
 deltas is its own rule (:func:`oatlas.cli._save_month`).
+
+Containers of formats 1 and 2 (full) and 4 (a delta that named its
+removed edges by their ranks) are refused; re-running ``ingest``
+rewrites them.
 """
 
 from __future__ import annotations
@@ -64,7 +72,8 @@ from .ingest import _positions
 
 _MAGIC = b"OATL"
 _TRAILER = b"LTAO"
-_FULL, _DELTA = 3, 4  # the container formats read and written
+_FULL, _DELTA = 3, 5  # the container formats read and written
+_RETIRED = (b"\x01", b"\x02", b"\x04")  # refused: re-running ingest rewrites them
 # On varint gaps level 6 took about 1.5 times as long as level 1 and
 # made the stream smaller by under 2 % of its size.
 _ZLIB_LEVEL = 1
@@ -104,7 +113,7 @@ class Container:
         data = memoryview(data)
         if data[:4] != _MAGIC:
             raise SnapshotFormatError("not a snapshot container (bad magic)")
-        if data[4:5] in (b"\x01", b"\x02"):
+        if data[4:5] in _RETIRED:
             raise SnapshotFormatError(
                 f"container format {data[4]} is no longer read; re-run `oatlas ingest`"
             )
@@ -130,7 +139,7 @@ class Container:
             if data[4] == _DELTA:
                 self.base_month = text()
                 (self.base_crc,) = struct.unpack_from("<I", data, pos)
-                pos, n_counts = pos + 4, 6
+                pos, n_counts = pos + 4, 5
             self.counts = struct.unpack_from(f"<{n_counts}Q", data, pos)
         except (struct.error, UnicodeDecodeError) as exc:
             raise SnapshotFormatError(f"bad container header: {exc}") from exc
@@ -376,7 +385,7 @@ class LinkSnapshot:
 
         Without ``base`` the container is a full one (format 3).  With
         ``base``, another month of the language that is saved as a full
-        container, it is a delta against that month (format 4), and the
+        container, it is a delta against that month (format 5), and the
         numbers of edges it removes and adds are returned.
         """
         if isinstance(target, Path):
@@ -703,16 +712,20 @@ def _delta_container(
             f"{later.language}/{later.month} cannot be stored against "
             f"{base.language}/{base.month}"
         )
-    removed_ids, added_ids, removed, added = _diff(base, later)
-    counts = (len(removed_ids), len(added_ids))
-    blocks = [(removed_ids, _FROM_ZERO), (added_ids, _FROM_ZERO)]
-    for rows, indptr, targets in (removed, added):
-        counts += (len(rows), len(targets))
-        blocks += [(rows, _FROM_ZERO), (indptr[1:], _FROM_ZERO), (targets, indptr)]
+    removed_at, added_ids, gone, (rows, indptr, targets) = _diff(base, later)
+    counts = (len(removed_at), len(added_ids), len(gone), len(rows), len(targets))
+    blocks = [
+        (removed_at, _FROM_ZERO),
+        (added_ids, _FROM_ZERO),
+        (gone, _FROM_ZERO),
+        (rows, _FROM_ZERO),
+        (indptr[1:], _FROM_ZERO),
+        (targets, indptr),
+    ]
     header = _header_bytes(
         _DELTA, later.language, later.month, counts, base.month, _arrays_crc(base)
     )
-    return header, blocks, (len(removed[2]), len(added[2]))
+    return header, blocks, (len(gone), len(targets))
 
 
 def _read_delta(
@@ -731,18 +744,16 @@ def _read_delta(
         raise SnapshotIntegrityError(
             f"the base {wanted} is not the graph this delta was written against"
         )
-    n_removed, n_added, *csr_counts = container.counts
-    shapes = (csr_counts[:2], csr_counts[2:])  # (rows, edges), twice
-    count = n_removed + n_added + sum(2 * rows + n for rows, n in shapes)
+    n_removed, n_added, n_gone, n_rows, n_edges = container.counts
+    count = n_removed + n_added + n_gone + 2 * n_rows + n_edges
     varints = _Varints(container.stream, count)
-    removed_ids = varints.read(n_removed, _FROM_ZERO)
+    removed_at = varints.read(n_removed, _FROM_ZERO)
     added_ids = varints.read(n_added, _FROM_ZERO)
-    removed, added = [
-        (varints.read(rows, _FROM_ZERO), *_read_adjacency(varints, rows, n))
-        for rows, n in shapes
-    ]
+    gone = varints.read(n_gone, _FROM_ZERO)
+    rows = varints.read(n_rows, _FROM_ZERO)
+    added = (rows, *_read_adjacency(varints, n_rows, n_edges))
     varints.finish()
-    return _apply(base, removed_ids, added_ids, removed, added)
+    return _apply(base, removed_at, added_ids, gone, added)
 
 
 def _arrays_crc(snapshot: LinkSnapshot) -> int:
@@ -779,15 +790,16 @@ def _key_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _diff(base: LinkSnapshot, later: LinkSnapshot) -> tuple:
-    """What ``later`` removes from ``base`` and adds to it: the removed and
-    the added ids, then the removed and the added edges, each as the
-    (rows, row pointers, targets) of :func:`_key_rows` over the ranks of
-    the union of both months' ids.
+    """What ``later`` removes from ``base`` and adds to it: the places in
+    the base's id array of the articles it removes, the ids it adds, the
+    places in the base's target array of the edges it removes, and the
+    added edges as the (rows, row pointers, targets) of :func:`_key_rows`
+    over the ranks of the union of both months' ids.
 
     Besides the results, it holds the base's edge keys and a flag per base
     edge; the later month's keys are made a slice at a time.
     """
-    removed_ids = base._ids[_positions(later._ids, base._ids) < 0]
+    removed_at = np.flatnonzero(_positions(later._ids, base._ids) < 0)
     added_ids = later._ids[_positions(base._ids, later._ids) < 0]
     union = _merged(base._ids, added_ids)
     n = len(union)
@@ -806,8 +818,9 @@ def _diff(base: LinkSnapshot, later: LinkSnapshot) -> tuple:
         at = _positions(base_keys, keys)
         in_later[at[at >= 0]] = True
         added.append(keys[at < 0])
-    removed = _key_rows(base_keys[~in_later], n)
-    return removed_ids, added_ids, removed, _key_rows(np.concatenate(added), n)
+    del base_keys
+    gone = np.flatnonzero(~in_later)
+    return removed_at, added_ids, gone, _key_rows(np.concatenate(added), n)
 
 
 def _search_rows(
@@ -828,40 +841,51 @@ def _ascending(values: np.ndarray) -> bool:
     return not (values[1:] <= values[:-1]).any()
 
 
-def _delta_keys(
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, what: str
+def _places_in(places: np.ndarray, n: int) -> bool:
+    """Whether ``places`` ascend strictly and lie within an array of ``n``."""
+    if not len(places):
+        return True
+    return places[0] >= 0 and places[-1] < n and _ascending(places)
+
+
+def _added_keys(
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray], n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (source, target) ranks in the union of both months' ids, of
-    ``n`` articles, of each edge of a delta's CSR, which must ascend."""
+    ``n`` articles, of each edge of a delta's added CSR, which must ascend."""
     rows, indptr, targets = edges
     for values in (rows, targets):
         if len(values) and (values.min() < 0 or values.max() >= n):
             raise SnapshotIntegrityError("delta edge outside the union of both months")
     sources = np.repeat(rows, np.diff(indptr))
     if not _ascending(sources * n + targets):
-        raise SnapshotIntegrityError(f"{what} edges are not sorted unique")
+        raise SnapshotIntegrityError("added edges are not sorted unique")
     return sources, targets
 
 
 def _apply(
     base: LinkSnapshot,
-    removed_ids: np.ndarray,
+    removed_at: np.ndarray,
     added_ids: np.ndarray,
-    removed: tuple[np.ndarray, np.ndarray, np.ndarray],
+    gone: np.ndarray,
     added: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ids, row pointers and targets of the month that a delta's
     arrays, read by ``load``, take ``base`` to.
 
-    Every removed edge must be in the base, and every kept or added one
-    within the later month's articles; ``validate`` checks the rest.
+    ``removed_at`` and ``gone`` are the places of the removed articles in
+    the base's ids and of the removed edges in its targets; they must
+    ascend strictly within those arrays.  Every kept or added edge must
+    lie within the later month's articles; ``validate`` checks the rest.
     Besides the result, it holds arrays per article and per removed or
     added edge: the kept edges go into the result a slice at a time, each
     after the added edges that sort before it.
     """
     ids, indptr = base._ids, base._indptr
-    if not _ascending(removed_ids) or (_positions(ids, removed_ids) < 0).any():
-        raise SnapshotIntegrityError("removed ids are not sorted unique base articles")
+    if not _places_in(removed_at, len(ids)):
+        raise SnapshotIntegrityError("removed articles are not sorted unique places")
+    if not _places_in(gone, base.n_edges):
+        raise SnapshotIntegrityError("removed edges are not sorted unique places")
     if not _ascending(added_ids) or (_positions(ids, added_ids) >= 0).any():
         raise SnapshotIntegrityError("added ids are not sorted unique new articles")
     union = _merged(ids, added_ids)
@@ -869,25 +893,18 @@ def _apply(
     in_base = np.ones(n, dtype=bool)
     in_base[np.searchsorted(union, added_ids)] = False
     in_later = np.ones(n, dtype=bool)
-    in_later[np.searchsorted(union, removed_ids)] = False
+    in_later[np.searchsorted(union, ids[removed_at])] = False
     later_ids = union[in_later]
     del union
     base_below = np.cumsum(in_base) - in_base  # base articles before each rank
     to_later = np.where(in_later, np.cumsum(in_later) - 1, -1)
     later_of_base = to_later[in_base]
 
-    # The places of the removed edges among the base's.
-    sources, targets = _delta_keys(removed, n, "removed")
-    if not in_base[sources].all() or not in_base[targets].all():
-        raise SnapshotIntegrityError("a removed edge leaves the base's articles")
-    rows, targets = base_below[sources], base_below[targets]
-    gone = _search_rows(base._targets, indptr[rows], indptr[rows + 1], targets)
-    found = gone < indptr[rows + 1]
-    found[found] = base._targets[gone[found]] == targets[found]
-    if not found.all():
-        raise SnapshotIntegrityError("a removed edge is not a base edge")
+    # A removed edge's row is the base row whose edges span its place.
     degrees = np.diff(indptr)
-    degrees -= np.bincount(rows, minlength=len(ids))
+    degrees -= np.bincount(
+        np.searchsorted(indptr, gone, side="right") - 1, minlength=len(ids)
+    )
     if degrees[later_of_base < 0].any():
         raise SnapshotIntegrityError("a removed article keeps an edge")
     kept_degrees = np.zeros(len(later_ids), dtype=np.int64)
@@ -897,7 +914,7 @@ def _apply(
 
     # Before each added edge: the base edges that sort before it, less
     # the removed ones among them.  A new source has no base row.
-    sources, targets = _delta_keys(added, n, "added")
+    sources, targets = _added_keys(added, n)
     rows = base_below[sources]
     starts = indptr[rows]
     ends = np.where(in_base[sources], indptr[np.minimum(rows + 1, len(ids))], starts)

@@ -33,6 +33,7 @@ from oatlas.cli import (
 from oatlas.months import month_at
 
 from .oracles import QidIndexOracle
+from .test_graph import _format_4_delta
 from .test_ingest import _qidmap_rows, assert_same_pages
 
 MONTHS = "2022-11:2022-12"
@@ -337,7 +338,7 @@ def _as_delta(language_dir):
     first, second = (language_dir / f"{month}.oatl" for month in fixtures.GOLDEN_MONTHS)
     later = graph.LinkSnapshot.load(second)
     later.save(second, graph.LinkSnapshot.load(first))
-    assert second.read_bytes()[4] == 4
+    assert second.read_bytes()[4] == 5
     return first, second
 
 
@@ -412,7 +413,7 @@ def test_a_month_is_a_delta_against_the_last_whole_one_where_that_is_smaller(
     paths = {month: snapshots_dir / f"{month}.oatl" for month in _CHURN_MONTHS}
     snapshots = {month: graph.LinkSnapshot.load(path) for month, path in paths.items()}
     formats = [path.read_bytes()[4] for path in paths.values()]
-    assert formats == [3, 4, 4, 3, 4]
+    assert formats == [3, 5, 5, 3, 5]
     bases = [notes[month].get("base_month") for month in _CHURN_MONTHS]
     assert bases == [None, "2022-11", "2022-11", "2022-11", "2023-02"]
     for month, base_month in zip(_CHURN_MONTHS, bases):
@@ -432,6 +433,66 @@ def test_a_month_is_a_delta_against_the_last_whole_one_where_that_is_smaller(
         assert paths[month].stat().st_size == min(sizes)
 
 
+@st.composite
+def _redrawn_months(draw):
+    """A month and the next of one language: a few articles removed and
+    added, and from none to all of the edges redrawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 200))
+    ids = np.sort(rng.choice(np.arange(1, 10 * n), n, replace=False))
+    sources, targets = rng.integers(0, n, (2, draw(st.integers(0, 8 * n))))
+    redrawn = rng.random(len(sources)) < draw(st.sampled_from([0, 0.1, 0.5, 0.9, 1]))
+    later_sources, later_targets = sources.copy(), targets.copy()
+    later_sources[redrawn], later_targets[redrawn] = rng.integers(
+        0, n, (2, redrawn.sum())
+    )
+    later_ids = ids.copy()
+    later_ids[rng.random(n) < draw(st.sampled_from([0, 0.05]))] += 1  # moved ids
+    later_ids = np.unique(later_ids)
+    months = []
+    for month, (src, dst), month_ids in (
+        ("2022-11", (sources, targets), ids),
+        ("2022-12", (later_sources, later_targets), later_ids),
+    ):
+        keep = (src != dst) & (src < len(month_ids)) & (dst < len(month_ids))
+        edges = graph._csr(len(month_ids), src[keep], dst[keep])
+        months.append(graph.LinkSnapshot("aa", month, month_ids, *edges))
+    return months
+
+
+@settings(max_examples=150, deadline=None)
+@given(months=_redrawn_months(), held=st.sampled_from([None, "whole", "delta"]))
+def test_a_month_is_saved_as_the_smaller_of_both_encodings(months, held):
+    """``_save_month`` stops the full container once it outgrows the
+    delta, and keeps what encoding both and taking the smaller keeps: the
+    same form, file bytes and churn.  A path that holds a full container
+    keeps one."""
+    base, later = months
+    delta, whole = io.BytesIO(), io.BytesIO()
+    churn = later.save(delta, base)
+    later.save(whole)
+    as_delta = held != "whole" and delta.tell() < whole.tell()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "2022-12.oatl"
+        if held is not None:
+            later.save(path, base if held == "delta" else None)
+        assert cli._save_month(later, path, base) == (churn, as_delta)
+        assert path.read_bytes() == (delta if as_delta else whole).getvalue()
+        assert [p.name for p in Path(tmp).iterdir()] == [path.name]
+
+
+def test_a_capped_sink_takes_its_cap_and_not_a_byte_more():
+    """A full container that takes as many bytes as the delta is written
+    whole: a tie keeps the full container."""
+    out = io.BytesIO()
+    sink = cli._Capped(out, 5)
+    sink.write(b"abc")
+    sink.write(b"de")
+    with pytest.raises(cli._Grown):
+        sink.write(b"f")
+    assert out.getvalue() == b"abcde"
+
+
 def test_re_ingesting_an_earlier_window_keeps_a_base_whole(tmp_path):
     """A month saved whole that a later month's delta is stored against
     stays whole when an earlier window is ingested, though a delta
@@ -441,7 +502,7 @@ def test_re_ingesting_an_earlier_window_keeps_a_base_whole(tmp_path):
         args = ("--data", str(data), "--out", str(out), "--months", months)
         assert _run("ingest", *args) == EXIT_OK
     paths = [out / "snapshots" / "aa" / f"{month}.oatl" for month in _CHURN_MONTHS]
-    assert [path.read_bytes()[4] for path in paths[:3]] == [3, 3, 4]
+    assert [path.read_bytes()[4] for path in paths[:3]] == [3, 3, 5]
     assert graph.LinkSnapshot.load(paths[2]).month == "2023-01"
     args = ("--data", str(data), "--out", str(out), "--months", "2023-01")
     assert _run("orphans", *args) == EXIT_OK
@@ -583,6 +644,25 @@ def test_orphans_on_format_2_snapshots_is_a_data_error(golden_root, tmp_path, ca
     assert _run("orphans", *base) == EXIT_DATA_ERROR
     err = capsys.readouterr().err
     assert "container format 2 is no longer read; re-run `oatlas ingest`" in err
+
+
+def test_a_format_4_delta_is_a_data_error_naming_it(
+    golden_root, pipeline, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    first, second = (
+        out / "snapshots" / "aa" / f"{month}.oatl" for month in fixtures.GOLDEN_MONTHS
+    )
+    base, later = graph.LinkSnapshot.load(first), graph.LinkSnapshot.load(second)
+    second.write_bytes(_format_4_delta(base, later))
+    capsys.readouterr()
+    args = ("--data", str(golden_root), "--out", str(out), "--months", "2022-12")
+    assert _run("orphans", *args) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == (
+        f"data error: {second}: container format 4 is no longer read;"
+        " re-run `oatlas ingest`\n"
+    )
 
 
 def test_corrupt_dump_lenient_skip_and_strict_abort(golden_root, tmp_path):
@@ -1366,11 +1446,17 @@ def test_ingest_leaves_no_worker_running(golden_root, tmp_path):
     assert multiprocessing.active_children() == []
 
 
-def test_importing_the_cli_leaves_the_process_pool_out():
-    code = (
-        "import sys, oatlas.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    )
+def test_importing_the_cli_leaves_the_stage_modules_and_the_process_pool_out():
+    """Each stage imports what it runs; the command line itself imports
+    neither the process pool nor the modules of other stages."""
+    left_out = {
+        "multiprocessing",
+        "concurrent.futures.process",
+        "oatlas.candidates",
+        "oatlas.causal",
+        "oatlas.characterize",
+    }
+    code = f"import sys, oatlas.cli; print(sorted({left_out!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, sys.path))}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60

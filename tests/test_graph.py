@@ -135,9 +135,9 @@ def test_save_and_load_make_under_16_bytes_per_edge_of_temporaries(tmp_path):
 
     The next month, with 5 % of the edges redrawn and saved as a delta,
     stays under 40 B per edge at save, where the diff holds the base's
-    edge keys and a flag per edge (about 15 B measured), and under 16 B
-    at load (about 6 B).  Loaded by path, the delta also reads its base,
-    whose arrays are about 10 B per edge: under 24 B in all (about 16 B).
+    edge keys and a flag per edge (about 14 B measured), and under 16 B
+    at load (about 4 B).  Loaded by path, the delta also reads its base,
+    whose arrays are about 10 B per edge: under 24 B in all (about 15 B).
     """
     n, m = 100_000, 1_050_000
     rng = np.random.default_rng(3)
@@ -457,9 +457,9 @@ def _header(snapshot, n_articles=None, n_edges=None):
     )
 
 
-def _delta_header(language, month, base, counts):
-    """A format-4 header: the language, the month, the base's month and
-    the CRC-32 of its arrays, then the six counts."""
+def _delta_header(language, month, base, counts, version=5):
+    """A delta header: the language, the month, the base's month and the
+    CRC-32 of its arrays, then the counts (five in format 5, six in 4)."""
     crc = 0
     for array in (base.article_ids, base._indptr, base._targets):
         crc = zlib.crc32(np.asarray(array, dtype="<i8").tobytes(), crc)
@@ -467,7 +467,8 @@ def _delta_header(language, month, base, counts):
         struct.pack("<H", len(text.encode())) + text.encode()
         for text in (language, month, base.month)
     )
-    return b"OATL\x04" + texts + struct.pack("<I6Q", crc, *counts)
+    head = b"OATL" + bytes([version]) + texts
+    return head + struct.pack(f"<I{len(counts)}Q", crc, *counts)
 
 
 def _container(header, stream):
@@ -584,7 +585,7 @@ def test_header_counts_the_stream_cannot_fill_allocate_no_arrays_for_them():
     snap = LinkSnapshot.from_edges("xx", "2022-11", [], [])
     blob = _container(_header(snap, n_articles=700_000, n_edges=0), stream)
     assert len(blob) < 1_500 and 1_400_000 <= graph._MAX_DEFLATE_RATIO * len(stream)
-    counts = (0, 700_000, 0, 0, 0, 0)
+    counts = (0, 700_000, 0, 0, 0)
     delta = _container(_delta_header("xx", "2022-12", snap, counts), stream)
     for container, base in ((blob, None), (delta, snap)):
         tracemalloc.start()
@@ -940,12 +941,104 @@ def test_orphan_status_crossings_match_the_edge_diff(pair):
 # -- delta containers ---------------------------------------------------------
 
 
-def test_delta_layout_is_header_eight_varint_blocks_crc_trailer():
+def _gap_list(values):
+    """Each value less the one before it, the first less 0."""
+    return [b - a for a, b in zip([0] + values, values)]
+
+
+def _csr_blocks(edges):
+    """The value lists of a delta's small CSR of ``edges``, sorted rank
+    pairs: the gaps between its rows, their out-degrees and per row the
+    gaps between its targets."""
+    rows = sorted({u for u, _ in edges})
+    target_gaps = []
+    for row in rows:
+        target_gaps += _gap_list([v for u, v in edges if u == row])
+    degrees = [sum(u == row for u, _ in edges) for row in rows]
+    return _gap_list(rows), degrees, target_gaps
+
+
+def _ranked(base, later):
+    """Both months' ids and edge sets, and the rank of each id in their union."""
+    base_ids, later_ids = base.article_ids.tolist(), later.article_ids.tolist()
+    rank = {page: i for i, page in enumerate(sorted({*base_ids, *later_ids}))}
+    return base_ids, later_ids, base.edge_set(), later.edge_set(), rank
+
+
+def _delta_blocks(base, later):
+    """The value lists of ``later``'s six delta blocks against ``base``,
+    one value at a time: the gaps between the removed articles' places
+    in the base's ids, of the added ids and of the removed edges' places
+    in the base's targets, then the added edges as :func:`_csr_blocks`
+    over ranks in the union of ids."""
+    base_ids, later_ids, base_edges, later_edges, rank = _ranked(base, later)
+    added = sorted((rank[u], rank[v]) for u, v in later_edges - base_edges)
+    rows, degrees, target_gaps = _csr_blocks(added)
+    return {
+        "removed_at": _gap_list(
+            [i for i, page in enumerate(base_ids) if page not in later_ids]
+        ),
+        "added_ids": _gap_list([page for page in later_ids if page not in base_ids]),
+        "gone": _gap_list(
+            [i for i, edge in enumerate(base.edges()) if edge not in later_edges]
+        ),
+        "rows": rows,
+        "degrees": degrees,
+        "target_gaps": target_gaps,
+    }
+
+
+def _format_4_delta(base, later):
+    """``later``'s delta against ``base`` as format 4 wrote it: the gaps
+    of the removed and of the added ids, then the removed and the added
+    edges, each as :func:`_csr_blocks` over ranks in the union of ids, in
+    eight blocks under six counts."""
+    base_ids, later_ids, base_edges, later_edges, rank = _ranked(base, later)
+    removed = [page for page in base_ids if page not in later_ids]
+    added = [page for page in later_ids if page not in base_ids]
+    blocks, counts = [_gap_list(removed), _gap_list(added)], [len(removed), len(added)]
+    for edges in (base_edges - later_edges, later_edges - base_edges):
+        ranked = sorted((rank[u], rank[v]) for u, v in edges)
+        blocks += _csr_blocks(ranked)
+        counts += [len(blocks[-3]), len(ranked)]
+    header = _delta_header(base.language, later.month, base, counts, version=4)
+    return _container(header, _deflate_blocks(*map(_varints, blocks)))
+
+
+def _delta_blob(base, month, blocks):
+    """A format-5 container of ``blocks`` (as :func:`_delta_blocks` gives
+    them), each compressed whole, against ``base``."""
+    counts = [len(blocks[name]) for name in ("removed_at", "added_ids", "gone")]
+    counts += [len(blocks["rows"]), len(blocks["target_gaps"])]
+    header = _delta_header(base.language, month, base, counts)
+    return _container(header, _deflate_blocks(*map(_varints, blocks.values())))
+
+
+def test_delta_layout_is_header_six_varint_blocks_crc_trailer():
     base = LinkSnapshot.from_edges("xx", "2022-11", [1, 300], [(300, 1)])
     later = LinkSnapshot.from_edges("xx", "2022-12", [1, 5], [(1, 5)])
     buf = io.BytesIO()
     assert later.save(buf, base) == (1, 1)
     # The union of both months' ids is 1, 5, 300.
+    stream = _deflate_blocks(
+        bytes([0x01]),  # removed articles: 300, at place 1 of the base's ids
+        bytes([0x05]),  # added ids: 5
+        bytes([0x00]),  # removed edges: 300->1, at place 0 of the base's targets
+        bytes([0x00]),  # added edges' rows: 1, at rank 0
+        bytes([0x01]),  # their out-degrees
+        bytes([0x01]),  # row of 1: target 5, at rank 1
+    )
+    header = _delta_header("xx", "2022-12", base, (1, 1, 1, 1, 1))
+    assert buf.getvalue() == _container(header, stream)
+    assert buf.getvalue() == _delta_blob(base, "2022-12", _delta_blocks(base, later))
+    assert LinkSnapshot.load(io.BytesIO(buf.getvalue()), base) == later
+
+
+def test_a_format_4_delta_is_refused():
+    """The delta of the layout test above as format 4 wrote it, removed
+    ids and edges given by value and rank, is refused."""
+    base = LinkSnapshot.from_edges("xx", "2022-11", [1, 300], [(300, 1)])
+    later = LinkSnapshot.from_edges("xx", "2022-12", [1, 5], [(1, 5)])
     stream = _deflate_blocks(
         bytes([0xAC, 0x02]),  # removed ids: 300
         bytes([0x05]),  # added ids: 5
@@ -956,9 +1049,52 @@ def test_delta_layout_is_header_eight_varint_blocks_crc_trailer():
         bytes([0x01]),  # their out-degrees
         bytes([0x01]),  # row of 1: target 5, at rank 1
     )
-    header = _delta_header("xx", "2022-12", base, (1, 1, 1, 1, 1, 1))
-    assert buf.getvalue() == _container(header, stream)
-    assert LinkSnapshot.load(io.BytesIO(buf.getvalue()), base) == later
+    header = _delta_header("xx", "2022-12", base, (1,) * 6, version=4)
+    blob = _container(header, stream)
+    assert blob == _format_4_delta(base, later)
+    with pytest.raises(SnapshotFormatError, match="format 4 .* re-run `oatlas ingest`"):
+        LinkSnapshot.load(io.BytesIO(blob), base)
+
+
+# The small snapshot's next month without article 4, which linked to 2.
+# The base's targets hold, in place order, 1->2, 2->3, 3->1 and 4->2.
+_WITHOUT_4 = ([1, 2, 3, 5], [(1, 2), (2, 3), (3, 1)])
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"removed_at": [3, 0]}, "removed articles are not sorted unique places"),
+        ({"removed_at": [3, 2**63 - 1]}, "removed articles are not sorted unique"),
+        ({"removed_at": [5]}, "removed articles are not sorted unique places"),
+        ({"gone": [3, 0]}, "removed edges are not sorted unique places"),
+        ({"gone": [3, 2**63 - 1]}, "removed edges are not sorted unique places"),
+        ({"gone": [4]}, "removed edges are not sorted unique places"),
+        ({"gone": []}, "a removed article keeps an edge"),
+        ({"removed_at": [0, 3], "gone": [0, 3]}, "an edge to a removed article"),
+    ],
+    ids=[
+        "articles repeat",
+        "articles descend",
+        "article past the ids",
+        "edges repeat",
+        "edges descend",
+        "edge past the targets",
+        "article keeps its out-edge",
+        "article keeps an in-edge",
+    ],
+)
+def test_a_delta_whose_removed_places_do_not_fit_the_base_fails(edits, message):
+    """Removed places that repeat, that descend (a gap that takes the sum
+    past 2**63), that point past the base's arrays, or that leave a
+    removed article an edge raise, under a valid checksum."""
+    base = _small_snapshot()
+    later = LinkSnapshot.from_edges("xx", "2022-12", *_WITHOUT_4)
+    blocks = _delta_blocks(base, later)
+    assert (blocks["removed_at"], blocks["gone"]) == ([3], [3])
+    blob = _delta_blob(base, "2022-12", {**blocks, **edits})
+    with pytest.raises(SnapshotIntegrityError, match=message):
+        LinkSnapshot.load(io.BytesIO(blob), base)
 
 
 @st.composite
@@ -988,6 +1124,8 @@ def test_a_delta_round_trips_at_any_slice_size(pair, slice_values):
     churn = later.save(whole, base)
     before, after = base.edge_set(), later.edge_set()
     assert churn == (len(before - after), len(after - before))
+    blocks = _delta_blocks(base, later)
+    assert whole.getvalue() == _delta_blob(base, later.month, blocks)
     with mock.patch.object(graph, "_SLICE_VALUES", slice_values):
         buf = io.BytesIO()
         later.save(buf, base)

@@ -30,10 +30,12 @@ def test_one_checkout_on_both_sides_writes_the_same_golden_outputs(
     )
     assert problems == []
     assert (tmp_path / "golden" / "current" / "representation_scores.tsv").is_file()
+    # The golden tree's graphs are too small for a delta to pay.
     written = sum(p.stat().st_size for p in (tmp_path / "golden").rglob("*.oatl"))
+    side = f"{written // 2:,}"
     assert written > 0 and sizes == (
-        f"golden: .oatl bytes {written // 2:,} in the baseline,"
-        f" {written // 2:,} in the current checkout, ratio 1.0000"
+        f"golden: .oatl bytes {side} in the baseline ({side} full, 0 delta),"
+        f" {side} in the current checkout ({side} full, 0 delta), ratio 1.0000"
     )
 
 
@@ -85,16 +87,25 @@ def test_a_container_re_encoded_is_told_from_one_that_differs(tmp_path):
         "snapshots/other.oatl: differs",
         "snapshots/same.oatl: same graph, re-encoded",
     ]
-    old, new = (
-        sum(p.stat().st_size for p in (root / "snapshots").iterdir())
-        for root in (baseline, current)
-    )
+    # A container is told by its first five bytes: the current side's
+    # delta is its second month, and of the broken files the baseline's
+    # bare magic counts as a delta and the current side's as full.
+    sizes = {
+        path.relative_to(tmp_path).as_posix(): path.stat().st_size
+        for path in tmp_path.rglob("*.oatl")
+    }
+    old = sum(n for name, n in sizes.items() if name.startswith("baseline/"))
+    new = sum(n for name, n in sizes.items() if name.startswith("current/"))
+    new_delta = sizes["current/snapshots/2022-12.oatl"]
+    old_delta = sizes["baseline/snapshots/broken.oatl"]
     assert compare_outputs.container_sizes("tree", baseline, current) == (
-        f"tree: .oatl bytes {old:,} in the baseline, {new:,} in the current"
-        f" checkout, ratio {new / old:.4f}"
+        f"tree: .oatl bytes {old:,} in the baseline ({old - old_delta:,} full,"
+        f" {old_delta:,} delta), {new:,} in the current checkout"
+        f" ({new - new_delta:,} full, {new_delta:,} delta), ratio {new / old:.4f}"
     )
     assert compare_outputs.container_sizes("none", tmp_path / "a", tmp_path / "b") == (
-        "none: .oatl bytes 0 in the baseline, 0 in the current checkout, ratio -"
+        "none: .oatl bytes 0 in the baseline (0 full, 0 delta), 0 in the current"
+        " checkout (0 full, 0 delta), ratio -"
     )
 
 

@@ -14,8 +14,9 @@ snapshot container (``.oatl``) whose bytes differ is loaded by each
 side's own program; if both read the same language, month and arrays,
 it is printed as "same graph, re-encoded", which is not a difference.
 For each tree it also prints the total bytes of the containers each side
-wrote and their ratio, current over baseline, so a re-encoding shows
-its size change.  The script exits 1 if it printed a difference and 0
+wrote, split into full containers and deltas, and the ratio of the
+totals, current over baseline, so a re-encoding shows its size change
+and which format it came from.  The script exits 1 if it printed a difference and 0
 otherwise.  Trees and outputs are written only under the temporary
 directory.
 """
@@ -36,7 +37,7 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
 
 import generate  # noqa: E402
-from oatlas import fixtures  # noqa: E402
+from oatlas import fixtures, graph  # noqa: E402
 
 MONTHS = "2022-11:2022-12"
 SEED = 1
@@ -143,16 +144,23 @@ def differing_files(
 
 
 def container_sizes(name: str, baseline: Path, current: Path) -> str:
-    """The total bytes of the containers under each root, and their ratio."""
-    old, new = (
-        sum(path.stat().st_size for path in root.rglob("*.oatl"))
-        for root in (baseline, current)
-    )
+    """The bytes of the containers under each root, in all and split into
+    full containers and deltas (any container that does not begin as a
+    full one), and the ratio of the totals."""
+    parts = []
+    totals = []
+    for side, root in (("the baseline", baseline), ("the current checkout", current)):
+        full = delta = 0
+        for path in root.rglob("*.oatl"):
+            if graph.holds_full_container(path):
+                full += path.stat().st_size
+            else:
+                delta += path.stat().st_size
+        totals.append(full + delta)
+        parts.append(f"{full + delta:,} in {side} ({full:,} full, {delta:,} delta)")
+    old, new = totals
     ratio = f"{new / old:.4f}" if old else "-"
-    return (
-        f"{name}: .oatl bytes {old:,} in the baseline, {new:,} in the current"
-        f" checkout, ratio {ratio}"
-    )
+    return f"{name}: .oatl bytes {parts[0]}, {parts[1]}, ratio {ratio}"
 
 
 def compare_tree(
